@@ -154,7 +154,9 @@ class CampaignCache:
         if not path.exists():
             return None
         try:
-            with np.load(path) as entry:
+            # np.load leaks the handle it opened when the archive does not
+            # parse, so the file is opened (and always closed) here.
+            with open(path, "rb") as handle, np.load(handle) as entry:
                 values = np.asarray(entry["values"])
                 if "digest" in entry and str(entry["digest"]) != _digest(values):
                     raise ValueError("digest mismatch")
@@ -182,7 +184,7 @@ class CampaignCache:
     def _read_chunk(self, path: Path, start: int, stop: int) -> np.ndarray | None:
         """Load and verify one chunk entry; discard it on any mismatch."""
         try:
-            with np.load(path) as entry:
+            with open(path, "rb") as handle, np.load(handle) as entry:
                 values = np.asarray(entry["values"])
                 if int(entry["start"]) != start or int(entry["stop"]) != stop:
                     raise ValueError("unit range mismatch")

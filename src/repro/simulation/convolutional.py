@@ -9,21 +9,74 @@ builds on — with maximum-likelihood Viterbi decoding:
   (octal) as the production default, and
 * the small ``(5, 7)`` constraint-length-3 code for fast tests.
 
-Encoding is expressed as a binary convolution (numpy ``convolve`` mod 2);
-decoding is a vectorized add-compare-select over the 2^(K-1)-state trellis
-with traceback. LLR inputs use the ``LLR > 0 ⇔ bit = 0`` convention of
-:mod:`repro.simulation.modulation`.
+Encoding is a binary convolution (numpy ``convolve`` mod 2, or shift-XORs
+for a batch); decoding is a vectorized add-compare-select over the
+2^(K-1)-state trellis with traceback. LLR inputs use the
+``LLR > 0 ⇔ bit = 0`` convention of :mod:`repro.simulation.modulation`.
 
 Both operations also exist batched over a leading *frames* axis
 (:meth:`ConvolutionalCode.encode_rows` / :meth:`~ConvolutionalCode
-.decode_rows`): the ACS recursion runs once over the trellis with every
-frame of the batch carried in the leading array dimension, so decoding
-``R`` frames costs one pass of ``T`` NumPy steps instead of ``R`` Python
-round trips. Every update is elementwise along that axis (the branch
-metrics are accumulated term by term in tap order on both paths), so a
-batch of ``R`` decodes is bit-for-bit identical to ``R`` one-frame
-decodes — the property the batched link-level simulation kernel relies
-on, mirroring the campaign kernel's contract.
+.decode_rows`). :meth:`~ConvolutionalCode.decode` is the per-frame
+oracle; ``decode_rows`` is one exact fast path in two parts, and row
+``r`` of its result equals ``decode(llr_rows[r], n)`` bit for bit — the
+property the batched link-level simulation kernel relies on, mirroring
+the campaign kernel's contract.
+
+**(a) Butterfly ACS.** With ``next = (bit << (K-2)) | (state >> 1)``,
+states ``s`` and ``s + S/2`` share the predecessors ``(2s, 2s+1)``, slot
+0 on the even one. The ACS keeps its metrics state-major, shape
+``(S, R)``, and reads the strided views ``metrics[0::2]`` and
+``metrics[1::2]`` instead of gathering them. Branch metrics come from a
+table of every ±1 sign pattern, built by broadcasting with the same
+exact sign flips, tap-order sum and final halving as
+:func:`_branch_metrics`, so each entry equals the oracle's value. One
+gather per block of steps puts the table in butterfly order. When every
+generator taps the oldest register bit, slot 1's pattern complements
+slot 0's, so its metric is ``-bm`` and the ACS subtracts. That is exact:
+IEEE rounding is symmetric in sign, so ``-(a + b) = (-a) + (-b)``,
+``0.5·(-x) = -(0.5·x)`` and ``m - x = m + (-x)``. For (133, 171) and
+(5, 7) the four branches of every butterfly are thus ``±bm``. The
+decision is ``cand1 > cand0``, which keeps slot 0 on ties like
+``argmax``. The new metric is ``maximum(cand0, cand1)``, the value
+``argmax`` picks, except that of two equal zeros it may keep the other
+sign, which no later sum or comparison can tell apart. A NaN candidate
+needs an infinite metric, so only batches with an infinite LLR or an
+overflowing sum add ``argmax``'s rule that the first NaN wins. Every
+operation is elementwise along the rows, so each row sees the oracle's
+sequence of roundings.
+
+**(b) Certified codeword shortcut.** Let ``c = (llr < 0)`` be a row's
+hard decisions. With ``Σ_j a_j·g_j = 1`` over GF(2)[D] (extended Euclid
+on the generators, once per code), ``u = Σ_j a_j·c_j`` recovers the
+information word whenever ``c`` is a codeword. If ``encode(u) == c``,
+then ``c`` is a terminated codeword that agrees in sign with every LLR,
+so it has the largest exact metric ``M(c) = ½·A`` with ``A = Σ|llr|``.
+A row whose certificate holds returns ``u`` and skips the ACS. The
+certificate is that every LLR is normal (finite, non-zero, not
+subnormal), ``A ≤ 2^1020`` and ``δ > 2·γ_{T+n}·A``, where ``δ`` is the
+sum of the ``d_free`` smallest ``|llr|``, ``γ_k = k·u/(1 − k·u)`` and
+``u = 2^-53``. The proof has three steps.
+
+1. Take any state ``σ`` on ``c``'s path at step ``t + 1``. The rival
+   candidate there is a path ``p`` from state 0 that differs from
+   ``c``'s prefix. By linearity ``p ⊕ c`` leaves state 0 and returns to
+   it, so it has weight at least ``d_free``. The exact metrics therefore
+   satisfy ``M(c) − M(p) = Σ_{i: p_i ≠ c_i} |llr_i| ≥ δ``.
+2. A survivor's float metric is the float running sum along its own
+   path. Each branch sum has ``n − 1`` additions and each metric at most
+   ``T``, so relative errors compose to ``γ_{T+n}``. Halving a sum is
+   exact unless the result is subnormal, which adds at most ``2^-1075``
+   per step. So ``|M̂ − M| ≤ ½·γ_{T+n}·A + (1 + γ_T)·T·2^-1075``.
+   All-normal LLRs give ``γ_{T+n}·A ≥ (T+n)·nT·2^-1075 ≥ 3T·2^-1075``
+   (``T ≥ 2``), so twice the error is at most ``2·γ_{T+n}·A``.
+   ``A ≤ 2^1020`` keeps every value finite.
+3. Hence ``cand_c − cand_p ≥ δ − 2·γ_{T+n}·A > 0`` at every step. Both
+   ``decode`` and the ACS keep ``c``'s branch strictly, and the
+   traceback from state 0 returns ``u``.
+
+The code tests ``δ̂ > 4·γ_{T+n}·Â`` on the float sums. The extra factor
+2 covers their own rounding, a relative ``γ_N`` ≪ 1. Rows that fail
+the certificate run the butterfly ACS.
 """
 
 from __future__ import annotations
@@ -36,6 +89,13 @@ from ..exceptions import InvalidParameterError
 from .bits import as_bit_rows, as_bits
 
 __all__ = ["ConvolutionalCode", "NASA_CODE", "TEST_CODE"]
+
+#: Unit roundoff of IEEE double precision.
+_UNIT_ROUNDOFF = 2.0**-53
+#: Largest row sum of |LLR| whose path metrics provably stay finite.
+_SUM_LIMIT = 2.0**1020
+#: Branch-metric values the butterfly ACS precomputes per block of steps.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def _taps_from_octal(octal_value: int, constraint_length: int) -> np.ndarray:
@@ -73,26 +133,90 @@ def _branch_metrics(pred_signs: np.ndarray, llrs: np.ndarray) -> np.ndarray:
     return 0.5 * acc
 
 
-def _combo_metrics(llrs: np.ndarray) -> np.ndarray:
-    """Branch metrics of every ±1 sign pattern, shape ``(R, 2^n_outputs)``.
+def _pattern_metrics(planes: np.ndarray) -> np.ndarray:
+    """Branch metrics of every ±1 sign pattern, shape ``(T, 2^n, R)``.
 
-    ``combos[:, c]`` is ``0.5 * sum_j s_j * llr_j`` with ``s_j = -1`` when
-    bit ``j`` of ``c`` is set. Sign flips are exact and the sum is
-    accumulated in the same tap order as :func:`_branch_metrics`, so
-    gathering from this table is bit-identical to computing the metric
-    per (state, slot).
+    ``planes[j]`` holds coded output ``j``'s LLRs as a ``(T, R)`` plane.
+    Pattern ``c`` flips output ``j`` when bit ``j`` of ``c`` is set. The
+    flips are exact and the sum runs in tap order and is halved last, as
+    in :func:`_branch_metrics`, so every value equals the oracle's metric.
     """
-    n_rows, n_outputs = llrs.shape
-    combos = np.empty((n_rows, 1 << n_outputs))
-    for c in range(1 << n_outputs):
-        acc = -llrs[:, 0] if c & 1 else llrs[:, 0].copy()
-        for j in range(1, n_outputs):
-            if (c >> j) & 1:
-                acc = acc - llrs[:, j]
-            else:
-                acc = acc + llrs[:, j]
-        combos[:, c] = 0.5 * acc
-    return combos
+    n_outputs = planes.shape[0]
+    bits = (np.arange(1 << n_outputs)[:, None] >> np.arange(n_outputs)) & 1
+    signs = 1.0 - 2.0 * bits
+    acc = signs[:, 0, None] * planes[0][:, None, :]
+    for j in range(1, n_outputs):
+        acc = acc + signs[:, j, None] * planes[j][:, None, :]
+    return 0.5 * acc
+
+
+def _gf2_mul(a: int, b: int) -> int:
+    """Product of two GF(2)[D] polynomials (bit ``i`` holds ``D^i``)."""
+    product = 0
+    while b:
+        if b & 1:
+            product ^= a
+        a <<= 1
+        b >>= 1
+    return product
+
+
+def _gf2_bezout(a: int, b: int) -> tuple:
+    """``(g, x, y)`` with ``x·a ⊕ y·b = g = gcd(a, b)`` over GF(2)[D]."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        quotient, remainder = 0, a
+        while remainder.bit_length() >= b.bit_length():
+            shift = remainder.bit_length() - b.bit_length()
+            quotient ^= 1 << shift
+            remainder ^= b << shift
+        a, b = b, remainder
+        x0, x1 = x1, x0 ^ _gf2_mul(quotient, x1)
+        y0, y1 = y1, y0 ^ _gf2_mul(quotient, y1)
+    return a, x0, y0
+
+
+def _bezout_inverse(polynomials) -> tuple | None:
+    """Polynomials ``a_j`` with ``Σ_j a_j·g_j = 1``, or ``None`` if none exist.
+
+    Folds the extended Euclidean algorithm over the generators, keeping
+    ``Σ_j a_j·g_j = gcd(g_0, ..., g_j)``. The gcd is 1 exactly when the
+    code is not catastrophic.
+    """
+    gcd, coefficients = polynomials[0], [1] + [0] * (len(polynomials) - 1)
+    for j in range(1, len(polynomials)):
+        gcd, x, y = _gf2_bezout(gcd, polynomials[j])
+        coefficients = [_gf2_mul(x, c) for c in coefficients]
+        coefficients[j] = y
+    return tuple(coefficients) if gcd == 1 else None
+
+
+def _free_distance(next_state: np.ndarray, outputs: np.ndarray) -> int:
+    """Least Hamming weight of a path that leaves state 0 and returns to it."""
+    weight = outputs.sum(axis=2)
+    distance = np.full(len(next_state), np.inf)
+    distance[next_state[0, 1]] = weight[0, 1]
+    for _ in range(len(next_state)):  # Bellman-Ford; weights are >= 0
+        np.minimum.at(distance, next_state, distance[:, None] + weight)
+    return int(distance[0])
+
+
+def _shift_xor_rows(rows: np.ndarray, polynomial: int, span: int) -> np.ndarray:
+    """Each bit row times a GF(2)[D] polynomial, in ``span`` columns.
+
+    ``span`` must be at least the row width plus the polynomial's degree.
+    Every row then ends in enough zeros that a shift never spills into
+    the next row, so each term ``D^p`` is one XOR over the flat batch.
+    """
+    n_rows, width = rows.shape
+    padded = np.zeros((n_rows, span), dtype=np.uint8)
+    padded[:, :width] = rows
+    source = padded.ravel()
+    product = np.zeros(n_rows * span, dtype=np.uint8)
+    for p in range(polynomial.bit_length()):
+        if (polynomial >> p) & 1:
+            product[p:] ^= source[: source.size - p]
+    return product.reshape(n_rows, span)
 
 
 @dataclass(frozen=True)
@@ -175,18 +299,19 @@ class ConvolutionalCode:
         info = as_bit_rows(bit_rows)
         if info.shape[1] == 0:
             raise InvalidParameterError("cannot encode an empty block")
+        return self._encode_rows(info)
+
+    def _encode_rows(self, info: np.ndarray) -> np.ndarray:
+        """:meth:`encode_rows` on an already validated ``(R, n)`` uint8 batch."""
         n_rows, n_info = info.shape
-        k = self.constraint_length
-        n_steps = n_info + k - 1
-        out = np.zeros((n_rows, n_steps, self.n_outputs), dtype=np.uint8)
-        for j, g in enumerate(self.generators):
-            taps = _taps_from_octal(g, k)
-            for position in np.flatnonzero(taps):
-                out[:, position : position + n_info, j] ^= info
-        return out.reshape(n_rows, n_steps * self.n_outputs)
+        n_steps = n_info + self.constraint_length - 1
+        streams = [
+            _shift_xor_rows(info, g, n_steps) for g in self._trellis()["polynomials"]
+        ]
+        return np.stack(streams, axis=2).reshape(n_rows, n_steps * self.n_outputs)
 
     def _trellis(self) -> dict:
-        """Build (and cache) predecessor tables for the Viterbi decoder."""
+        """Build (and cache) the trellis, Bezout and free-distance tables."""
         if self._tables:
             return self._tables
         k = self.constraint_length
@@ -216,31 +341,51 @@ class ConvolutionalCode:
         if not np.all(counts == 2):  # pragma: no cover - structural invariant
             raise InvalidParameterError("malformed trellis: predecessor count != 2")
 
+        # Butterfly layout: states s and s + S/2 share the predecessors
+        # (2s, 2s+1), slot 0 on the even one, and every branch into state
+        # ns carries the input bit ns >> (K-2).
+        half = n_states // 2
+        new_states = np.arange(n_states)
+        evens = 2 * (new_states % half)
+        if not (
+            np.array_equal(pred_state, np.stack([evens, evens + 1], axis=1))
+            and np.all(pred_bit == (new_states >= half)[:, None])
+        ):  # pragma: no cover - structural invariant
+            raise InvalidParameterError("malformed trellis: not in butterfly layout")
+
         # Branch metric signs: +1 for coded bit 0, -1 for coded bit 1, laid
-        # out per predecessor slot of each next-state for vectorized ACS.
-        # pred_combo indexes each slot's sign pattern into the 2^n_outputs
-        # possible ±LLR combinations (bit j set ⇔ coded bit j is 1), which
-        # lets the batched decoder evaluate every distinct branch metric
-        # once per trellis step and gather, instead of recomputing it per
-        # (state, slot).
+        # out per predecessor slot of each next-state. branch_patterns[q, ns]
+        # is slot q's sign pattern as a bit mask (bit j set ⇔ coded bit j
+        # is 1), indexing the batched decoder's per-pattern metric table.
         pred_signs = np.zeros((n_states, 2, self.n_outputs))
-        pred_combo = np.zeros((n_states, 2), dtype=np.int64)
+        branch_patterns = np.zeros((2, n_states), dtype=np.intp)
         for ns in range(n_states):
             for slot in (0, 1):
                 s, b = pred_state[ns, slot], pred_bit[ns, slot]
                 pred_signs[ns, slot] = 1.0 - 2.0 * outputs[s, b]
-                pred_combo[ns, slot] = sum(
+                branch_patterns[slot, ns] = sum(
                     int(outputs[s, b, j]) << j for j in range(self.n_outputs)
                 )
 
+        # Generator polynomials with bit i holding D^i (tap i delays by i).
+        polynomials = tuple(sum(int(b) << i for i, b in enumerate(t)) for t in taps)
+
         self._tables.update(
             {
+                "polynomials": polynomials,
                 "next_state": next_state,
                 "outputs": outputs,
                 "pred_state": pred_state,
                 "pred_bit": pred_bit,
                 "pred_signs": pred_signs,
-                "pred_combo": pred_combo,
+                "branch_patterns": branch_patterns,
+                # Slot 1's branches complement slot 0's (so they are -bm)
+                # when every generator taps the oldest register bit.
+                "slot1_negated": np.array_equal(
+                    branch_patterns[1], branch_patterns[0] ^ ((1 << self.n_outputs) - 1)
+                ),
+                "bezout": _bezout_inverse(polynomials),
+                "d_free": _free_distance(next_state, outputs),
             },
         )
         return self._tables
@@ -300,10 +445,9 @@ class ConvolutionalCode:
 
         ``llr_rows`` has shape ``(R, n_coded_bits(n_info_bits))``; the
         result is the ``(R, n_info_bits)`` batch of ML information-bit
-        sequences. The add-compare-select recursion and the traceback are
-        elementwise along the leading axis (ties break toward the same
-        predecessor slot as :meth:`decode`'s ``argmax``), so row ``r``
-        equals ``decode(llr_rows[r], n_info_bits)`` bit for bit.
+        sequences. Rows with a certified hard-decision codeword return it
+        directly and the rest run the butterfly ACS (module docstring), so
+        row ``r`` equals ``decode(llr_rows[r], n_info_bits)`` bit for bit.
         """
         llr_arr = np.asarray(llr_rows, dtype=float)
         expected = self.n_coded_bits(n_info_bits)
@@ -312,46 +456,106 @@ class ConvolutionalCode:
                 f"expected (rows, {expected}) LLRs for {n_info_bits} info "
                 f"bits, got shape {llr_arr.shape}"
             )
+        decoded, certified = self._certified_codewords(llr_arr, n_info_bits)
+        rest = np.flatnonzero(~certified)
+        if rest.size:
+            decoded[rest] = self._butterfly_viterbi(llr_arr, rest, n_info_bits)
+        return decoded
+
+    def _certified_codewords(self, llr_arr: np.ndarray, n_info_bits: int) -> tuple:
+        """Rows whose hard decisions are a codeword Viterbi provably returns.
+
+        Returns ``(info, certified)``: for each row with ``certified[r]``,
+        ``info[r]`` is the information word of its hard decisions, which
+        is the decoder's output by the certificate in the module docstring.
+        """
         tables = self._trellis()
-        pred_state = tables["pred_state"]
-        pred_combo = tables["pred_combo"]
-        pred_bit = tables["pred_bit"]
         n_rows = llr_arr.shape[0]
-        n_states = self.n_states
+        info = np.zeros((n_rows, n_info_bits), dtype=np.uint8)
+        if tables["bezout"] is None:
+            return info, np.zeros(n_rows, dtype=bool)
         n_steps = n_info_bits + self.constraint_length - 1
-        llr_steps = llr_arr.reshape(n_rows, n_steps, self.n_outputs)
+        hard = (llr_arr < 0).view(np.uint8)
+        streams = hard.reshape(n_rows, n_steps, self.n_outputs)
+        # u = Σ_j a_j·c_j: shift-XORs, truncated to the information bits.
+        for j, a in enumerate(tables["bezout"]):
+            span = n_steps + max(a.bit_length() - 1, 0)
+            info ^= _shift_xor_rows(streams[:, :, j], a, span)[:, :n_info_bits]
+        certified = np.all(self._encode_rows(info) == hard, axis=1)
 
-        pred0, pred1 = pred_state[:, 0], pred_state[:, 1]
-        combo0, combo1 = pred_combo[:, 0], pred_combo[:, 1]
-        # Step-major contiguous layout: each ACS step reads one contiguous
-        # (n_rows, n_outputs) slab instead of a strided gather — the same
-        # values in a cache-friendlier order, which matters once cells-fused
-        # batches push n_rows into the thousands.
-        llr_steps = np.ascontiguousarray(llr_steps.transpose(1, 0, 2))
-        metrics = np.full((n_rows, n_states), -np.inf)
-        metrics[:, 0] = 0.0
-        backptr = np.zeros((n_steps, n_rows, n_states), dtype=np.int8)
-        for t in range(n_steps):
-            # All distinct branch metrics of the step: ±1 sign flips and a
-            # left-to-right sum, i.e. exactly `_branch_metrics` evaluated
-            # once per sign pattern instead of once per (state, slot).
-            combos = _combo_metrics(llr_steps[t])
-            cand0 = metrics[:, pred0] + combos[:, combo0]
-            cand1 = metrics[:, pred1] + combos[:, combo1]
-            # argmax over the two slots keeps slot 0 on ties.
-            choice = cand1 > cand0
-            metrics = np.where(choice, cand1, cand0)
-            backptr[t] = choice
+        d_free = tables["d_free"]
+        magnitudes = np.abs(llr_arr)
+        smallest = np.partition(magnitudes, d_free - 1, axis=1)[:, :d_free]
+        total = magnitudes.sum(axis=1)
+        k = n_steps + self.n_outputs
+        gamma = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+        certified &= smallest.min(axis=1) >= np.finfo(float).tiny
+        certified &= total <= _SUM_LIMIT
+        certified &= smallest.sum(axis=1) > 4.0 * gamma * total
+        return info, certified
 
-        # Zero-terminated: trace every row back from state 0.
-        rows = np.arange(n_rows)
-        state = np.zeros(n_rows, dtype=np.int64)
-        decoded = np.zeros((n_rows, n_steps), dtype=np.uint8)
+    def _butterfly_viterbi(
+        self, llr_arr: np.ndarray, rows: np.ndarray, n_info_bits: int
+    ) -> np.ndarray:
+        """Butterfly add-compare-select and traceback over ``llr_arr[rows]``."""
+        tables = self._trellis()
+        n_rows = rows.size
+        n_states = self.n_states
+        half = n_states // 2
+        n_steps = n_info_bits + self.constraint_length - 1
+        # State-major layout: every array below is (..., R) with the rows
+        # innermost, so each NumPy op runs long contiguous inner loops.
+        # planes[j] holds coded output j's LLRs as a (T, R) plane.
+        planes = np.ascontiguousarray(
+            llr_arr.reshape(-1, n_steps, self.n_outputs).T[:, :, rows]
+        )
+        # argmax keeps the first NaN; a NaN needs an infinite metric, which
+        # only an infinite LLR or an overflowing sum can produce.
+        nan_rule = not np.abs(planes).sum() <= _SUM_LIMIT
+
+        # One metric buffer, updated in place: the adds read both
+        # predecessor views into `cand` before the select overwrites them.
+        # maximum() returns the value argmax would pick: the larger one,
+        # either of two equal ones, or NaN if either is NaN.
+        metrics = np.full((n_states, n_rows), -np.inf)
+        metrics[0] = 0.0
+        evens, odds = metrics[0::2], metrics[1::2]
+        selected = metrics.reshape(2, half, n_rows)
+        cand = np.empty((2, 2, half, n_rows))  # [slot, half, butterfly, row]
+        cand0, cand1 = cand
+        backptr = np.empty((n_steps, 2, half, n_rows), dtype=bool)
+        slot0, slot1 = tables["branch_patterns"]
+        odd_op = np.subtract if tables["slot1_negated"] else np.add
+        block = max(1, _BLOCK_ELEMENTS // max(1, 2 * n_states * n_rows))
+        for start in range(0, n_steps, block):
+            # A block of steps' branch metrics in butterfly order, (b, 2, S/2, R).
+            steps = slice(start, start + block)
+            patterns = _pattern_metrics(planes[:, steps])
+            branch0 = np.take(patterns, slot0, axis=1).reshape(-1, 2, half, n_rows)
+            branch1 = branch0
+            if not tables["slot1_negated"]:
+                branch1 = np.take(patterns, slot1, axis=1).reshape(-1, 2, half, n_rows)
+            for b0, b1, choice in zip(branch0, branch1, backptr[steps]):
+                np.add(evens, b0, out=cand0)
+                odd_op(odds, b1, out=cand1)
+                np.greater(cand1, cand0, out=choice)
+                if nan_rule:
+                    choice |= np.isnan(cand1) & ~np.isnan(cand0)
+                np.maximum(cand0, cand1, out=selected)
+
+        # Zero-terminated: trace every row back from state 0, as flat
+        # indices ns·R + r into each step's (S, R) decisions. The state
+        # entered at step t carries that step's input bit on top, i.e. the
+        # bit is 1 exactly when ns >= S/2.
+        decisions = backptr.reshape(n_steps, n_states * n_rows)
+        shifted = (np.arange(n_states) << 1) & (n_states - 1)
+        even_pred = (shifted[:, None] * n_rows + np.arange(n_rows)).ravel()
+        index = np.arange(n_rows)
+        bits = np.empty((n_steps, n_rows), dtype=bool)
         for t in range(n_steps - 1, -1, -1):
-            slot = backptr[t, rows, state]
-            decoded[:, t] = pred_bit[state, slot]
-            state = pred_state[state, slot]
-        return decoded[:, :n_info_bits]
+            np.greater_equal(index, half * n_rows, out=bits[t])
+            index = even_pred[index] + n_rows * decisions[t][index]
+        return bits[:n_info_bits].T.view(np.uint8)
 
     def decode_hard(self, coded_bits, n_info_bits: int) -> np.ndarray:
         """Hard-decision decoding: bits mapped to ±1 pseudo-LLRs."""

@@ -1,5 +1,8 @@
 """Unit tests for the content-addressed campaign result cache."""
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -65,6 +68,20 @@ class TestRobustness:
         )
         assert cache.load("k") is None
         assert not path.exists()
+
+    def test_bad_entries_close_their_file(self, cache):
+        """A corrupt or truncated entry must not leak its file handle."""
+        cache.store("k", np.ones(2), {})
+        cache.path_for("k").write_bytes(b"not a zip archive")
+        chunk = cache.store_chunk("k", 0, 4, np.ones(4), {})
+        chunk.write_bytes(chunk.read_bytes()[: chunk.stat().st_size // 2])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert cache.load("k") is None
+            assert cache.load_chunk("k", 0, 4) is None
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert leaks == []
 
     def test_no_temp_files_left_behind(self, cache):
         cache.store("k", np.ones(2), {})

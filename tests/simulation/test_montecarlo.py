@@ -10,7 +10,7 @@ from repro.simulation.convolutional import TEST_CODE
 from repro.simulation.crc import CRC8
 from repro.simulation.linkcodec import LinkCodec
 from repro.simulation.montecarlo import (
-    ergodic_sum_rate,
+    fading_sum_rate_statistics,
     outage_probability,
     simulate_protocol,
 )
@@ -89,7 +89,7 @@ class TestSimulateProtocol:
 class TestFadingStatistics:
     def test_ergodic_rate_positive(self, paper_gains):
         rng = np.random.default_rng(5)
-        stats = ergodic_sum_rate(
+        stats = fading_sum_rate_statistics(
             Protocol.MABC, paper_gains, power=10.0, n_draws=40, rng=rng
         )
         assert stats.mean > 0
@@ -98,7 +98,7 @@ class TestFadingStatistics:
 
     def test_quantile_ordering(self, paper_gains):
         rng = np.random.default_rng(6)
-        stats = ergodic_sum_rate(
+        stats = fading_sum_rate_statistics(
             Protocol.MABC, paper_gains, power=10.0, n_draws=60, rng=rng
         )
         assert stats.quantile(0.1) <= stats.quantile(0.9)
@@ -114,14 +114,14 @@ class TestFadingStatistics:
         static = optimal_sum_rate(
             Protocol.MABC, GaussianChannel(gains=paper_gains, power=10.0)
         ).sum_rate
-        stats = ergodic_sum_rate(
+        stats = fading_sum_rate_statistics(
             Protocol.MABC, paper_gains, power=10.0, n_draws=40, rng=rng, k_factor=1000.0
         )
         assert stats.mean == pytest.approx(static, rel=0.05)
 
     def test_draw_count_validated(self, paper_gains, rng):
         with pytest.raises(InvalidParameterError):
-            ergodic_sum_rate(Protocol.DT, paper_gains, 1.0, 0, rng)
+            fading_sum_rate_statistics(Protocol.DT, paper_gains, 1.0, 0, rng)
 
 
 class TestOutage:

@@ -6,8 +6,8 @@ import pytest
 from repro.core.protocols import Protocol
 from repro.exceptions import InvalidParameterError
 from repro.simulation.outage_capacity import (
-    compute_outage_curve,
     outage_sum_rate,
+    sample_outage_curve,
 )
 
 
@@ -16,7 +16,7 @@ def curve(paper_gains=None):
     from repro.channels.gains import LinkGains
 
     gains = LinkGains.from_db(-7.0, 0.0, 5.0)
-    return compute_outage_curve(
+    return sample_outage_curve(
         Protocol.MABC, gains, power=10.0, n_draws=80, rng=np.random.default_rng(11)
     )
 
@@ -60,7 +60,7 @@ class TestOutageSumRate:
             n_draws=40,
             rng=np.random.default_rng(12),
         )
-        curve = compute_outage_curve(
+        curve = sample_outage_curve(
             Protocol.MABC,
             paper_gains,
             power=10.0,
@@ -91,18 +91,18 @@ class TestOutageSumRate:
 
     def test_draws_validated(self, paper_gains, rng):
         with pytest.raises(InvalidParameterError):
-            compute_outage_curve(Protocol.DT, paper_gains, 1.0, 0, rng)
+            sample_outage_curve(Protocol.DT, paper_gains, 1.0, 0, rng)
 
     def test_campaign_path_matches_legacy_lp_loop(self, paper_gains):
         """Campaign executor and per-draw LP loop agree draw for draw."""
-        fast = compute_outage_curve(
+        fast = sample_outage_curve(
             Protocol.HBC,
             paper_gains,
             power=10.0,
             n_draws=20,
             rng=np.random.default_rng(21),
         )
-        legacy = compute_outage_curve(
+        legacy = sample_outage_curve(
             Protocol.HBC,
             paper_gains,
             power=10.0,
