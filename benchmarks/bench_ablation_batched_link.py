@@ -2,12 +2,13 @@
 
 The operational check of the paper's claims — link-level FER/goodput of
 the concrete DF system — historically ran one Python round at a time.
-This bench measures the batched pipeline (vectorized GF(2) encoding,
-table-driven CRC, batched Viterbi ACS, one noise draw per phase) against
-the per-round reference loop, asserting both the >= 5x speedup and exact
-equality of every :class:`SimulationReport` field, and writes the
-machine-readable trajectory to ``BENCH_link.json`` at the repo root (the
-artifact CI uploads).
+This bench measures the batched pipeline (one-cell batches of the
+:class:`~repro.simulation.engine.BatchedProtocolEngine`: vectorized
+GF(2) encoding, table-driven CRC, batched Viterbi ACS, one noise draw
+per phase) against the per-round reference loop, asserting both the
+>= 5x speedup and exact equality of every :class:`SimulationReport`
+field, and writes the machine-readable trajectory to ``BENCH_link.json``
+at the repo root (the artifact CI uploads).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.simulation.linkcodec import default_codec
 from repro.simulation.montecarlo import simulate_protocol
 
 GAINS = LinkGains.from_db(-7.0, 0.0, 5.0)
-POWER = 10 ** 1.2  # 12 dB: the codec's comfortable operating point
+POWER = 10**1.2  # 12 dB: the codec's comfortable operating point
 CODEC = default_codec(128)  # the production pipeline: CRC-16 + NASA K=7
 N_ROUNDS = 120
 PROTOCOLS = (Protocol.DT, Protocol.MABC, Protocol.TDBC, Protocol.HBC)
@@ -38,8 +39,13 @@ BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_link.json"
 def _run(protocol: Protocol, method: str):
     """One full campaign of the protocol; identical seeds per method."""
     return simulate_protocol(
-        protocol, GAINS, POWER, N_ROUNDS, np.random.default_rng(41),
-        codec=CODEC, method=method,
+        protocol,
+        GAINS,
+        POWER,
+        N_ROUNDS,
+        np.random.default_rng(41),
+        codec=CODEC,
+        method=method,
     )
 
 
@@ -70,14 +76,20 @@ def test_batched_speedup_and_exact_equality(method_comparison):
     for protocol, (timings, reports) in method_comparison.items():
         assert reports["batched"] == reports["reference"], (
             f"{protocol}: batched report differs from the per-round "
-            "reference"
+            "reference loop, field for field"
         )
         speedup = timings["reference"] / timings["batched"]
         total_reference += timings["reference"]
         total_batched += timings["batched"]
-        rows.append([protocol.name, timings["reference"],
-                     timings["batched"], speedup,
-                     reports["batched"].sum_goodput])
+        rows.append(
+            [
+                protocol.name,
+                timings["reference"],
+                timings["batched"],
+                speedup,
+                reports["batched"].sum_goodput,
+            ]
+        )
         trajectory[protocol.name] = {
             "reference_s": timings["reference"],
             "batched_s": timings["batched"],
@@ -85,13 +97,16 @@ def test_batched_speedup_and_exact_equality(method_comparison):
             "sum_goodput": reports["batched"].sum_goodput,
         }
     aggregate = total_reference / total_batched
-    emit(render_table(
-        ["protocol", "per-round [s]", "batched [s]", "speedup",
-         "goodput [b/sym]"],
+    table = render_table(
+        ["protocol", "per-round [s]", "batched [s]", "speedup", "goodput [b/sym]"],
         rows,
-        title=(f"abl-batched-link: {N_ROUNDS} rounds, production codec, "
-               f"P=12 dB — aggregate speedup {aggregate:.1f}x")))
-    BENCH_JSON.write_text(json.dumps({
+        title=(
+            f"abl-batched-link: {N_ROUNDS} rounds, production codec, "
+            f"P=12 dB — aggregate speedup {aggregate:.1f}x"
+        ),
+    )
+    emit(table)
+    summary = {
         "bench": "abl-batched-link",
         "n_rounds": N_ROUNDS,
         "payload_bits": CODEC.payload_bits,
@@ -99,7 +114,8 @@ def test_batched_speedup_and_exact_equality(method_comparison):
         "min_speedup_asserted": MIN_SPEEDUP,
         "aggregate_speedup": aggregate,
         "protocols": trajectory,
-    }, indent=2) + "\n")
+    }
+    BENCH_JSON.write_text(json.dumps(summary, indent=2) + "\n")
     assert aggregate >= MIN_SPEEDUP, (
         f"batched kernel only {aggregate:.2f}x faster than the per-round "
         f"reference ({total_batched:.3f}s vs {total_reference:.3f}s)"

@@ -5,7 +5,7 @@ time, which invites the naive implementation: run one
 :class:`~repro.simulation.engine.ProtocolEngine` round per frame as the
 scheduler asks for it. The production
 :class:`~repro.traffic.outcomes.FrameOutcomeStream` instead realizes
-outcomes in batched chunks through the
+outcomes in chunks, each a one-cell batch of the link kernel's
 :class:`~repro.simulation.engine.BatchedProtocolEngine` — same pre-drawn
 payload block, same per-phase noise streams, so the event trace and
 every reported metric are bitwise identical; only the wall clock moves.
@@ -104,8 +104,16 @@ def test_batched_speedup_and_exact_equality(method_comparison):
         total_batched += timings["batched"]
         report = reports["batched"]
         p95 = report.latency_quantile(0.95)
-        rows.append([protocol.name, timings["per-frame"], timings["batched"],
-                     speedup, report.delivered, p95])
+        rows.append(
+            [
+                protocol.name,
+                timings["per-frame"],
+                timings["batched"],
+                speedup,
+                report.delivered,
+                p95,
+            ]
+        )
         trajectory[protocol.name] = {
             "per_frame_s": timings["per-frame"],
             "batched_s": timings["batched"],
@@ -115,13 +123,23 @@ def test_batched_speedup_and_exact_equality(method_comparison):
             "latency_p95_slots": p95,
         }
     aggregate = total_per_frame / total_batched
-    emit(render_table(
-        ["protocol", "per-frame [s]", "batched [s]", "speedup",
-         "delivered", "p95 latency [slots]"],
+    table = render_table(
+        [
+            "protocol",
+            "per-frame [s]",
+            "batched [s]",
+            "speedup",
+            "delivered",
+            "p95 latency [slots]",
+        ],
         rows,
-        title=(f"abl-traffic: 2 pairs x {N_SLOTS} slots, ARQ + "
-               f"longest-queue — aggregate speedup {aggregate:.1f}x")))
-    BENCH_JSON.write_text(json.dumps({
+        title=(
+            f"abl-traffic: 2 pairs x {N_SLOTS} slots, ARQ + "
+            f"longest-queue — aggregate speedup {aggregate:.1f}x"
+        ),
+    )
+    emit(table)
+    summary = {
         "bench": "abl-traffic",
         "n_slots": N_SLOTS,
         "n_pairs": LINK.traffic.n_pairs,
@@ -130,7 +148,8 @@ def test_batched_speedup_and_exact_equality(method_comparison):
         "min_speedup_asserted": MIN_SPEEDUP,
         "aggregate_speedup": aggregate,
         "protocols": trajectory,
-    }, indent=2) + "\n")
+    }
+    BENCH_JSON.write_text(json.dumps(summary, indent=2) + "\n")
     assert aggregate >= MIN_SPEEDUP, (
         f"batched outcome stream only {aggregate:.2f}x faster than the "
         f"per-frame loop ({total_batched:.3f}s vs {total_per_frame:.3f}s)"

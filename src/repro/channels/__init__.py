@@ -26,7 +26,6 @@ from .halfduplex import (
     HalfDuplexMedium,
     PhaseOutput,
     PhaseRows,
-    complex_gains_from_powers,
     link_amplitudes,
 )
 from .power import NODE_ORDER, NodePowers, node_power
@@ -58,7 +57,6 @@ __all__ = [
     "FusedPhaseStream",
     "PhaseOutput",
     "PhaseRows",
-    "complex_gains_from_powers",
     "link_amplitudes",
     "NODE_ORDER",
     "NodePowers",

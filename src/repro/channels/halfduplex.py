@@ -13,32 +13,36 @@ transmitting node's received entry is ``None``, faithfully encoding the
 half-duplex constraint rather than silently handing transmitters a copy of
 the channel output.
 
-Batched phases
---------------
-:meth:`HalfDuplexMedium.run_phase_rows` executes the *same* phase of many
-independent protocol rounds in one call: transmissions carry a leading
-rounds axis, and only the listeners named by the caller receive signals.
-Its noise draws follow the reproducibility policy of the batched
+Row-batched phases
+------------------
+:meth:`HalfDuplexMedium.run_phase_rows` executes the *same* phase of
+many independent protocol rounds in one call: transmissions carry a
+leading rounds axis, and only the listeners named by the caller receive
+signals. Its noise draws follow the reproducibility policy of the link
 simulation kernel: one contiguous standard-normal draw of shape
 ``(n_rounds, n_listeners, 2, n_symbols)`` per call — listeners in the
 caller's (by convention alphabetical) order, the real parts of a round's
 noise immediately followed by its imaginary parts. Because NumPy
 generators fill output arrays sequentially in C order, splitting the
-rounds axis across any number of calls on the same ``Generator`` consumes
-exactly the same values — so per-round loops, chunked batches and one big
-batch are bit-for-bit interchangeable.
+rounds axis across any number of calls on the same ``Generator``
+consumes exactly the same values. The per-round reference engine
+(:class:`repro.simulation.engine.ProtocolEngine`) runs every phase
+through it one round at a time; this medium is the oracle's.
 
 Fused phases
 ------------
-:class:`FusedHalfDuplexMedium` runs the same phase of *many grid cells*
-at once: row ``c * rounds_per_cell + r`` of every array is round ``r`` of
-cell ``c``, and each link's complex gain is a per-row column so the
-superposition broadcasts every cell's own channel. Noise keeps the
+:class:`FusedHalfDuplexMedium` is the medium of the batched engine
+(:class:`repro.simulation.engine.BatchedProtocolEngine`): it runs the
+same phase of *many grid cells* at once — a single campaign is the
+one-cell case. Row ``c * rounds_per_cell + r`` of every array is round
+``r`` of cell ``c``, and each link's complex gain is a per-row column so
+the superposition broadcasts every cell's own channel. Noise keeps the
 per-cell spawn policy of the campaign engine: a fused phase consumes a
 :class:`FusedPhaseStream` carrying one generator per cell, and each
 cell's block is drawn contiguously from *its* stream — exactly the draw
-the per-cell path makes — so fused campaigns are bitwise-identical to
-evaluating the cells one at a time.
+:meth:`HalfDuplexMedium.run_phase_rows` makes for that cell — so fused
+campaigns are bitwise-identical to the per-round reference, cell by
+cell.
 
 An optional importance-sampling ``twist``
 (:class:`repro.simulation.sampling.NoiseTwist`) biases the fused noise
@@ -54,8 +58,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-import warnings
-
 from ..exceptions import HalfDuplexViolationError, InvalidParameterError
 from .awgn import ComplexAwgn
 from .gains import LinkGains
@@ -66,7 +68,6 @@ __all__ = [
     "FusedPhaseStream",
     "PhaseOutput",
     "PhaseRows",
-    "complex_gains_from_powers",
     "link_amplitudes",
 ]
 
@@ -104,26 +105,6 @@ def link_amplitudes(
     }
 
 
-def complex_gains_from_powers(
-    gains: LinkGains,
-    rng: np.random.Generator | None = None,
-    *,
-    random_phases: bool = False,
-) -> dict[frozenset, complex]:
-    """Deprecated alias of :func:`link_amplitudes`.
-
-    The old name collided with *transmit* powers once those became
-    per-node (the amplitudes here derive from channel power *gains*, not
-    transmit powers).
-    """
-    warnings.warn(
-        "complex_gains_from_powers is deprecated; use link_amplitudes",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return link_amplitudes(gains, rng, random_phases=random_phases)
-
-
 @dataclass(frozen=True)
 class PhaseOutput:
     """Received signals of one phase.
@@ -158,8 +139,8 @@ class PhaseRows:
     received:
         Mapping listener node -> complex ``(n_rounds, n_symbols)`` array.
         Nodes that transmitted — or were not named as listeners — have no
-        entry at all (the batched engine only materializes the outputs a
-        protocol actually decodes).
+        entry at all (the engines only materialize the outputs a protocol
+        actually decodes).
     transmitters:
         The nodes that transmitted during the phase.
     """
@@ -215,9 +196,9 @@ def _combine_received(draws, listeners, transmissions: dict, complex_gains) -> d
     standard-normal block; each listener's output is its complex noise
     plus every transmission weighted by the link gain (scalar for the
     per-cell medium, a per-row column for the fused one). Shared by both
-    batched phase runners so the received-signal arithmetic — the heart
-    of the fused-vs-per-cell bitwise-identity invariant — exists exactly
-    once.
+    media's row-batched phase runners so the received-signal arithmetic —
+    the heart of the fused-vs-reference bitwise-identity invariant —
+    exists exactly once.
     """
     received: dict = {}
     for li, node in enumerate(listeners):
@@ -230,7 +211,7 @@ def _combine_received(draws, listeners, transmissions: dict, complex_gains) -> d
 
 
 def _validate_phase_nodes(transmissions: dict, listeners) -> tuple:
-    """Shared transmitter/listener validation of the batched phase runners."""
+    """Transmitter/listener validation shared by both media's phase runners."""
     for node in transmissions:
         if node not in _NODES:
             raise InvalidParameterError(f"unknown node {node!r}; nodes are {_NODES}")
@@ -369,8 +350,8 @@ class HalfDuplexMedium:
             for every transmitting node (all arrays share a shape).
         listeners:
             The silent nodes whose channel outputs the caller will decode,
-            in the order that fixes the noise draw (the batched engine
-            always passes them alphabetically). Listed nodes must not
+            in the order that fixes the noise draw (the engines always
+            pass them alphabetically). Listed nodes must not
             transmit; unlisted silent nodes receive nothing.
         rng:
             Noise stream for this phase. One contiguous standard-normal

@@ -36,7 +36,7 @@ Subcommands
 * ``region`` — trace any protocol's rate region on any channel.
 * ``sumrate`` — LP-optimal sum rates of all protocols on one channel.
 * ``simulate`` — run the operational link-level simulator (the batched
-  frames-axis kernel by default; ``--reference`` runs the per-round loop,
+  link engine by default; ``--reference`` runs the per-round loop,
   which produces the identical report; ``--target-rel-error`` +
   ``--max-rounds`` run escalating adaptive round waves until the FER
   estimate meets the precision target). ``scenarios run

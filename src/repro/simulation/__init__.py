@@ -16,7 +16,6 @@ from .convolutional import NASA_CODE, TEST_CODE, ConvolutionalCode
 from .crc import CRC8, CRC16_CCITT, CRC32, CrcCode
 from .engine import (
     BatchedProtocolEngine,
-    FusedCellEngine,
     ProtocolEngine,
     RoundBatch,
     RoundResult,
@@ -29,9 +28,7 @@ from .montecarlo import (
     AdaptiveAccounting,
     FadingStatistics,
     SimulationReport,
-    batched_link_goodput,
     collect_adaptive_accounting,
-    ergodic_sum_rate,
     fading_sum_rate_statistics,
     fused_link_values,
     outage_probability,
@@ -78,7 +75,6 @@ __all__ = [
     "CrcCode",
     "ProtocolEngine",
     "BatchedProtocolEngine",
-    "FusedCellEngine",
     "RoundBatch",
     "RoundResult",
     "BlockInterleaver",
@@ -96,9 +92,7 @@ __all__ = [
     "AdaptiveAccounting",
     "FadingStatistics",
     "SimulationReport",
-    "batched_link_goodput",
     "collect_adaptive_accounting",
-    "ergodic_sum_rate",
     "fading_sum_rate_statistics",
     "fused_link_values",
     "outage_probability",

@@ -19,22 +19,23 @@ Every round reports per-direction success, bit errors and the exact number
 of channel symbols spent, so campaign goodput (bits/symbol) is directly
 comparable to the analytic bounds.
 
-Three engines share one round semantics:
+Two engines share one round semantics:
 
 * :class:`ProtocolEngine` executes **one round at a time** through the
-  scalar codec pipeline — the per-round reference implementation.
-* :class:`BatchedProtocolEngine` executes **all rounds of a campaign at
-  once**: payloads, symbols, channel outputs, LLRs and frame estimates
-  carry a leading ``(n_rounds, ...)`` axis, so every protocol phase is a
-  handful of NumPy calls regardless of the round count.
-* :class:`FusedCellEngine` executes **all rounds of many campaign grid
-  cells at once**: the leading axis flattens to ``(n_cells ×
-  rounds_per_cell, ...)`` and the per-link gains and transmit amplitude
-  become per-row columns, so one Viterbi ACS pass, one CRC table sweep
-  and one LLR computation per phase serve every cell that shares a
-  codec.
+  scalar codec pipeline over a
+  :class:`~repro.channels.halfduplex.HalfDuplexMedium` — the per-round
+  reference implementation and the independent oracle.
+* :class:`BatchedProtocolEngine` executes **all rounds of many campaign
+  grid cells at once** over a
+  :class:`~repro.channels.halfduplex.FusedHalfDuplexMedium`: payloads,
+  symbols, channel outputs, LLRs and frame estimates carry a leading
+  ``(n_cells × rounds_per_cell, ...)`` axis, and the per-link gains and
+  transmit amplitude are per-row columns, so every protocol phase is a
+  handful of NumPy calls — one Viterbi ACS pass, one CRC table sweep
+  and one LLR computation serving every cell that shares a codec. A
+  single campaign is simply the one-cell case.
 
-Reproducibility policy (shared by all engines, and what makes them
+Reproducibility policy (shared by both engines, and what makes them
 bit-for-bit interchangeable): a round's randomness is consumed from
 *per-phase* noise streams rather than one interleaved generator. Each
 protocol has a fixed phase count (:data:`PROTOCOL_PHASE_COUNTS`); phase
@@ -47,10 +48,10 @@ rounds axis — one big batch, chunks, or a per-round loop — consumes
 identical values, which the equivalence tests and the ablation benchmark
 assert down to the last bit of every report field.
 
-The fused engine extends the policy **across cells** without weakening
-it: every campaign grid cell keeps its own root generator (seeded by
-flat cell index), its own payload stream and its own per-phase noise
-streams; a fused phase carries one stream per cell
+The batched engine extends the policy **across cells** without
+weakening it: every campaign grid cell keeps its own root generator
+(seeded by flat cell index), its own payload stream and its own
+per-phase noise streams; a fused phase carries one stream per cell
 (:class:`repro.channels.halfduplex.FusedPhaseStream`) and draws each
 cell's block contiguously from it. Fusing therefore changes *which
 arrays the arithmetic runs over*, never *which random values a cell
@@ -98,7 +99,6 @@ __all__ = [
     "RoundBatch",
     "ProtocolEngine",
     "BatchedProtocolEngine",
-    "FusedCellEngine",
     "PROTOCOL_PHASE_COUNTS",
     "spawn_phase_streams",
     "spawn_cell_phase_streams",
@@ -222,18 +222,21 @@ class _LinkEngine:
     Attributes
     ----------
     medium:
-        The half-duplex Gaussian medium (owns gains and noise).
+        The half-duplex Gaussian medium (owns gains and noise): a
+        :class:`HalfDuplexMedium` for the per-round engine, a
+        :class:`FusedHalfDuplexMedium` for the batched one.
     codec:
         Frame pipeline for full-size payloads (DT/MABC/TDBC). HBC derives a
         half-payload codec internally.
     power:
-        Per-node transmit power ``P`` (linear); amplitude ``sqrt(P)`` is
-        applied to the unit-energy modulated symbols.
+        Per-node transmit power ``P`` (linear; a per-row column on the
+        batched engine); amplitude ``sqrt(P)`` is applied to the
+        unit-energy modulated symbols.
     """
 
-    medium: HalfDuplexMedium
+    medium: HalfDuplexMedium | FusedHalfDuplexMedium
     codec: LinkCodec
-    power: float
+    power: float | np.ndarray
 
     def __post_init__(self) -> None:
         if self.power <= 0:
@@ -656,15 +659,80 @@ class ProtocolEngine(_LinkEngine):
 
 @dataclass(frozen=True)
 class BatchedProtocolEngine(_LinkEngine):
-    """Executes every round of a campaign at once, frames-axis vectorized.
+    """Executes every round of many grid cells at once, cells × rounds.
 
-    Payload batches are ``(n_rounds, payload_bits)`` arrays; each protocol
-    phase encodes, transits the medium, demodulates and Viterbi-decodes
-    the whole batch in single NumPy calls. Per-phase noise streams follow
-    the module-level reproducibility policy, and every stage is
-    elementwise along the rounds axis, so the outputs equal a per-round
-    :class:`ProtocolEngine` loop over the same streams exactly.
+    The medium is a :class:`~repro.channels.halfduplex.FusedHalfDuplexMedium`
+    whose per-link complex gains are ``(n_cells * rounds_per_cell, 1)``
+    row columns, and ``power`` is the matching per-row column, so every
+    encode, demodulate, SIC and arbitration call broadcasts each cell's
+    own SNR across the fused rows axis while the trellis recursion, the
+    CRC table sweep and the GF(2) encoder run once for the whole batch.
+    Payload batches are ``(n_rows, payload_bits)`` arrays. Phase streams
+    must be the per-phase
+    :class:`~repro.channels.halfduplex.FusedPhaseStream` tuples built by
+    :func:`spawn_cell_phase_streams`; they preserve the per-cell RNG
+    spawn policy, and every stage is elementwise along the rows axis, so
+    each cell's rows equal a per-round :class:`ProtocolEngine` loop over
+    that cell's streams exactly. Build instances with :meth:`for_cells`.
     """
+
+    def __post_init__(self) -> None:
+        power = np.asarray(self.power, dtype=float)
+        if power.ndim != 2 or power.shape[1] != 1:
+            raise InvalidParameterError(
+                f"power must be an (n_rows, 1) column, got shape {power.shape}"
+            )
+        if not isinstance(self.medium, FusedHalfDuplexMedium):
+            raise InvalidParameterError("batched engine needs a FusedHalfDuplexMedium")
+        if power.shape[0] != self.medium.n_rows:
+            raise InvalidParameterError(
+                f"power column has {power.shape[0]} rows, "
+                f"medium has {self.medium.n_rows}"
+            )
+        if np.any(power <= 0):
+            raise InvalidParameterError("power must be positive in every cell")
+        object.__setattr__(self, "power", power)
+
+    @property
+    def _amplitude(self) -> np.ndarray:
+        return np.sqrt(self.power)
+
+    @classmethod
+    def for_cells(
+        cls,
+        codec: LinkCodec,
+        gab,
+        gar,
+        gbr,
+        power,
+        rounds_per_cell: int,
+        *,
+        sampling=None,
+    ) -> "BatchedProtocolEngine":
+        """Build the engine of one fused batch over concrete grid cells.
+
+        ``gab``/``gar``/``gbr``/``power`` are per-cell vectors (scalars
+        make a one-cell batch; ``power`` broadcasts); ``rounds_per_cell``
+        is the batch's round count, shared by every cell. Construction is
+        cheap — trellis tables are cached on the code object — so drivers
+        build a fresh engine per wave. With a ``sampling``
+        :class:`~repro.simulation.sampling.ImportanceSamplingSpec`, the
+        medium carries the per-cell noise twist derived from the batch's
+        gain/power columns and accumulates per-row log likelihood ratios
+        (read them from ``engine.medium.phase_log_lrs`` after the wave).
+        """
+        gab = np.atleast_1d(np.asarray(gab, dtype=float))
+        power = np.broadcast_to(np.asarray(power, dtype=float), gab.shape).copy()
+        twist = None
+        if sampling is not None:
+            # The fused campaign medium is unit-noise-power by
+            # construction (the default ComplexAwgn below).
+            twist = sampling.cell_twist(gab, gar, gbr, power, noise_power=1.0)
+        medium = FusedHalfDuplexMedium(
+            gab=gab, gar=gar, gbr=gbr, rounds_per_cell=rounds_per_cell, twist=twist
+        )
+        power_rows = np.repeat(power, rounds_per_cell)[:, None]
+        return cls(medium=medium, codec=codec, power=power_rows)
 
     def _check_payload_rows(self, payload_rows, codec: LinkCodec) -> np.ndarray:
         rows = as_bit_rows(payload_rows)
@@ -693,13 +761,13 @@ class BatchedProtocolEngine(_LinkEngine):
         return success, errors
 
     def run_dt_rounds(
-        self, payload_rows_a, payload_rows_b, rng=None, *, phase_streams=None
+        self, payload_rows_a, payload_rows_b, *, phase_streams
     ) -> RoundBatch:
         """Direct transmission for a whole batch of rounds."""
         codec = self.codec
         wa, wb = self._check_payload_batch(payload_rows_a, payload_rows_b, codec)
         amp = self._amplitude
-        s1, s2 = self._phase_streams(Protocol.DT, rng, phase_streams)
+        s1, s2 = self._phase_streams(Protocol.DT, None, phase_streams)
 
         out1 = self.medium.run_phase_rows(
             {"a": amp * codec.encode_rows(wa)}, ("b",), s1
@@ -727,13 +795,13 @@ class BatchedProtocolEngine(_LinkEngine):
         )
 
     def run_naive4_rounds(
-        self, payload_rows_a, payload_rows_b, rng=None, *, phase_streams=None
+        self, payload_rows_a, payload_rows_b, *, phase_streams
     ) -> RoundBatch:
         """Naive four-phase store-and-forward for a batch of rounds."""
         codec = self.codec
         wa, wb = self._check_payload_batch(payload_rows_a, payload_rows_b, codec)
         amp = self._amplitude
-        s1, s2, s3, s4 = self._phase_streams(Protocol.NAIVE4, rng, phase_streams)
+        s1, s2, s3, s4 = self._phase_streams(Protocol.NAIVE4, None, phase_streams)
         frames_a = codec.crc.append_rows(wa)
         frames_b = codec.crc.append_rows(wb)
 
@@ -776,13 +844,13 @@ class BatchedProtocolEngine(_LinkEngine):
         )
 
     def run_mabc_rounds(
-        self, payload_rows_a, payload_rows_b, rng=None, *, phase_streams=None
+        self, payload_rows_a, payload_rows_b, *, phase_streams
     ) -> RoundBatch:
         """MABC for a batch of rounds: MAC phase, then one XOR broadcast."""
         codec = self.codec
         wa, wb = self._check_payload_batch(payload_rows_a, payload_rows_b, codec)
         amp = self._amplitude
-        s1, s2 = self._phase_streams(Protocol.MABC, rng, phase_streams)
+        s1, s2 = self._phase_streams(Protocol.MABC, None, phase_streams)
         frames_a = codec.crc.append_rows(wa)
         frames_b = codec.crc.append_rows(wb)
 
@@ -833,13 +901,13 @@ class BatchedProtocolEngine(_LinkEngine):
         )
 
     def run_tdbc_rounds(
-        self, payload_rows_a, payload_rows_b, rng=None, *, phase_streams=None
+        self, payload_rows_a, payload_rows_b, *, phase_streams
     ) -> RoundBatch:
         """TDBC for a batch of rounds: overheard phases, XOR broadcast."""
         codec = self.codec
         wa, wb = self._check_payload_batch(payload_rows_a, payload_rows_b, codec)
         amp = self._amplitude
-        s1, s2, s3 = self._phase_streams(Protocol.TDBC, rng, phase_streams)
+        s1, s2, s3 = self._phase_streams(Protocol.TDBC, None, phase_streams)
         frames_a = codec.crc.append_rows(wa)
         frames_b = codec.crc.append_rows(wb)
 
@@ -899,14 +967,14 @@ class BatchedProtocolEngine(_LinkEngine):
         )
 
     def run_hbc_rounds(
-        self, payload_rows_a, payload_rows_b, rng=None, *, phase_streams=None
+        self, payload_rows_a, payload_rows_b, *, phase_streams
     ) -> RoundBatch:
         """HBC for a batch of rounds: halves, MAC halves, double broadcast."""
         full = self.codec
         wa, wb = self._check_payload_batch(payload_rows_a, payload_rows_b, full)
         half = self._half_codec()
         amp = self._amplitude
-        s1, s2, s3, s4 = self._phase_streams(Protocol.HBC, rng, phase_streams)
+        s1, s2, s3, s4 = self._phase_streams(Protocol.HBC, None, phase_streams)
         k = half.payload_bits
         wa1, wa2 = wa[:, :k], wa[:, k:]
         wb1, wb2 = wb[:, :k], wb[:, k:]
@@ -1015,7 +1083,7 @@ class BatchedProtocolEngine(_LinkEngine):
         )
 
     def run_rounds(
-        self, protocol, payload_rows_a, payload_rows_b, rng=None, *, phase_streams=None
+        self, protocol, payload_rows_a, payload_rows_b, *, phase_streams
     ) -> RoundBatch:
         """Dispatch a batch of rounds of the named protocol."""
         runners = {
@@ -1028,83 +1096,5 @@ class BatchedProtocolEngine(_LinkEngine):
         if protocol not in runners:
             raise InvalidParameterError(f"unknown protocol {protocol!r}")
         return runners[protocol](
-            payload_rows_a, payload_rows_b, rng, phase_streams=phase_streams
+            payload_rows_a, payload_rows_b, phase_streams=phase_streams
         )
-
-
-@dataclass(frozen=True)
-class FusedCellEngine(BatchedProtocolEngine):
-    """Executes every round of *many grid cells* at once, cells × rounds.
-
-    Structurally this *is* the batched engine — it inherits all five
-    protocol bodies unchanged — but its medium is a
-    :class:`~repro.channels.halfduplex.FusedHalfDuplexMedium` whose
-    per-link complex gains are ``(n_cells * rounds_per_cell, 1)`` row
-    columns, and ``power`` is the matching per-row column, so every
-    encode, demodulate, SIC and arbitration call broadcasts each cell's
-    own SNR across the fused rows axis while the trellis recursion, the
-    CRC table sweep and the GF(2) encoder run once for the whole fused
-    batch. Phase streams must be the per-phase
-    :class:`~repro.channels.halfduplex.FusedPhaseStream` tuples built by
-    :func:`spawn_cell_phase_streams`, preserving the per-cell RNG spawn
-    policy — which is what makes a fused report bitwise-identical to the
-    per-cell batched path, cell for cell.
-    """
-
-    def __post_init__(self) -> None:
-        power = np.asarray(self.power, dtype=float)
-        if power.ndim != 2 or power.shape[1] != 1:
-            raise InvalidParameterError(
-                f"fused power must be an (n_rows, 1) column, got shape {power.shape}"
-            )
-        if not isinstance(self.medium, FusedHalfDuplexMedium):
-            raise InvalidParameterError("fused engine needs a FusedHalfDuplexMedium")
-        if power.shape[0] != self.medium.n_rows:
-            raise InvalidParameterError(
-                f"power column has {power.shape[0]} rows, "
-                f"medium has {self.medium.n_rows}"
-            )
-        if np.any(power <= 0):
-            raise InvalidParameterError("power must be positive in every cell")
-        object.__setattr__(self, "power", power)
-
-    @property
-    def _amplitude(self) -> np.ndarray:
-        return np.sqrt(self.power)
-
-    @classmethod
-    def for_cells(
-        cls,
-        codec: LinkCodec,
-        gab,
-        gar,
-        gbr,
-        power,
-        rounds_per_cell: int,
-        *,
-        sampling=None,
-    ) -> "FusedCellEngine":
-        """Build the engine of one fused wave over concrete grid cells.
-
-        ``gab``/``gar``/``gbr``/``power`` are per-cell vectors (``power``
-        broadcasts from a scalar); ``rounds_per_cell`` is the wave's round
-        count, shared by every cell of the wave. Construction is cheap —
-        trellis tables are cached on the code object — so drivers build a
-        fresh engine per wave. With a ``sampling``
-        :class:`~repro.simulation.sampling.ImportanceSamplingSpec`, the
-        medium carries the per-cell noise twist derived from the batch's
-        gain/power columns and accumulates per-row log likelihood ratios
-        (read them from ``engine.medium.log_weights`` after the wave).
-        """
-        gab = np.atleast_1d(np.asarray(gab, dtype=float))
-        power = np.broadcast_to(np.asarray(power, dtype=float), gab.shape).copy()
-        twist = None
-        if sampling is not None:
-            # The fused campaign medium is unit-noise-power by
-            # construction (the default ComplexAwgn below).
-            twist = sampling.cell_twist(gab, gar, gbr, power, noise_power=1.0)
-        medium = FusedHalfDuplexMedium(
-            gab=gab, gar=gar, gbr=gbr, rounds_per_cell=rounds_per_cell, twist=twist
-        )
-        power_rows = np.repeat(power, rounds_per_cell)[:, None]
-        return cls(medium=medium, codec=codec, power=power_rows)

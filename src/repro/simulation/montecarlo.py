@@ -5,15 +5,16 @@ Two complementary estimators live here:
 * :func:`simulate_protocol` — run the *operational* link-level system
   (:mod:`repro.simulation.engine`) for many rounds on a fixed channel and
   report FER/BER/goodput. This is the "does a real DF system behave like
-  the bounds say" check. Rounds execute through the frames-axis-batched
-  :class:`~repro.simulation.engine.BatchedProtocolEngine` by default;
+  the bounds say" check. By default the campaign runs as the one-cell
+  case of :func:`simulate_protocol_cells` on the
+  :class:`~repro.simulation.engine.BatchedProtocolEngine`;
   ``method="reference"`` runs the per-round
   :class:`~repro.simulation.engine.ProtocolEngine` loop instead, which
-  is provably — and benchmark-asserted — field-for-field identical.
-* :func:`ergodic_sum_rate` / :func:`outage_probability` — evaluate the
-  *analytic* LP-optimal sum rates over a quasi-static fading ensemble
-  (Section IV's channel model), producing ergodic averages and outage
-  curves for every protocol.
+  is provably — and test-asserted — field-for-field identical.
+* :func:`fading_sum_rate_statistics` / :func:`outage_probability` —
+  evaluate the *analytic* LP-optimal sum rates over a quasi-static
+  fading ensemble (Section IV's channel model), producing ergodic
+  averages and outage curves for every protocol.
 
 Reproducibility policy of :func:`simulate_protocol` (the fix for the
 historical payload/noise RNG coupling that blocked batching): the
@@ -34,23 +35,20 @@ The analytic estimators route through the :mod:`repro.api` facade
 evaluated by a pluggable campaign executor — the batched vectorized
 kernel by default, many times faster than the historical
 one-LP-per-draw loop and bit-for-bit identical to the serial executor.
-:func:`ergodic_sum_rate` is kept as a deprecation shim over
-:func:`fading_sum_rate_statistics`; scenario-first callers should
-evaluate a fading scenario through :func:`repro.api.evaluate` instead.
+Scenario-first callers should evaluate a fading scenario through
+:func:`repro.api.evaluate` instead.
 
 :func:`simulate_protocol_cells` is the **cells-fused** driver behind
-operational campaigns: it runs every grid cell of a batch through one
-:class:`~repro.simulation.engine.FusedCellEngine` pass per wave — one
-Viterbi recursion, one CRC table sweep and one LLR computation serving
-all cells that share a codec — while each cell keeps its own root
-generator, payload stream and per-phase noise streams. Fused reports
-are therefore bitwise-identical to evaluating the cells one at a time
-with :func:`simulate_protocol`, which is what keeps every campaign
-executor, chunking, sharding and the content-addressed cache
-interchangeable. :func:`fused_link_values` adapts the fused driver to
-the campaign engine's unit-batch contract (cells seeded by flat grid
-index); the historical per-cell adapter :func:`batched_link_goodput` is
-retained as the ablation baseline.
+every batched link campaign: it runs every grid cell of a batch through
+one :class:`~repro.simulation.engine.BatchedProtocolEngine` pass per
+wave — one Viterbi recursion, one CRC table sweep and one LLR
+computation serving all cells that share a codec — while each cell
+keeps its own root generator, payload stream and per-phase noise
+streams. Fused reports are therefore bitwise-identical to evaluating
+the cells one at a time, which is what keeps every campaign executor,
+chunking, sharding and the content-addressed cache interchangeable.
+:func:`fused_link_values` adapts the fused driver to the campaign
+engine's unit-batch contract (cells seeded by flat grid index).
 
 Adaptive round allocation: with ``target_rel_error``/``max_rounds`` set,
 cells run in escalating waves whose boundaries come from
@@ -81,8 +79,8 @@ from __future__ import annotations
 
 import math
 import threading
-import warnings
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,7 +92,6 @@ from ..core.protocols import Protocol
 from ..exceptions import InvalidParameterError
 from .engine import (
     BatchedProtocolEngine,
-    FusedCellEngine,
     ProtocolEngine,
     spawn_cell_phase_streams,
     spawn_phase_streams,
@@ -108,28 +105,18 @@ __all__ = [
     "simulate_protocol",
     "simulate_protocol_cells",
     "wave_bounds",
-    "batched_link_goodput",
     "fused_link_values",
     "AdaptiveAccounting",
     "collect_adaptive_accounting",
-    "DEFAULT_ROUND_BATCH",
     "DEFAULT_FUSED_ROWS",
     "FadingStatistics",
     "fading_sum_rate_statistics",
-    "ergodic_sum_rate",
     "outage_probability",
 ]
 
-#: Default number of rounds per batched-engine call: large enough to
-#: amortize the per-call trellis setup, small enough to keep the decoder's
-#: ``(rounds, states)`` working set cache-friendly. Results never depend
-#: on this value (see the module docstring).
-DEFAULT_ROUND_BATCH = 512
-
-#: Default bound on fused rows (cells × rounds) per fused-engine call — a
-#: cap on the decoder's working set, analogous to
-#: :data:`DEFAULT_ROUND_BATCH` but sized to keep a fused call's symbol
-#: and metric arrays cache-resident (measured fastest around this value
+#: Default bound on fused rows (cells × rounds) per batched-engine call —
+#: a cap on the decoder's working set, sized to keep a call's symbol and
+#: metric arrays cache-resident (measured fastest around this value
 #: on the production codec). Results never depend on it: fused waves
 #: split at the cap along the rounds axis, payloads are pre-drawn per
 #: wave and noise streams split safely.
@@ -229,53 +216,6 @@ def _simulate_reference(
     return SimulationReport(
         protocol=protocol,
         n_rounds=payloads.shape[0],
-        a_to_b=a_to_b,
-        b_to_a=b_to_a,
-        throughput=throughput,
-        relay_failures=relay_failures,
-    )
-
-
-def _simulate_batched(
-    protocol, engine: BatchedProtocolEngine, payloads, phase_streams, batch_size: int
-) -> SimulationReport:
-    """Batched loop: chunks of rounds through the vectorized engine."""
-    n_rounds = payloads.shape[0]
-    a_to_b = LinkCounter()
-    b_to_a = LinkCounter()
-    throughput = ThroughputReport()
-    relay_failures = 0
-    for start in range(0, n_rounds, batch_size):
-        chunk = payloads[start : start + batch_size]
-        batch = engine.run_rounds(
-            protocol, chunk[:, 0], chunk[:, 1], phase_streams=phase_streams
-        )
-        a_to_b.record_rows(
-            success=batch.success_a_to_b,
-            n_bits=batch.payload_bits,
-            n_bit_errors=batch.bit_errors_a_to_b,
-        )
-        b_to_a.record_rows(
-            success=batch.success_b_to_a,
-            n_bits=batch.payload_bits,
-            n_bit_errors=batch.bit_errors_b_to_a,
-        )
-        throughput.add_symbols(len(batch) * batch.n_symbols)
-        throughput.record_rows(
-            "a->b",
-            delivered_bits_per_frame=batch.payload_bits,
-            successes=batch.success_a_to_b,
-        )
-        throughput.record_rows(
-            "b->a",
-            delivered_bits_per_frame=batch.payload_bits,
-            successes=batch.success_b_to_a,
-        )
-        if batch.relay_ok is not None:
-            relay_failures += int((~batch.relay_ok).sum())
-    return SimulationReport(
-        protocol=protocol,
-        n_rounds=n_rounds,
         a_to_b=a_to_b,
         b_to_a=b_to_a,
         throughput=throughput,
@@ -443,7 +383,7 @@ def _run_fused_rounds(
     gab = np.array([cells[c].gains.gab for c in active])
     gar = np.array([cells[c].gains.gar for c in active])
     gbr = np.array([cells[c].gains.gbr for c in active])
-    engine = FusedCellEngine.for_cells(
+    engine = BatchedProtocolEngine.for_cells(
         codec, gab, gar, gbr, power[list(active)], rounds, sampling=sampling
     )
     wa = np.concatenate([payloads[c][start:stop, 0] for c in active])
@@ -649,17 +589,19 @@ def simulate_protocol(
         Frame pipeline; defaults to :func:`default_codec` (128-bit
         payloads, CRC-16, NASA K=7 code, BPSK).
     method:
-        ``"batched"`` (default) runs the frames-axis-vectorized engine;
-        ``"reference"`` runs the per-round scalar loop. Both produce the
-        identical :class:`SimulationReport`.
+        ``"batched"`` (default) runs the one-cell case of
+        :func:`simulate_protocol_cells`; ``"reference"`` runs the
+        per-round scalar loop. Both produce the identical
+        :class:`SimulationReport`.
     batch_size:
-        Rounds per batched-engine call (default
-        :data:`DEFAULT_ROUND_BATCH`); results are independent of it.
+        Bound on rows per batched-engine call (the ``row_cap`` of
+        :func:`simulate_protocol_cells`, default
+        :data:`DEFAULT_FUSED_ROWS`); results are independent of it.
     target_rel_error / max_rounds:
         Optional adaptive round allocation (set both or neither; batched
         method only): run the escalating waves of :func:`wave_bounds`
-        through the fused kernel and stop at the first boundary where
-        the combined-FER relative standard error meets the target.
+        and stop at the first boundary where the combined-FER relative
+        standard error meets the target.
     importance_sampling:
         Optional :class:`~repro.simulation.sampling.ImportanceSamplingSpec`
         (batched method only): run the campaign under a twisted-noise
@@ -667,24 +609,11 @@ def simulate_protocol(
         ``fer`` is then the weighted (unbiased) estimate and its
         ``sampling`` counter carries ESS/weight diagnostics.
     """
-    if n_rounds < 1:
-        raise InvalidParameterError(f"need at least one round, got {n_rounds}")
     if method not in ("batched", "reference"):
         raise InvalidParameterError(
             f"method must be 'batched' or 'reference', got {method!r}"
         )
-    if batch_size is not None and batch_size < 1:
-        raise InvalidParameterError(f"batch size must be positive, got {batch_size}")
-    if (
-        target_rel_error is not None
-        or max_rounds is not None
-        or importance_sampling is not None
-    ):
-        if method != "batched":
-            raise InvalidParameterError(
-                "adaptive round allocation and importance sampling run "
-                "through the fused kernel; method must be 'batched'"
-            )
+    if method == "batched":
         return simulate_protocol_cells(
             protocol,
             (gains,),
@@ -697,74 +626,35 @@ def simulate_protocol(
             row_cap=batch_size,
             sampling=importance_sampling,
         )[0]
+    if (
+        target_rel_error is not None
+        or max_rounds is not None
+        or importance_sampling is not None
+    ):
+        raise InvalidParameterError(
+            "adaptive round allocation and importance sampling run "
+            "through the batched engine; method must be 'batched'"
+        )
+    if n_rounds < 1:
+        raise InvalidParameterError(f"need at least one round, got {n_rounds}")
     codec = codec or default_codec()
     payload_rng, noise_rng = rng.spawn(2)
     payloads = payload_rng.integers(
         0, 2, size=(n_rounds, 2, codec.payload_bits), dtype=np.uint8
     )
-    phase_streams = spawn_phase_streams(protocol, noise_rng)
-    medium = HalfDuplexMedium(gains=gains)
-    if method == "reference":
-        engine = ProtocolEngine(medium=medium, codec=codec, power=power)
-        return _simulate_reference(protocol, engine, payloads, phase_streams)
-    engine = BatchedProtocolEngine(medium=medium, codec=codec, power=power)
-    return _simulate_batched(
-        protocol, engine, payloads, phase_streams, batch_size or DEFAULT_ROUND_BATCH
+    engine = ProtocolEngine(
+        medium=HalfDuplexMedium(gains=gains), codec=codec, power=power
     )
-
-
-def batched_link_goodput(
-    protocol: Protocol,
-    gab,
-    gar,
-    gbr,
-    power,
-    *,
-    n_rounds: int,
-    seed: int,
-    indices,
-    codec: LinkCodec | None = None,
-) -> np.ndarray:
-    """Operational sum goodput of a batch of grid cells, one cell at a time.
-
-    The historical (pre-fusion) campaign-kernel adapter, retained as the
-    per-cell ablation baseline: cell ``i`` runs its own
-    :func:`simulate_protocol` campaign of ``n_rounds`` rounds on channel
-    ``(gab[i], gar[i], gbr[i])`` at ``power[i]`` and reports its total
-    goodput in bits/symbol. Each cell's generator is seeded from
-    ``(seed, flat unit index)`` — the same seeding
-    :func:`fused_link_values` uses, which is why the fused fast path is
-    bitwise-identical to this loop (benchmark-asserted). Executors route
-    through the fused adapter; call this directly only as a reference.
-    """
-    gab = np.asarray(gab, dtype=float)
-    gar = np.asarray(gar, dtype=float)
-    gbr = np.asarray(gbr, dtype=float)
-    power = np.asarray(power, dtype=float)
-    indices = np.asarray(indices)
-    if not (gab.shape == gar.shape == gbr.shape == power.shape == indices.shape):
-        raise InvalidParameterError("mismatched cell-batch shapes")
-    codec = codec or default_codec()
-    values = np.empty(gab.shape[0])
-    for i in range(gab.shape[0]):
-        cell_rng = np.random.default_rng([int(seed), int(indices[i])])
-        report = simulate_protocol(
-            protocol,
-            LinkGains(gab[i], gar[i], gbr[i]),
-            power[i],
-            n_rounds,
-            cell_rng,
-            codec=codec,
-        )
-        values[i] = report.sum_goodput
-    return values
+    return _simulate_reference(
+        protocol, engine, payloads, spawn_phase_streams(protocol, noise_rng)
+    )
 
 
 class AdaptiveAccounting:
     """In-process tally of adaptive-cell resolution across fused batches.
 
     Installed by :func:`collect_adaptive_accounting`; every
-    :func:`fused_link_values` call running in the installing process
+    :func:`fused_link_values` call running in the installing context
     reports how many of its cells ran under an adaptive budget and how
     many exhausted ``max_rounds`` unresolved. Out-of-process executors
     (process pools) evaluate in workers that never see the tally — the
@@ -787,28 +677,34 @@ class AdaptiveAccounting:
             self.unresolved_cells += unresolved
 
 
-_ADAPTIVE_TALLY: AdaptiveAccounting | None = None
+#: The tally of the current context. A context variable rather than a
+#: module global, so concurrent in-process campaigns (the serve daemon
+#: runs each in its own ``asyncio.to_thread`` worker) never count each
+#: other's cells.
+_ADAPTIVE_TALLY: ContextVar[AdaptiveAccounting | None] = ContextVar(
+    "adaptive_tally", default=None
+)
 
 
 @contextmanager
 def collect_adaptive_accounting():
     """Collect adaptive resolution accounting from enclosed evaluations.
 
-    Yields an :class:`AdaptiveAccounting` that every in-process
-    :func:`fused_link_values` call inside the ``with`` block reports to
-    (thread-safe, so the vectorized, serial and async executors are all
-    covered). Used by :func:`repro.campaign.engine.run_campaign` to
-    surface an ``unresolved_cells`` count without widening the
-    executors' bare-value-array contract.
+    Yields an :class:`AdaptiveAccounting` that every
+    :func:`fused_link_values` call inside the ``with`` block reports to.
+    The tally is scoped to the installing context: the serial and
+    vectorized executors evaluate in it, and a campaign running
+    concurrently in another thread keeps its own tally. Used by
+    :func:`repro.campaign.engine.run_campaign` to surface an
+    ``unresolved_cells`` count without widening the executors'
+    bare-value-array contract.
     """
-    global _ADAPTIVE_TALLY
     tally = AdaptiveAccounting()
-    previous = _ADAPTIVE_TALLY
-    _ADAPTIVE_TALLY = tally
+    token = _ADAPTIVE_TALLY.set(tally)
     try:
         yield tally
     finally:
-        _ADAPTIVE_TALLY = previous
+        _ADAPTIVE_TALLY.reset(token)
 
 
 def fused_link_values(
@@ -856,7 +752,7 @@ def fused_link_values(
         row_cap=row_cap,
         sampling=link.importance_sampling,
     )
-    tally = _ADAPTIVE_TALLY
+    tally = _ADAPTIVE_TALLY.get()
     if tally is not None:
         tally.note_reports(reports)
     if link.metric == "fer":
@@ -926,44 +822,6 @@ def fading_sum_rate_statistics(
         mean=float(values.mean()),
         std_error=float(values.std(ddof=1) / np.sqrt(n_draws)) if n_draws > 1 else 0.0,
         samples=values,
-    )
-
-
-def ergodic_sum_rate(
-    protocol: Protocol,
-    mean_gains: LinkGains,
-    power: float,
-    n_draws: int,
-    rng: np.random.Generator,
-    *,
-    k_factor: float = 0.0,
-    executor=None,
-    cache=None,
-    progress=None,
-) -> FadingStatistics:
-    """Deprecated alias of :func:`fading_sum_rate_statistics`.
-
-    .. deprecated::
-        Evaluate a fading scenario through :func:`repro.api.evaluate`
-        (spec-owned randomness), or call
-        :func:`fading_sum_rate_statistics` for caller-owned RNGs.
-    """
-    warnings.warn(
-        "ergodic_sum_rate is deprecated; evaluate a fading scenario through "
-        "repro.api.evaluate or call fading_sum_rate_statistics",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return fading_sum_rate_statistics(
-        protocol,
-        mean_gains,
-        power,
-        n_draws,
-        rng,
-        k_factor=k_factor,
-        executor=executor,
-        cache=cache,
-        progress=progress,
     )
 
 

@@ -17,11 +17,15 @@ exactly:
 
 Because each phase's noise is consumed as contiguous blocks of the same
 per-phase streams, *any* split of the rounds axis yields identical
-values (the engine-module guarantee). The ``"batched"`` method therefore
-produces outcomes bitwise-identical to the naive ``"per-frame"``
-reference loop — it just amortizes the encode/decode pipeline over
-``chunk`` rounds per call instead of one. ``benchmarks/
-bench_ablation_traffic.py`` asserts both the equality and the speedup.
+values (the engine-module guarantee). The ``"batched"`` method realizes
+``chunk`` rounds per call as a one-cell batch of the link kernel's
+:class:`~repro.simulation.engine.BatchedProtocolEngine` — the engine
+behind every batched campaign — and therefore produces outcomes
+bitwise-identical to the ``"per-frame"`` reference loop over the
+per-round :class:`~repro.simulation.engine.ProtocolEngine`; it just
+amortizes the encode/decode pipeline over a chunk instead of one round.
+``benchmarks/bench_ablation_traffic.py`` asserts both the equality and
+the speedup.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from ..exceptions import InvalidParameterError
 from ..simulation.engine import (
     BatchedProtocolEngine,
     ProtocolEngine,
+    spawn_cell_phase_streams,
     spawn_phase_streams,
 )
 
@@ -84,15 +89,16 @@ class FrameOutcomeStream:
             0, 2, size=(n_slots, 2, codec.payload_bits), dtype=np.uint8
         )
         self._phase_streams = spawn_phase_streams(protocol, noise_rng)
-        medium = HalfDuplexMedium(gains=gains)
         if method == "per-frame":
-            self._engine = ProtocolEngine(medium=medium, codec=codec, power=power)
+            self._engine = ProtocolEngine(
+                medium=HalfDuplexMedium(gains=gains), codec=codec, power=power
+            )
             self._chunk = 1
         else:
-            self._engine = BatchedProtocolEngine(
-                medium=medium, codec=codec, power=power
-            )
             self._chunk = chunk or DEFAULT_OUTCOME_CHUNK
+        self._gains = gains
+        self._power = power
+        self._codec = codec
         self._protocol = protocol
         self._method = method
         self._n_slots = int(n_slots)
@@ -128,11 +134,17 @@ class FrameOutcomeStream:
                 self._success_ab.append(bool(result.success_a_to_b))
                 self._success_ba.append(bool(result.success_b_to_a))
         else:
-            batch = self._engine.run_rounds(
+            gains = self._gains
+            engine = BatchedProtocolEngine.for_cells(
+                self._codec, gains.gab, gains.gar, gains.gbr, self._power, stop - start
+            )
+            batch = engine.run_rounds(
                 self._protocol,
                 self._payloads[start:stop, 0],
                 self._payloads[start:stop, 1],
-                phase_streams=self._phase_streams,
+                phase_streams=spawn_cell_phase_streams(
+                    self._protocol, (self._phase_streams,), stop - start
+                ),
             )
             self._success_ab.extend(bool(x) for x in batch.success_a_to_b)
             self._success_ba.extend(bool(x) for x in batch.success_b_to_a)

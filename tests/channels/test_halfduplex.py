@@ -5,11 +5,7 @@ import pytest
 
 from repro.channels.awgn import ComplexAwgn
 from repro.channels.gains import LinkGains
-from repro.channels.halfduplex import (
-    HalfDuplexMedium,
-    complex_gains_from_powers,
-    link_amplitudes,
-)
+from repro.channels.halfduplex import HalfDuplexMedium, link_amplitudes
 from repro.exceptions import HalfDuplexViolationError, InvalidParameterError
 
 
@@ -32,11 +28,6 @@ class TestComplexGains:
     def test_random_phases_require_rng(self, paper_gains):
         with pytest.raises(InvalidParameterError):
             link_amplitudes(paper_gains, None, random_phases=True)
-
-    def test_old_name_warns_and_delegates(self, paper_gains):
-        with pytest.warns(DeprecationWarning, match="link_amplitudes"):
-            cg = complex_gains_from_powers(paper_gains)
-        assert cg == link_amplitudes(paper_gains)
 
 
 class TestHalfDuplexSemantics:

@@ -1,9 +1,10 @@
-"""Batched-vs-reference equivalence: the tentpole proof of this subsystem.
+"""Batched-vs-reference equivalence: the proof of the link kernel.
 
-The batched link-level kernel must reproduce the per-round reference
-implementation *exactly* — every field of every report — across all
-protocols, both shipped convolutional codes, both modulations and any
-batch size. These tests are the executable form of that contract.
+The batched link-level engine must reproduce the per-round reference
+implementation *exactly* — every field of every report, every row of
+every cell — across all protocols, both shipped convolutional codes,
+both modulations and any batch size. These tests are the executable
+form of that contract.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.simulation.engine import (
     PROTOCOL_PHASE_COUNTS,
     BatchedProtocolEngine,
     ProtocolEngine,
+    spawn_cell_phase_streams,
     spawn_phase_streams,
 )
 from repro.simulation.linkcodec import LinkCodec
@@ -115,6 +117,31 @@ class TestBatchSizeInvariance:
             )
 
 
+#: Two cells of distinct gains and powers for the engine-level tests, so
+#: every per-row gain and amplitude column actually varies across rows;
+#: both sit where the rows mix successes and failures.
+ENGINE_CELLS = (
+    (GAINS, POWER),
+    (LinkGains.from_db(-3.0, 4.0, 1.0), 10**-0.2),
+)
+
+
+def _cell_streams(protocol, cell):
+    """Per-phase noise streams of one cell (fresh generators each call)."""
+    return spawn_phase_streams(protocol, np.random.default_rng([7, cell]))
+
+
+def _engine(cells, n_rounds):
+    return BatchedProtocolEngine.for_cells(
+        FAST_CODEC,
+        [gains.gab for gains, _ in cells],
+        [gains.gar for gains, _ in cells],
+        [gains.gbr for gains, _ in cells],
+        [power for _, power in cells],
+        n_rounds,
+    )
+
+
 class TestEngineRounds:
     """Engine-level equivalence over explicitly shared phase streams."""
 
@@ -123,62 +150,67 @@ class TestEngineRounds:
     )
     def test_round_batch_matches_per_round_results(self, protocol):
         n_rounds = 9
-        reference = ProtocolEngine(
-            medium=HalfDuplexMedium(gains=GAINS), codec=FAST_CODEC, power=POWER
-        )
-        batched = BatchedProtocolEngine(
-            medium=HalfDuplexMedium(gains=GAINS), codec=FAST_CODEC, power=POWER
-        )
-        root_ref = np.random.default_rng(7)
-        root_bat = np.random.default_rng(7)
-        payloads = root_ref.spawn(1)[0].integers(
-            0, 2, size=(n_rounds, 2, 32), dtype=np.uint8
-        )
-        payloads_bat = root_bat.spawn(1)[0].integers(
-            0, 2, size=(n_rounds, 2, 32), dtype=np.uint8
-        )
-        streams_ref = spawn_phase_streams(protocol, root_ref)
-        streams_bat = spawn_phase_streams(protocol, root_bat)
-        batch = batched.run_rounds(
-            protocol, payloads_bat[:, 0], payloads_bat[:, 1], phase_streams=streams_bat,
-        )
-        assert len(batch) == n_rounds
-        for index in range(n_rounds):
-            result = reference.run_round(
-                protocol,
-                payloads[index, 0],
-                payloads[index, 1],
-                phase_streams=streams_ref,
+        payloads = [
+            np.random.default_rng([11, cell]).integers(
+                0, 2, size=(n_rounds, 2, 32), dtype=np.uint8
             )
-            assert batch.round_result(index) == result
+            for cell in range(len(ENGINE_CELLS))
+        ]
+        rows = np.concatenate(payloads)
+        streams = spawn_cell_phase_streams(
+            protocol,
+            [_cell_streams(protocol, cell) for cell in range(len(ENGINE_CELLS))],
+            n_rounds,
+        )
+        batch = _engine(ENGINE_CELLS, n_rounds).run_rounds(
+            protocol, rows[:, 0], rows[:, 1], phase_streams=streams
+        )
+        assert len(batch) == len(ENGINE_CELLS) * n_rounds
+        for cell, (gains, power) in enumerate(ENGINE_CELLS):
+            reference = ProtocolEngine(
+                medium=HalfDuplexMedium(gains=gains), codec=FAST_CODEC, power=power
+            )
+            cell_streams = _cell_streams(protocol, cell)
+            for index in range(n_rounds):
+                result = reference.run_round(
+                    protocol,
+                    payloads[cell][index, 0],
+                    payloads[cell][index, 1],
+                    phase_streams=cell_streams,
+                )
+                assert batch.round_result(cell * n_rounds + index) == result
 
     def test_phase_stream_count_validated(self):
-        engine = BatchedProtocolEngine(
-            medium=HalfDuplexMedium(gains=GAINS), codec=FAST_CODEC, power=POWER
-        )
+        engine = _engine(ENGINE_CELLS[:1], 3)
         payloads = np.zeros((3, 32), dtype=np.uint8)
-        streams = np.random.default_rng(0).spawn(1)
+        streams = spawn_cell_phase_streams(
+            Protocol.DT, [_cell_streams(Protocol.DT, 0)], 3
+        )
         with pytest.raises(InvalidParameterError):
             engine.run_rounds(Protocol.TDBC, payloads, payloads, phase_streams=streams)
 
-    def test_rng_or_streams_required(self):
-        engine = BatchedProtocolEngine(
-            medium=HalfDuplexMedium(gains=GAINS), codec=FAST_CODEC, power=POWER
-        )
+    def test_unfused_streams_rejected(self):
+        engine = _engine(ENGINE_CELLS[:1], 3)
         payloads = np.zeros((3, 32), dtype=np.uint8)
         with pytest.raises(InvalidParameterError):
-            engine.run_rounds(Protocol.DT, payloads, payloads)
+            engine.run_rounds(
+                Protocol.DT,
+                payloads,
+                payloads,
+                phase_streams=_cell_streams(Protocol.DT, 0),
+            )
 
-    def test_mismatched_round_counts_rejected(self, rng):
-        engine = BatchedProtocolEngine(
-            medium=HalfDuplexMedium(gains=GAINS), codec=FAST_CODEC, power=POWER
+    def test_mismatched_round_counts_rejected(self):
+        engine = _engine(ENGINE_CELLS[:1], 3)
+        streams = spawn_cell_phase_streams(
+            Protocol.DT, [_cell_streams(Protocol.DT, 0)], 3
         )
         with pytest.raises(InvalidParameterError):
             engine.run_rounds(
                 Protocol.DT,
                 np.zeros((3, 32), dtype=np.uint8),
                 np.zeros((4, 32), dtype=np.uint8),
-                rng,
+                phase_streams=streams,
             )
 
     def test_phase_counts_cover_all_protocols(self):

@@ -2,9 +2,9 @@
 
 Acceptance criteria of the fused-cells PR live here:
 
-* fused per-cell reports are bitwise-identical to the per-cell
-  ``method="batched"`` path and the per-round ``method="reference"``
-  loop across all five protocols and both convolutional codes;
+* fused per-cell reports are bitwise-identical to the per-round
+  ``method="reference"`` loop across all five protocols and both
+  convolutional codes;
 * fused reports are invariant to the fusion width (how many cells share
   one kernel call), the wave/row-cap execution splits and the campaign
   chunk size;
@@ -18,12 +18,16 @@ import numpy as np
 import pytest
 
 from repro.channels.gains import LinkGains
-from repro.channels.halfduplex import FusedHalfDuplexMedium, FusedPhaseStream
+from repro.channels.halfduplex import (
+    FusedHalfDuplexMedium,
+    FusedPhaseStream,
+    HalfDuplexMedium,
+)
 from repro.core.protocols import Protocol
 from repro.exceptions import InvalidParameterError
 from repro.simulation.convolutional import NASA_CODE, TEST_CODE
 from repro.simulation.crc import CRC8, CRC16_CCITT
-from repro.simulation.engine import FusedCellEngine
+from repro.simulation.engine import BatchedProtocolEngine
 from repro.simulation.linkcodec import LinkCodec
 from repro.simulation.modulation import Qpsk
 from repro.simulation.montecarlo import (
@@ -76,20 +80,10 @@ class TestFusedEquivalence:
         [(TEST_CODE, CRC8, 24), (NASA_CODE, CRC16_CCITT, 16)],
         ids=["test-code", "nasa-code"],
     )
-    def test_fused_equals_per_cell_batched_and_reference(
-        self, protocol, code, crc, payload_bits
-    ):
+    def test_fused_equals_per_cell_reference(self, protocol, code, crc, payload_bits):
         codec = small_codec(code=code, crc=crc, payload_bits=payload_bits)
         fused = run_fused(protocol, codec)
         for i, report in enumerate(fused):
-            batched = simulate_protocol(
-                protocol,
-                CELL_GAINS[i],
-                CELL_POWERS[i],
-                6,
-                np.random.default_rng([SEED, i]),
-                codec=codec,
-            )
             reference = simulate_protocol(
                 protocol,
                 CELL_GAINS[i],
@@ -99,7 +93,6 @@ class TestFusedEquivalence:
                 codec=codec,
                 method="reference",
             )
-            assert report == batched
             assert report == reference
 
     def test_fused_equals_per_cell_with_qpsk(self):
@@ -113,6 +106,7 @@ class TestFusedEquivalence:
                 6,
                 np.random.default_rng([SEED, i]),
                 codec=codec,
+                method="reference",
             )
 
     @pytest.mark.parametrize("row_cap", [1, 2, 5, 7, 10_000])
@@ -126,14 +120,14 @@ class TestFusedEquivalence:
 
         codec = small_codec()
         rows_seen = []
-        original = montecarlo.FusedCellEngine.for_cells.__func__
+        original = montecarlo.BatchedProtocolEngine.for_cells.__func__
 
         def recording(cls, codec, gab, gar, gbr, power, rounds_per_cell, **kwargs):
             rows_seen.append(len(np.atleast_1d(gab)) * rounds_per_cell)
             return original(cls, codec, gab, gar, gbr, power, rounds_per_cell, **kwargs)
 
         monkeypatch.setattr(
-            montecarlo.FusedCellEngine, "for_cells", classmethod(recording)
+            montecarlo.BatchedProtocolEngine, "for_cells", classmethod(recording)
         )
         # A cap below the cell count must split the cells axis too, never
         # exceed `cap` rows per call.
@@ -316,14 +310,20 @@ class TestValidation:
         )
         codec = small_codec()
         with pytest.raises(InvalidParameterError):
-            FusedCellEngine(medium=medium, codec=codec, power=np.ones(4))
+            BatchedProtocolEngine(medium=medium, codec=codec, power=np.ones(4))
         with pytest.raises(InvalidParameterError):
-            FusedCellEngine(medium=medium, codec=codec, power=np.ones((3, 1)))
+            BatchedProtocolEngine(medium=medium, codec=codec, power=np.ones((3, 1)))
         with pytest.raises(InvalidParameterError):
-            FusedCellEngine(medium=medium, codec=codec, power=np.zeros((4, 1)))
+            BatchedProtocolEngine(medium=medium, codec=codec, power=np.zeros((4, 1)))
+        with pytest.raises(InvalidParameterError):
+            BatchedProtocolEngine(
+                medium=HalfDuplexMedium(gains=CELL_GAINS[0]),
+                codec=codec,
+                power=np.ones((4, 1)),
+            )
 
     def test_fused_engine_for_cells_broadcasts_scalar_power(self):
-        engine = FusedCellEngine.for_cells(
+        engine = BatchedProtocolEngine.for_cells(
             small_codec(), [1.0, 2.0], [1.0, 1.0], [1.0, 1.0], 4.0, 3
         )
         assert engine.power.shape == (6, 1)

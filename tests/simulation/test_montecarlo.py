@@ -1,8 +1,11 @@
 """Unit tests for repro.simulation.montecarlo."""
 
+import threading
+
 import numpy as np
 import pytest
 
+from repro.campaign.spec import LinkSimSpec
 from repro.channels.gains import LinkGains
 from repro.core.protocols import Protocol
 from repro.exceptions import InvalidParameterError
@@ -10,7 +13,9 @@ from repro.simulation.convolutional import TEST_CODE
 from repro.simulation.crc import CRC8
 from repro.simulation.linkcodec import LinkCodec
 from repro.simulation.montecarlo import (
+    collect_adaptive_accounting,
     fading_sum_rate_statistics,
+    fused_link_values,
     outage_probability,
     simulate_protocol,
 )
@@ -159,3 +164,55 @@ class TestOutage:
     def test_negative_target_rejected(self, paper_gains, rng):
         with pytest.raises(InvalidParameterError):
             outage_probability(Protocol.MABC, paper_gains, 1.0, -1.0, 10, rng)
+
+
+class TestAdaptiveAccounting:
+    def test_concurrent_campaigns_keep_separate_tallies(self):
+        """Two threads each inside their own accounting block (as the serve
+        daemon runs concurrent campaigns): thread A's adaptive cell must be
+        tallied by A alone, even though B installed its tally later."""
+        link = LinkSimSpec(
+            n_rounds=4,
+            payload_bits=24,
+            seed=5,
+            code="test",
+            crc="crc8",
+            metric="fer",
+            target_rel_error=0.5,
+            max_rounds=8,
+        )
+        a_entered = threading.Event()
+        b_entered = threading.Event()
+        a_evaluated = threading.Event()
+        tallies = {}
+
+        def campaign_a():
+            with collect_adaptive_accounting() as tally:
+                a_entered.set()
+                assert b_entered.wait(timeout=60)
+                fused_link_values(
+                    Protocol.DT,
+                    np.array([10.0]),
+                    np.array([10.0]),
+                    np.array([10.0]),
+                    np.array([10.0]),
+                    link=link,
+                    indices=np.array([0]),
+                )
+                a_evaluated.set()
+            tallies["A"] = tally.adaptive_cells
+
+        def campaign_b():
+            assert a_entered.wait(timeout=60)
+            with collect_adaptive_accounting() as tally:
+                b_entered.set()
+                assert a_evaluated.wait(timeout=60)
+            tallies["B"] = tally.adaptive_cells
+
+        threads = [threading.Thread(target=f) for f in (campaign_a, campaign_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        assert tallies == {"A": 1, "B": 0}

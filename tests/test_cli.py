@@ -69,6 +69,14 @@ class TestCommands:
         ])
         assert code == 0
 
+    @pytest.mark.parametrize("protocol", ["dt", "naive4", "mabc", "tdbc", "hbc"])
+    def test_simulate_reference_prints_identical_table(self, capsys, protocol):
+        args = ["simulate", "--protocol", protocol, "--rounds", "40", "--seed", "3"]
+        assert main(args) == 0
+        batched = capsys.readouterr().out
+        assert main(args + ["--reference"]) == 0
+        assert capsys.readouterr().out == batched
+
     def test_simulate_adaptive_budget(self, capsys):
         code = main([
             "simulate", "--protocol", "dt", "--rounds", "2",

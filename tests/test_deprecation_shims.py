@@ -7,7 +7,6 @@ from repro.core.protocols import Protocol
 from repro.experiments.config import Fig3Config
 from repro.experiments.fig3 import fig3_result, run_fig3
 from repro.experiments.sweeps import power_sweep, sweep_powers
-from repro.simulation.montecarlo import ergodic_sum_rate, fading_sum_rate_statistics
 from repro.simulation.outage_capacity import compute_outage_curve, sample_outage_curve
 
 SMALL_FIG3 = Fig3Config(relay_fractions=(0.3, 0.7), symmetric_gains_db=(0.0, 10.0))
@@ -60,19 +59,6 @@ class TestPowerSweepShim:
                 paper_gains, (10.0,), protocols=(Protocol.MABC, Protocol.TDBC)
             )
         assert set(rows[0].sum_rates) == {Protocol.MABC, Protocol.TDBC}
-
-
-class TestErgodicSumRateShim:
-    def test_warns_and_matches_impl(self, paper_gains):
-        with pytest.warns(DeprecationWarning, match="ergodic_sum_rate"):
-            shimmed = ergodic_sum_rate(
-                Protocol.MABC, paper_gains, 10.0, 6, np.random.default_rng(3)
-            )
-        fresh = fading_sum_rate_statistics(
-            Protocol.MABC, paper_gains, 10.0, 6, np.random.default_rng(3)
-        )
-        assert shimmed.mean == fresh.mean
-        assert shimmed.samples.tobytes() == fresh.samples.tobytes()
 
 
 class TestComputeOutageCurveShim:

@@ -46,9 +46,7 @@ def two_pair_link(scheduler, *, seed=5, offered_loads=(0.4, 0.8, 1.2)):
 
 
 class TestOutcomeStream:
-    @pytest.mark.parametrize(
-        "protocol", [Protocol.MABC, Protocol.TDBC, Protocol.HBC]
-    )
+    @pytest.mark.parametrize("protocol", list(Protocol))
     def test_batched_matches_per_frame_bitwise(self, protocol):
         link = latency_link()
         codec = link.codec()
