@@ -363,12 +363,21 @@ def _grid_batches(spec, flat_gains, start, stop):
     The flat C-order index factors as ``(block, channel)`` where a block
     fixes one value of every non-channel axis (protocol, power and each
     extensible axis) and a channel is one ``(geometry, draw)`` pair, so
-    any contiguous range decomposes into at most one partial batch per
-    block. Block parameters come from :meth:`CampaignSpec.block_params`,
+    any contiguous range decomposes into one (possibly partial) piece
+    per block. Block parameters come from :meth:`CampaignSpec.block_params`,
     which keeps this loop agnostic of how many axes the spec declares.
+
+    Analytic specs get one batch per block piece: the LP kernel already
+    runs hundreds of cells per call, and a wider batch only grows its
+    working set. Operational (link) specs get one batch per maximal run
+    of consecutive pieces sharing a protocol, so the fused link kernel
+    decodes every power and extra-axis value of that protocol in one
+    pipeline per wave. Units carry their own power and flat index, and
+    link specs reject per-node powers, so the merge is a concatenation
+    and cannot change a value.
     """
     n_channels = flat_gains.shape[0]
-    batches = []
+    runs = []
     for block in range(start // n_channels, (stop - 1) // n_channels + 1):
         lo = max(start, block * n_channels) - block * n_channels
         hi = min(stop, (block + 1) * n_channels) - block * n_channels
@@ -390,18 +399,20 @@ def _grid_batches(spec, flat_gains, start, stop):
             power_array = np.tile(power.as_array(), (hi - lo, 1))
         else:
             power_array = np.full(hi - lo, power)
-        batches.append(
-            UnitBatch(
-                protocol=protocol,
-                gab=gab,
-                gar=gar,
-                gbr=gbr,
-                power=power_array,
-                link=spec.link,
-                indices=indices,
-            )
+        piece = UnitBatch(
+            protocol=protocol,
+            gab=gab,
+            gar=gar,
+            gbr=gbr,
+            power=power_array,
+            link=spec.link,
+            indices=indices,
         )
-    return batches
+        if spec.link is not None and runs and runs[-1][0].protocol == protocol:
+            runs[-1].append(piece)
+        else:
+            runs.append([piece])
+    return [UnitBatch.concatenate(run) for run in runs]
 
 
 def _run_chunk_futures(

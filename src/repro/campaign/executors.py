@@ -88,6 +88,9 @@ class UnitBatch:
 
     The array fields are aligned: unit ``i`` of the batch is
     ``(protocol, gains=(gab[i], gar[i], gbr[i]), power=power[i])``.
+    An analytic batch covers (part of) one grid block, so its power is
+    uniform; an operational batch may span every block of a protocol
+    run, so its power varies per unit.
 
     Operational (link-level) campaigns additionally carry the
     :class:`~repro.campaign.spec.LinkSimSpec` and each unit's flat grid
@@ -118,6 +121,25 @@ class UnitBatch:
             indices=None if self.indices is None else self.indices[start:stop],
         )
 
+    @staticmethod
+    def concatenate(batches) -> "UnitBatch":
+        """One batch holding ``batches``' units in order (same protocol)."""
+        first = batches[0]
+        if len(batches) == 1:
+            return first
+        indices = None
+        if first.indices is not None:
+            indices = np.concatenate([b.indices for b in batches])
+        return UnitBatch(
+            protocol=first.protocol,
+            gab=np.concatenate([b.gab for b in batches]),
+            gar=np.concatenate([b.gar for b in batches]),
+            gbr=np.concatenate([b.gbr for b in batches]),
+            power=np.concatenate([b.power for b in batches]),
+            link=first.link,
+            indices=indices,
+        )
+
 
 def _evaluate_link_units(batch: UnitBatch) -> np.ndarray:
     """Operational cells: independently seeded link campaigns, cells-fused.
@@ -127,8 +149,11 @@ def _evaluate_link_units(batch: UnitBatch) -> np.ndarray:
     fused kernel pass per wave
     (:func:`repro.simulation.montecarlo.fused_link_values`) — bitwise
     identical to the historical per-cell loop, benchmark-asserted. The
-    executor's batch slicing (``VectorizedExecutor.max_batch``, pool
-    chunks, the serial unit loop) therefore bounds the fused width too.
+    campaign engine hands over one batch per protocol run (every power
+    and extra-axis block of a protocol within the requested range), so
+    the fused width is that run as cut by the executor's batch slicing
+    (``VectorizedExecutor.max_batch``, pool chunks, the serial unit
+    loop).
 
     Cells whose link spec carries a ``TrafficSpec`` run the event-driven
     traffic simulation instead (:func:`repro.traffic.simulator

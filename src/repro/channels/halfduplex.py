@@ -199,14 +199,22 @@ def _combine_received(draws, listeners, transmissions: dict, complex_gains) -> d
     media's row-batched phase runners so the received-signal arithmetic —
     the heart of the fused-vs-reference bitwise-identity invariant —
     exists exactly once.
+
+    Once computed, a listener's complex output is copied over its own
+    noise columns (exactly ``2 * n_symbols`` floats per row, never read
+    again), so a phase's outputs take no memory beyond its draws. The
+    copy is exact, so the values do not depend on where they live.
     """
     received: dict = {}
+    n_rows, _, _, n_symbols = draws.shape
     for li, node in enumerate(listeners):
         y = draws[:, li, 0, :] + 1j * draws[:, li, 1, :]
         for tx, x in transmissions.items():
             gain = complex_gains[frozenset((tx, node))]
             y = y + gain * np.asarray(x)
-        received[node] = y
+        out = draws[:, li].reshape(n_rows, 2 * n_symbols).view(complex)
+        out[...] = y
+        received[node] = out
     return received
 
 

@@ -674,6 +674,11 @@ class BatchedProtocolEngine(_LinkEngine):
     spawn policy, and every stage is elementwise along the rows axis, so
     each cell's rows equal a per-round :class:`ProtocolEngine` loop over
     that cell's streams exactly. Build instances with :meth:`for_cells`.
+
+    Each phase's :class:`~repro.channels.halfduplex.PhaseRows` is dropped
+    as soon as its listeners are decoded, so a round batch holds at most
+    one phase's complex received rows at a time — what keeps wide fused
+    batches inside the campaign's memory budget.
     """
 
     def __post_init__(self) -> None:
@@ -775,12 +780,14 @@ class BatchedProtocolEngine(_LinkEngine):
         frames_at_b = codec.decode_rows(
             out1.signal_at("b"), self._gain("a", "b"), self._noise_power, amplitude=amp
         )
+        del out1
         out2 = self.medium.run_phase_rows(
             {"b": amp * codec.encode_rows(wb)}, ("a",), s2
         )
         frames_at_a = codec.decode_rows(
             out2.signal_at("a"), self._gain("a", "b"), self._noise_power, amplitude=amp
         )
+        del out2
 
         err_ab = hamming_distance_rows(wa, frames_at_b.payload)
         err_ba = hamming_distance_rows(wb, frames_at_a.payload)
@@ -811,12 +818,14 @@ class BatchedProtocolEngine(_LinkEngine):
         a_at_r = codec.decode_rows(
             out1.signal_at("r"), self._gain("a", "r"), self._noise_power, amplitude=amp
         )
+        del out1
         out2 = self.medium.run_phase_rows(
             {"r": amp * codec.encode_frame_rows(a_at_r.frame_bits)}, ("b",), s2
         )
         a_at_b = codec.decode_rows(
             out2.signal_at("b"), self._gain("b", "r"), self._noise_power, amplitude=amp
         )
+        del out2
 
         out3 = self.medium.run_phase_rows(
             {"b": amp * codec.encode_frame_rows(frames_b)}, ("r",), s3
@@ -824,12 +833,14 @@ class BatchedProtocolEngine(_LinkEngine):
         b_at_r = codec.decode_rows(
             out3.signal_at("r"), self._gain("b", "r"), self._noise_power, amplitude=amp
         )
+        del out3
         out4 = self.medium.run_phase_rows(
             {"r": amp * codec.encode_frame_rows(b_at_r.frame_bits)}, ("a",), s4
         )
         b_at_a = codec.decode_rows(
             out4.signal_at("a"), self._gain("a", "r"), self._noise_power, amplitude=amp
         )
+        del out4
 
         err_ab = hamming_distance_rows(wa, a_at_b.payload)
         err_ba = hamming_distance_rows(wb, b_at_a.payload)
@@ -870,6 +881,7 @@ class BatchedProtocolEngine(_LinkEngine):
             noise_power=self._noise_power,
             amplitude=amp,
         )
+        del out1
 
         relay_frames = np.bitwise_xor(mac.frame_a.frame_bits, mac.frame_b.frame_bits)
         out2 = self.medium.run_phase_rows(
@@ -881,6 +893,7 @@ class BatchedProtocolEngine(_LinkEngine):
         relay_at_b = codec.decode_rows(
             out2.signal_at("b"), self._gain("b", "r"), self._noise_power, amplitude=amp
         )
+        del out2
 
         est_b_at_a = arbitrate_paths_rows(
             codec, relay_frames=relay_at_a, own_frame_rows=frames_a, direct_frames=None
@@ -920,6 +933,7 @@ class BatchedProtocolEngine(_LinkEngine):
         a_at_b_direct = codec.decode_rows(
             out1.signal_at("b"), self._gain("a", "b"), self._noise_power, amplitude=amp
         )
+        del out1
 
         out2 = self.medium.run_phase_rows(
             {"b": amp * codec.encode_frame_rows(frames_b)}, ("a", "r"), s2
@@ -930,6 +944,7 @@ class BatchedProtocolEngine(_LinkEngine):
         b_at_a_direct = codec.decode_rows(
             out2.signal_at("a"), self._gain("a", "b"), self._noise_power, amplitude=amp
         )
+        del out2
 
         relay_frames = np.bitwise_xor(a_at_r.frame_bits, b_at_r.frame_bits)
         out3 = self.medium.run_phase_rows(
@@ -941,6 +956,7 @@ class BatchedProtocolEngine(_LinkEngine):
         relay_at_b = codec.decode_rows(
             out3.signal_at("b"), self._gain("b", "r"), self._noise_power, amplitude=amp
         )
+        del out3
 
         est_b_at_a = arbitrate_paths_rows(
             codec,
@@ -992,6 +1008,7 @@ class BatchedProtocolEngine(_LinkEngine):
         a1_at_b_direct = half.decode_rows(
             out1.signal_at("b"), self._gain("a", "b"), self._noise_power, amplitude=amp
         )
+        del out1
 
         out2 = self.medium.run_phase_rows(
             {"b": amp * half.encode_frame_rows(frames_b1)}, ("a", "r"), s2
@@ -1002,6 +1019,7 @@ class BatchedProtocolEngine(_LinkEngine):
         b1_at_a_direct = half.decode_rows(
             out2.signal_at("a"), self._gain("a", "b"), self._noise_power, amplitude=amp
         )
+        del out2
 
         out3 = self.medium.run_phase_rows(
             {
@@ -1019,6 +1037,7 @@ class BatchedProtocolEngine(_LinkEngine):
             noise_power=self._noise_power,
             amplitude=amp,
         )
+        del out3
 
         relay_frames_1 = np.bitwise_xor(a1_at_r.frame_bits, b1_at_r.frame_bits)
         relay_frames_2 = np.bitwise_xor(mac.frame_a.frame_bits, mac.frame_b.frame_bits)
@@ -1032,8 +1051,7 @@ class BatchedProtocolEngine(_LinkEngine):
         out4 = self.medium.run_phase_rows({"r": amp * symbols_4}, ("a", "b"), s4)
         n_half = half.n_symbols
 
-        def _decode_broadcast(node: str):
-            y = out4.signal_at(node)
+        def _decode_broadcast(y, node: str):
             gain = self._gain(node, "r")
             first = half.decode_rows(
                 y[:, :n_half], gain, self._noise_power, amplitude=amp
@@ -1043,8 +1061,9 @@ class BatchedProtocolEngine(_LinkEngine):
             )
             return first, second
 
-        relay1_at_a, relay2_at_a = _decode_broadcast("a")
-        relay1_at_b, relay2_at_b = _decode_broadcast("b")
+        relay1_at_a, relay2_at_a = _decode_broadcast(out4.signal_at("a"), "a")
+        relay1_at_b, relay2_at_b = _decode_broadcast(out4.signal_at("b"), "b")
+        del out4
 
         est_b1_at_a = arbitrate_paths_rows(
             half,
