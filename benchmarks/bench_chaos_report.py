@@ -12,7 +12,8 @@ Scenarios:
 
 ``worker-kill``
     A pool worker dies (``os._exit``) mid-chunk; the executor rebuilds
-    the pool and the engine re-dispatches exactly the failed chunk.
+    the pool once and the engine re-dispatches exactly the chunks that
+    failed with it (the killed one plus any in-flight siblings).
 ``torn-write``
     Every chunk entry the store publishes is immediately truncated;
     digest verification refuses them all and the in-memory result never
@@ -39,7 +40,7 @@ import pytest
 from repro.api import evaluate
 from repro.campaign.cache import CampaignCache
 from repro.campaign.engine import RetryPolicy, _cache_key, run_campaign
-from repro.campaign.executors import MultiprocessExecutor
+from repro.campaign.executors import AsyncExecutor
 from repro.campaign.spec import CampaignSpec, FadingSpec
 from repro.channels.gains import LinkGains
 from repro.core.protocols import Protocol
@@ -99,7 +100,7 @@ def test_worker_kill_heals_and_converges(reference, report, tmp_path):
     plan = FaultPlan(
         rules=(FaultRule(kind="worker-death", site=chunk_site(16, 32)),)
     )
-    executor = MultiprocessExecutor(processes=2)
+    executor = AsyncExecutor(processes=2)
     result, elapsed = _timed(
         lambda: run_campaign(
             _spec(),
@@ -120,7 +121,12 @@ def test_worker_kill_heals_and_converges(reference, report, tmp_path):
     }
     assert identical
     assert result.pool_rebuilds == 1
-    assert result.chunk_retries == 1
+    # All chunks are in flight together, so siblings of the dying chunk
+    # may fail on the same broken pool: at least the killed chunk and at
+    # most every chunk is retried, while the identity-guarded heal
+    # rebuilds exactly once.
+    n_chunks = -(-_spec().n_units // 16)
+    assert 1 <= result.chunk_retries <= n_chunks
 
 
 def test_torn_writes_never_reach_the_result(reference, report, tmp_path):

@@ -110,9 +110,9 @@ def evaluate(
         A :class:`~repro.scenarios.base.Scenario` or the name of a
         registered one (see :func:`repro.scenarios.list_scenarios`).
     executor:
-        Campaign executor name (``"serial"``, ``"process"``,
-        ``"vectorized"``, ``"async"``) or instance; defaults to the
-        vectorized fast path. All built-in executors are
+        Campaign executor name (``"serial"``, ``"vectorized"``,
+        ``"async"`` or its alias ``"process"``) or instance; defaults to
+        the vectorized fast path. All built-in executors are
         bitwise-equivalent. With ``server=``, only names are accepted
         (the override travels over the wire).
     cache:

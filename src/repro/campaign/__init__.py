@@ -6,8 +6,8 @@ into declarative grids evaluated through pluggable executors:
 
 * describe the grid with a :class:`CampaignSpec`
   (``protocols × powers × geometries × fading draws``),
-* evaluate it with :func:`run_campaign` through the serial,
-  multiprocessing or vectorized executor (all bitwise-equivalent),
+* evaluate it with :func:`run_campaign` through the serial, vectorized
+  or process-pool executor (all bitwise-equivalent),
 * repeated specs are served from a content-addressed on-disk cache,
 * with a cache, execution is chunk-checkpointed: interrupted campaigns
   resume instead of restarting, ``run_campaign(spec, shard=spec.shard(i, n))``

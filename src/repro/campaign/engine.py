@@ -51,7 +51,6 @@ from .cache import CampaignCache
 from .executors import (
     AsyncExecutor,
     ChunkFailure,
-    MultiprocessExecutor,
     SerialExecutor,
     UnitBatch,
     VectorizedExecutor,
@@ -66,7 +65,6 @@ from .spec import DEFAULT_CHUNK_SIZE, CampaignShard, CampaignSpec, chunk_ranges
 #: truth for the spec) but must not poison them.
 _CACHE_TRUSTED_EXECUTORS = (
     SerialExecutor,
-    MultiprocessExecutor,
     VectorizedExecutor,
     AsyncExecutor,
 )
@@ -513,28 +511,21 @@ def _run_chunk_futures(
 
 
 def _run_chunk_with_retry(executor, batches_for, chunk, sub_progress, ctx):
-    """One chunk through ``executor.run``, retrying retryable failures.
+    """One chunk through an in-process ``executor.run``, with retries.
 
-    Fault injection is armed per attempt: pool executors receive a
-    picklable :class:`FaultToken` (so the fault fires inside the worker),
-    in-process executors get the engine-side ``chunk_guard``.  Backoff is
-    the policy's deterministic schedule; exhaustion raises a single typed
+    Fault injection is armed per attempt through the engine-side
+    ``chunk_guard`` (pool executors take the chunk-future path, whose
+    workers apply a :class:`FaultToken` themselves).  Backoff is the
+    policy's deterministic schedule; exhaustion raises a single typed
     :class:`ChunkRetryExhaustedError` naming the chunk.
     """
     lo, hi = chunk
     failures = 0
-    in_worker = getattr(executor, "supports_fault_injection", False)
     while True:
         try:
-            kwargs = {}
             if ctx.plan is not None:
-                if in_worker:
-                    kwargs["fault"] = FaultToken(ctx.plan, chunk, failures)
-                else:
-                    ctx.plan.chunk_guard(chunk, failures)
-            value_arrays = executor.run(
-                batches_for(lo, hi), progress=sub_progress, **kwargs
-            )
+                ctx.plan.chunk_guard(chunk, failures)
+            value_arrays = executor.run(batches_for(lo, hi), progress=sub_progress)
             return np.concatenate(value_arrays)
         except _RETRYABLE_ERRORS as error:
             failures += 1
@@ -564,9 +555,10 @@ def _run_chunked(
     executor entirely); freshly computed chunks are written back
     immediately when the executor is cache-trusted, so an interrupted run
     resumes from its last completed chunk. Executors exposing the
-    chunk-future seam (``run_chunks``) evaluate their chunks concurrently
-    via :func:`_run_chunk_futures` instead of this sequential loop —
-    either way, chunking is elementwise and the values are identical.
+    chunk-future seam (``run_chunks``, i.e. the process pool) evaluate
+    their chunks concurrently via :func:`_run_chunk_futures`; in-process
+    executors run this sequential loop — either way, chunking is
+    elementwise and the values are identical.
     Retry, deadline and fault-injection state ride in ``ctx``.  Returns
     ``(flat_values, cells_from_cache, cells_computed)``.
     """
@@ -591,34 +583,26 @@ def _run_chunked(
     done = 0
     cells_from_cache = 0
     cells_computed = 0
-    reserve = getattr(executor, "reserve", None)
-    with ExitStack() as stack:
-        reserved = False
-        for lo, hi in chunk_ranges(start, stop, chunk_size):
-            values = store.load_chunk(key, lo, hi) if store is not None else None
-            if values is None:
-                _check_deadline(ctx, done, total)
-                if reserve is not None and not reserved:
-                    # Executors with per-call setup cost (e.g. a process
-                    # pool) keep it alive across the remaining chunks.
-                    stack.enter_context(reserve())
-                    reserved = True
-                sub_progress = None
-                if progress is not None:
-                    sub_progress = _offset_progress(progress, done, total)
-                values = _run_chunk_with_retry(
-                    executor, batches_for, (lo, hi), sub_progress, ctx
-                )
-                cells_computed += hi - lo
-                if store is not None and trusted:
-                    store.store_chunk(key, lo, hi, values, meta)
-                done += hi - lo
-            else:
-                cells_from_cache += hi - lo
-                done += hi - lo
-                if progress is not None:
-                    progress(done, total)
-            pieces.append(values)
+    for lo, hi in chunk_ranges(start, stop, chunk_size):
+        values = store.load_chunk(key, lo, hi) if store is not None else None
+        if values is None:
+            _check_deadline(ctx, done, total)
+            sub_progress = None
+            if progress is not None:
+                sub_progress = _offset_progress(progress, done, total)
+            values = _run_chunk_with_retry(
+                executor, batches_for, (lo, hi), sub_progress, ctx
+            )
+            cells_computed += hi - lo
+            if store is not None and trusted:
+                store.store_chunk(key, lo, hi, values, meta)
+            done += hi - lo
+        else:
+            cells_from_cache += hi - lo
+            done += hi - lo
+            if progress is not None:
+                progress(done, total)
+        pieces.append(values)
     flat = np.concatenate(pieces) if pieces else np.zeros(0)
     return flat, cells_from_cache, cells_computed
 
@@ -642,8 +626,10 @@ def run_campaign(
     spec:
         The declarative grid to evaluate.
     executor:
-        Executor name (``"serial"``, ``"process"``, ``"vectorized"``) or
-        instance; defaults to the vectorized fast path.
+        Executor name (``"serial"``, ``"vectorized"``, ``"async"`` or its
+        alias ``"process"``) or instance; defaults to the vectorized fast
+        path. The pool names evaluate chunk futures over a self-healing
+        process pool; every name gives bitwise-identical values.
     cache:
         ``None``/``False`` disables caching, ``True`` uses the default
         cache directory, and a path or :class:`CampaignCache` selects an

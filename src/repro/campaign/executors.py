@@ -1,14 +1,10 @@
 """Pluggable execution backends for campaign work units.
 
-Four executors share one numeric kernel
+Three executors share one numeric kernel
 (:func:`repro.campaign.kernel.batched_sum_rates`):
 
 * :class:`SerialExecutor` — one unit at a time, in process. The reference
   path every other executor must reproduce bit for bit.
-* :class:`MultiprocessExecutor` — chunks units across a
-  ``concurrent.futures`` process pool. Each worker evaluates its chunk
-  with exactly the serial per-unit arithmetic, so results are bitwise
-  identical to serial regardless of process count or chunking.
 * :class:`VectorizedExecutor` — stacks whole batches through the kernel's
   batched linear algebra. The kernel is elementwise along the batch axis,
   so this too is bitwise identical to serial (asserted in the tests).
@@ -16,18 +12,22 @@ Four executors share one numeric kernel
   ``concurrent.futures`` process pool: work units are claimed by whichever
   worker frees up first (work-stealing) instead of being pre-split, and
   the engine checkpoints each chunk the moment its future lands. Each
-  future runs the serial per-unit arithmetic, so completion order can
-  never change the numbers.
+  future runs the serial per-unit arithmetic, so completion order, chunking
+  and process count can never change the numbers.
+
+The registry knows one more name: ``"process"`` resolves to
+:class:`MultiprocessExecutor`, an :class:`AsyncExecutor` that only reports
+itself as ``"process"``.
 
 Because all executors agree exactly, cached campaign results are keyed by
 the spec alone — never by how they were computed.
 
-Both pool executors are *self-healing*: a dead worker (OOM kill, signal,
-``os._exit``) breaks a ``concurrent.futures`` pool permanently, so when a
-reserved pool surfaces :class:`concurrent.futures.BrokenExecutor` the
-executor swaps in a fresh pool (counted in ``pool_rebuilds``) and reports
-the failed chunks to the engine, which re-dispatches only those — completed
-chunks are already checkpointed in the cache and are never recomputed.
+The pool is *self-healing*: a dead worker (OOM kill, signal, ``os._exit``)
+breaks a ``concurrent.futures`` pool permanently, so when a reserved pool
+surfaces :class:`concurrent.futures.BrokenExecutor` the executor swaps in a
+fresh pool (counted in ``pool_rebuilds``) and reports the failed chunks to
+the engine, which re-dispatches only those — completed chunks are already
+checkpointed in the cache and are never recomputed.
 """
 
 from __future__ import annotations
@@ -194,7 +194,7 @@ def _evaluate_units_one_by_one(batch: UnitBatch) -> np.ndarray:
 
     This is the shared reference arithmetic: the serial executor calls it
     directly and pool workers call it on their chunks, which is what makes
-    serial and multiprocess results bitwise identical by construction.
+    serial and process-pool results bitwise identical by construction.
     Operational units are independently seeded by flat grid index, so the
     same argument covers them with no per-unit slicing needed.
     """
@@ -230,161 +230,6 @@ class SerialExecutor:
                 if progress is not None:
                     progress(done, total)
             results.append(values)
-        return results
-
-
-class _SelfHealingPoolMixin:
-    """Reserved-pool lifecycle shared by the two process-pool executors.
-
-    A ``concurrent.futures`` pool whose worker dies is *permanently* broken
-    — every subsequent future raises :class:`BrokenExecutor`.  Reservations
-    are counted (reentrant and thread-safe; the outermost one owns the
-    pool's lifetime), and :meth:`_heal` swaps a broken reserved pool for a
-    fresh one so the next dispatch round runs on live workers.  The swap is
-    identity-guarded: concurrent failures on the same pool trigger exactly
-    one rebuild, tallied in ``pool_rebuilds``.
-    """
-
-    def _init_pool_state(self):
-        self._pool = None
-        self._lock = threading.Lock()
-        self._reservations = 0
-        #: Broken pools replaced over this executor's lifetime.  The engine
-        #: snapshots it around a campaign to report per-run rebuilds.
-        self.pool_rebuilds = 0
-
-    def _make_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=self.processes)
-
-    @contextmanager
-    def reserve(self):
-        """Hold one worker pool open across consecutive calls.
-
-        The engine's chunk-checkpointed loop issues one dispatch per chunk;
-        without a reservation every dispatch would spawn and tear down its
-        own pool.  Reentrant and thread-safe — only the outermost
-        reservation owns the pool's lifetime, so the serving daemon can
-        reserve once at startup and let every concurrent request share the
-        workers.  Exit tears down whatever pool is current, including one
-        swapped in by :meth:`_heal`.
-        """
-        with self._lock:
-            outermost = self._reservations == 0
-            self._reservations += 1
-            if outermost:
-                self._pool = self._make_pool()
-        try:
-            yield self
-        finally:
-            closing = None
-            with self._lock:
-                self._reservations -= 1
-                if self._reservations == 0:
-                    closing, self._pool = self._pool, None
-            if closing is not None:
-                closing.shutdown(wait=True)
-
-    def _reserved_pool(self):
-        with self._lock:
-            return self._pool
-
-    def _heal(self, broken) -> bool:
-        """Replace ``broken`` with a fresh pool if it is still the one.
-
-        Returns whether a rebuild happened.  The identity check makes the
-        call idempotent: many in-flight futures of one broken pool all
-        report the breakage, but only the first caller rebuilds.  Unreserved
-        (per-call) pools are never healed — the next call builds a fresh
-        pool anyway.
-        """
-        with self._lock:
-            if broken is None or self._pool is not broken:
-                return False
-            self._pool = self._make_pool()
-            self.pool_rebuilds += 1
-        broken.shutdown(wait=False)
-        return True
-
-
-class MultiprocessExecutor(_SelfHealingPoolMixin):
-    """Evaluate chunks of units across a process pool.
-
-    Parameters
-    ----------
-    processes:
-        Worker count; defaults to ``os.cpu_count()``.
-    chunksize:
-        Units per dispatched chunk; defaults to spreading each batch over
-        roughly ``4 × processes`` chunks (bounded below by 1) so progress
-        stays responsive without drowning in IPC.
-    """
-
-    name = "process"
-    supports_fault_injection = True
-
-    def __init__(
-        self, processes: int | None = None, chunksize: int | None = None
-    ) -> None:
-        if processes is not None and processes < 1:
-            raise InvalidParameterError(f"need at least one process, got {processes}")
-        if chunksize is not None and chunksize < 1:
-            raise InvalidParameterError(f"chunk size must be positive, got {chunksize}")
-        self.processes = processes or os.cpu_count() or 1
-        self.chunksize = chunksize
-        self._init_pool_state()
-
-    def _chunks(self, batch: UnitBatch) -> list:
-        chunksize = self.chunksize
-        if chunksize is None:
-            chunksize = max(1, -(-len(batch) // (4 * self.processes)))
-        return [
-            batch.slice(start, min(start + chunksize, len(batch)))
-            for start in range(0, len(batch), chunksize)
-        ]
-
-    def _collect(self, pool, chunks, total, progress, fault) -> list:
-        try:
-            futures = [
-                pool.submit(_evaluate_pool_chunk, chunk, fault) for chunk in chunks
-            ]
-            pieces = []
-            done = 0
-            for future in futures:
-                piece = future.result()
-                pieces.append(piece)
-                done += piece.shape[0]
-                if progress is not None:
-                    progress(done, total)
-            return pieces
-        except BrokenExecutor:
-            self._heal(pool)
-            raise
-
-    def run(self, batches, progress=None, fault=None) -> list:
-        """Evaluate ``batches`` and return one value array per batch.
-
-        ``fault`` is an optional :class:`repro.faults.FaultToken` forwarded
-        into every worker invocation of this call (the engine arms it per
-        chunk attempt).  A broken pool is healed before the failure
-        propagates, so the engine's retry lands on live workers.
-        """
-        total = sum(len(batch) for batch in batches)
-        chunks = []
-        owners = []
-        for bi, batch in enumerate(batches):
-            for chunk in self._chunks(batch):
-                chunks.append(chunk)
-                owners.append(bi)
-        reserved = self._reserved_pool()
-        if reserved is not None:
-            pieces = self._collect(reserved, chunks, total, progress, fault)
-        else:
-            with self._make_pool() as pool:
-                pieces = self._collect(pool, chunks, total, progress, fault)
-        results = []
-        for bi in range(len(batches)):
-            parts = [p for p, owner in zip(pieces, owners) if owner == bi]
-            results.append(np.concatenate(parts) if parts else np.zeros(0))
         return results
 
 
@@ -437,18 +282,6 @@ class VectorizedExecutor:
         return results
 
 
-def _evaluate_pool_chunk(chunk: UnitBatch, fault=None) -> np.ndarray:
-    """Worker entry of :class:`MultiprocessExecutor`: one chunk, serially.
-
-    ``fault`` is an armed :class:`repro.faults.FaultToken` (or ``None``);
-    applying it first means injected worker deaths and transient errors hit
-    before any arithmetic, exactly like a crash on entry would.
-    """
-    if fault is not None:
-        fault.apply(in_worker=True)
-    return _evaluate_units_one_by_one(chunk)
-
-
 def _evaluate_batch_list(batches, fault=None) -> np.ndarray:
     """Worker entry of a chunk future: serial arithmetic, concatenated.
 
@@ -463,12 +296,11 @@ def _evaluate_batch_list(batches, fault=None) -> np.ndarray:
     return np.concatenate([_evaluate_units_one_by_one(batch) for batch in batches])
 
 
-class AsyncExecutor(_SelfHealingPoolMixin):
+class AsyncExecutor:
     """Schedule chunk futures over a process pool with work-stealing.
 
-    Where :class:`MultiprocessExecutor` pre-splits each ``run`` call over
-    a pool, this executor exposes the *chunk-future seam* the engine and
-    the serving daemon build on: :meth:`run_chunks` submits every pending
+    This executor exposes the *chunk-future seam* the engine and the
+    serving daemon build on: :meth:`run_chunks` submits every pending
     chunk as one future and yields results **in completion order**, so
 
     * idle workers steal whichever chunk is next rather than being bound
@@ -483,6 +315,13 @@ class AsyncExecutor(_SelfHealingPoolMixin):
     (:func:`_evaluate_batch_list`), so scheduling, completion order and
     pool size can never change the numbers.
 
+    The pool is *self-healing*: a ``concurrent.futures`` pool whose worker
+    dies is permanently broken — every subsequent future raises
+    :class:`BrokenExecutor` — so :meth:`_heal` swaps a broken reserved
+    pool for a fresh one and the next dispatch round runs on live workers.
+    The swap is identity-guarded: concurrent failures on the same pool
+    trigger exactly one rebuild, tallied in ``pool_rebuilds``.
+
     Parameters
     ----------
     processes:
@@ -490,13 +329,68 @@ class AsyncExecutor(_SelfHealingPoolMixin):
     """
 
     name = "async"
-    supports_fault_injection = True
 
     def __init__(self, processes: int | None = None) -> None:
         if processes is not None and processes < 1:
             raise InvalidParameterError(f"need at least one process, got {processes}")
         self.processes = processes or os.cpu_count() or 1
-        self._init_pool_state()
+        self._pool = None
+        self._lock = threading.Lock()
+        self._reservations = 0
+        #: Broken pools replaced over this executor's lifetime.  The engine
+        #: snapshots it around a campaign to report per-run rebuilds.
+        self.pool_rebuilds = 0
+
+    def _make_pool(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(max_workers=self.processes)
+
+    @contextmanager
+    def reserve(self):
+        """Hold one worker pool open across consecutive calls.
+
+        Without a reservation every ``run``/``run_chunks`` call spawns and
+        tears down its own pool.  Reentrant and thread-safe — only the
+        outermost reservation owns the pool's lifetime, so the serving
+        daemon can reserve once at startup and let every concurrent request
+        share the workers.  Exit tears down whatever pool is current,
+        including one swapped in by :meth:`_heal`.
+        """
+        with self._lock:
+            outermost = self._reservations == 0
+            self._reservations += 1
+            if outermost:
+                self._pool = self._make_pool()
+        try:
+            yield self
+        finally:
+            closing = None
+            with self._lock:
+                self._reservations -= 1
+                if self._reservations == 0:
+                    closing, self._pool = self._pool, None
+            if closing is not None:
+                closing.shutdown(wait=True)
+
+    def _reserved_pool(self):
+        with self._lock:
+            return self._pool
+
+    def _heal(self, broken) -> bool:
+        """Replace ``broken`` with a fresh pool if it is still the one.
+
+        Returns whether a rebuild happened.  The identity check makes the
+        call idempotent: many in-flight futures of one broken pool all
+        report the breakage, but only the first caller rebuilds.  Unreserved
+        (per-call) pools are never healed — the next call builds a fresh
+        pool anyway.
+        """
+        with self._lock:
+            if broken is None or self._pool is not broken:
+                return False
+            self._pool = self._make_pool()
+            self.pool_rebuilds += 1
+        broken.shutdown(wait=False)
+        return True
 
     def _submit_completions(self, pool, jobs):
         """Submit one future per job; yield per-job outcomes as they land.
@@ -584,15 +478,28 @@ class AsyncExecutor(_SelfHealingPoolMixin):
         return results
 
 
+class MultiprocessExecutor(AsyncExecutor):
+    """The ``"process"`` name of :class:`AsyncExecutor`.
+
+    Same pool, same chunk futures, same values; only the name differs, so
+    results and CLI output keep reporting the executor the user asked for.
+    """
+
+    name = "process"
+
+
 #: Executor registry used by the engine and the CLI.
 EXECUTOR_NAMES = ("serial", "process", "vectorized", "async")
 
 
-def get_executor(executor, **kwargs):
+def get_executor(executor, *, processes: int | None = None, **kwargs):
     """Resolve an executor name (or pass through an executor instance).
 
-    ``kwargs`` are forwarded to the named executor's constructor, e.g.
-    ``get_executor("process", processes=4)``.
+    ``processes`` sizes a pool executor (``"process"`` or ``"async"``;
+    ``None`` = CPU count) and is ignored by the in-process ones, so the
+    CLI and the serving daemon resolve ``--processes`` the same way for
+    every name.  Other ``kwargs`` are forwarded to the named executor's
+    constructor, e.g. ``get_executor("vectorized", max_batch=256)``.
     """
     if executor is None:
         executor = "vectorized"
@@ -608,4 +515,6 @@ def get_executor(executor, **kwargs):
         raise InvalidParameterError(
             f"unknown executor {executor!r}; available: {EXECUTOR_NAMES}"
         )
+    if issubclass(registry[executor], AsyncExecutor):
+        kwargs["processes"] = processes
     return registry[executor](**kwargs)

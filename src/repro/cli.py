@@ -456,10 +456,7 @@ def _cmd_campaign(args) -> int:
             description="ad-hoc grid from repro campaign arguments",
         )
         shard = _shard_from_args(args, spec)
-        executor_kwargs = {}
-        if args.executor == "process" and args.processes:
-            executor_kwargs["processes"] = args.processes
-        executor = get_executor(args.executor, **executor_kwargs)
+        executor = get_executor(args.executor, processes=args.processes or None)
     except ValueError as error:
         print(f"error: {error}")
         return 2
@@ -1298,7 +1295,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--processes",
         type=int,
         default=0,
-        help="worker count for --executor process (default: cpu count)",
+        help="worker count for --executor process or async (default: cpu count)",
     )
     p_campaign.add_argument(
         "--shard",
@@ -1354,7 +1351,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--processes",
         type=int,
         default=0,
-        help="worker count of the async pool (default: cpu count)",
+        help="worker count for --executor process or async (default: cpu count)",
     )
     p_serve.add_argument(
         "--max-pending",

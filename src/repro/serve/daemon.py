@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 from ..campaign.cache import CampaignCache
 from ..campaign.engine import _cache_key, run_campaign
-from ..campaign.executors import AsyncExecutor, get_executor
+from ..campaign.executors import get_executor
 from ..exceptions import CampaignTimeoutError, InvalidParameterError, ReproError
 from ..faults import FaultInjector, FaultPlan
 from ..scenarios.wire import request_to_scenario
@@ -81,8 +81,8 @@ class ServeConfig:
         override it. The default ``"async"`` pool is what enables
         work-stealing across concurrent requests.
     processes:
-        Worker processes for the default ``"async"`` executor
-        (``None`` = CPU count).
+        Worker processes of a pool executor (``"async"`` or
+        ``"process"``; ``None`` = CPU count).
     max_pending:
         Bound on concurrently in-flight evaluate jobs; requests beyond
         it are refused with a ``busy`` error (backpressure).
@@ -177,10 +177,7 @@ class CampaignServer:
     def __init__(self, config: ServeConfig, fault_plan: FaultPlan | None = None):
         self.config = config
         self._store = _resolve_store(config.cache)
-        if isinstance(config.executor, str) and config.executor == "async":
-            self._executor = AsyncExecutor(processes=config.processes)
-        else:
-            self._executor = get_executor(config.executor)
+        self._executor = get_executor(config.executor, processes=config.processes)
         # Chaos-testing seam: an armed plan injects engine faults into
         # jobs and socket faults into outbound frames.  Defaults to the
         # REPRO_FAULT_PLAN environment variable so subprocess tests can

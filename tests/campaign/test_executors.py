@@ -1,10 +1,12 @@
-"""Executor equivalence: serial, multiprocessing and vectorized must agree
+"""Executor equivalence: serial, process-pool and vectorized must agree
 bitwise on identical work, so cached results are execution-independent."""
 
 import numpy as np
 import pytest
 
+from repro.campaign.engine import run_campaign
 from repro.campaign.executors import (
+    AsyncExecutor,
     MultiprocessExecutor,
     SerialExecutor,
     UnitBatch,
@@ -58,14 +60,14 @@ class TestBitwiseEquivalence:
             assert np.array_equal(fast, reference)
 
     def test_multiprocess_matches_serial(self, seeded_batches, serial_results):
-        pooled = MultiprocessExecutor(processes=2).run(seeded_batches)
-        for fast, reference in zip(pooled, serial_results):
-            assert np.array_equal(fast, reference)
-
-    def test_multiprocess_chunking_invariant(self, seeded_batches, serial_results):
-        pooled = MultiprocessExecutor(processes=2, chunksize=5).run(seeded_batches)
-        for fast, reference in zip(pooled, serial_results):
-            assert np.array_equal(fast, reference)
+        executor = MultiprocessExecutor(processes=2)
+        jobs = [(index, [batch]) for index, batch in enumerate(seeded_batches)]
+        with executor.reserve():
+            futures = dict(executor.run_chunks(jobs))
+            pooled = executor.run(seeded_batches)
+        for index, reference in enumerate(serial_results):
+            assert np.array_equal(futures[index], reference)
+            assert np.array_equal(pooled[index], reference)
 
 
 @pytest.fixture(scope="module")
@@ -134,9 +136,24 @@ class TestProgress:
 class TestRegistry:
     def test_names_resolve(self):
         assert isinstance(get_executor("serial"), SerialExecutor)
-        assert isinstance(get_executor("process"), MultiprocessExecutor)
         assert isinstance(get_executor("vectorized"), VectorizedExecutor)
         assert isinstance(get_executor(None), VectorizedExecutor)
+        assert get_executor("async").name == "async"
+        # "process" is the same pool executor under its own name, and
+        # defines nothing else.
+        process = get_executor("process")
+        assert isinstance(process, AsyncExecutor)
+        assert process.name == "process"
+        own = {key for key in vars(MultiprocessExecutor) if not key.startswith("__")}
+        assert own == {"name"}
+
+    def test_processes_reach_both_pool_names(self):
+        for name in ("process", "async"):
+            assert get_executor(name, processes=3).processes == 3
+            with pytest.raises(InvalidParameterError):
+                get_executor(name, processes=-2)
+        # In-process executors have no pool to size.
+        assert isinstance(get_executor("serial", processes=3), SerialExecutor)
 
     def test_instances_pass_through(self):
         executor = VectorizedExecutor(max_batch=3)
@@ -150,6 +167,46 @@ class TestRegistry:
         with pytest.raises(InvalidParameterError):
             MultiprocessExecutor(processes=0)
         with pytest.raises(InvalidParameterError):
-            MultiprocessExecutor(chunksize=0)
-        with pytest.raises(InvalidParameterError):
             VectorizedExecutor(max_batch=0)
+
+
+def _equivalence_spec(kind):
+    from repro.campaign.spec import LinkSimSpec
+    from repro.channels.gains import LinkGains
+
+    gains = (LinkGains.from_db(-7.0, 0.0, 5.0),)
+    if kind == "analytic":
+        return CampaignSpec(
+            protocols=(Protocol.MABC, Protocol.HBC),
+            powers_db=(0.0, 10.0),
+            gains=gains,
+            fading=FadingSpec(n_draws=9, seed=41),
+        )
+    return CampaignSpec(
+        protocols=(Protocol.DT, Protocol.MABC),
+        powers_db=(5.0, 10.0),
+        gains=gains,
+        fading=FadingSpec(n_draws=3, seed=7),
+        link=LinkSimSpec(n_rounds=2, payload_bits=32, seed=5),
+    )
+
+
+class TestEveryExecutorName:
+    """All four registry names agree bitwise, unchunked and chunk-cached."""
+
+    @pytest.mark.parametrize("kind", ["analytic", "operational"])
+    @pytest.mark.parametrize("chunked", [False, True], ids=["whole", "chunked"])
+    def test_names_agree_bitwise(self, kind, chunked, tmp_path):
+        spec = _equivalence_spec(kind)
+        values = {}
+        for name in ("serial", "vectorized", "process", "async"):
+            options = {}
+            if chunked:
+                options = {"cache": tmp_path / name, "chunk_size": 5}
+            result = run_campaign(
+                spec, executor=get_executor(name, processes=2), **options
+            )
+            assert result.executor_name == name
+            assert result.cells_computed == spec.n_units
+            values[name] = result.values.tobytes()
+        assert len(set(values.values())) == 1

@@ -207,7 +207,7 @@ class TestExecutorsAndSharding:
     def serial_values(self, spec):
         return run_campaign(spec, executor="serial", cache=False).values
 
-    @pytest.mark.parametrize("executor", ["process", "vectorized", "async"])
+    @pytest.mark.parametrize("executor", ["vectorized", "async"])
     def test_executors_agree_bitwise_on_allocation_grid(
         self, spec, serial_values, executor
     ):

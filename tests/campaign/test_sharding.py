@@ -232,9 +232,20 @@ class TestResumption:
 
         monkeypatch.setattr(executors_module, "ProcessPoolExecutor", counting_pool)
         executor = executors_module.MultiprocessExecutor(processes=2)
+        submissions = []
+        run_chunks = executor.run_chunks
+
+        def recording(jobs):
+            jobs = list(jobs)
+            submissions.append(len(jobs))
+            return run_chunks(jobs)
+
+        executor.run_chunks = recording
         result = run_campaign(spec, executor=executor, cache=tmp_path, chunk_size=16)
         assert result.cells_computed == spec.n_units
-        # One pool for the whole chunk loop, not one per chunk.
+        # Every chunk goes out as a future in one submission round, all
+        # on one pool rather than one pool per chunk.
+        assert submissions == [-(-spec.n_units // 16)]
         assert len(created) == 1
 
     def test_invalid_chunk_size_rejected(self, spec, paper_gains):

@@ -160,7 +160,7 @@ class TestExecutorsAndSharding:
         assert np.all(np.isfinite(serial_values))
         assert np.all(serial_values >= 1.0)
 
-    @pytest.mark.parametrize("executor", ["process", "vectorized", "async"])
+    @pytest.mark.parametrize("executor", ["vectorized", "async"])
     def test_executors_agree_bitwise_on_traffic_grid(
         self, spec, serial_values, executor
     ):

@@ -102,6 +102,12 @@ class TestHealthOp:
         assert health["stats"]["requests"] >= 1
         assert health["cache"] is True
 
+    def test_health_reports_process_pool_size(self, start_server):
+        _, client = start_server(executor="process", processes=1)
+        health = client.health()
+        assert health["executor"] == "process"
+        assert health["processes"] == 1
+
     def test_health_via_cli_printer(self, start_server, capsys):
         from repro.cli import main
 

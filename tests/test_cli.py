@@ -229,8 +229,9 @@ class TestCampaignCommand:
         assert code == 2
         assert "error" in out
 
-    def test_campaign_bad_executor_params_rejected(self, capsys):
-        code = main(["campaign", "--executor", "process", "--processes",
+    @pytest.mark.parametrize("executor", ["process", "async"])
+    def test_campaign_bad_executor_params_rejected(self, capsys, executor):
+        code = main(["campaign", "--executor", executor, "--processes",
                      "-2", "--quiet", "--no-cache"])
         out = capsys.readouterr().out
         assert code == 2
