@@ -2,7 +2,7 @@
 
 :func:`run_campaign` is the one entry point every batch workload routes
 through — the Fig. 3 sweeps, the power sweeps, the fading ensembles of
-Section IV and the ``repro campaign`` CLI. It expands the declarative
+Section IV and the ``repro scenarios run`` CLI. It expands the declarative
 grid into per-protocol unit batches, evaluates them through a pluggable
 executor, and stores the result array in a content-addressed cache so a
 repeated spec costs one file read.

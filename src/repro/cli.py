@@ -7,22 +7,16 @@ Subcommands
 * ``scenarios`` — list the registered evaluation scenarios, evaluate one
   by name through the ``repro.api`` facade (``scenarios list``,
   ``scenarios run NAME``), or merge a sharded scenario's chunk artifacts
-  (``scenarios gather NAME``). ``scenarios run --shard I/N`` evaluates
-  one balanced slice of the scenario's grid — including operational
-  (link-level) scenarios, whose cells-fused evaluation shards exactly
-  like the analytic grids. ``scenarios run --param key=value`` forwards
-  factory parameters (sweep granularity, SNR points, seeds) to
-  parameterized scenarios.
-* ``campaign`` — evaluate a declarative grid (protocols × powers ×
-  geometries × fading draws) through the batched campaign engine, with
-  executor selection, progress reporting and an on-disk result cache.
-  ``--shard I/N`` evaluates one balanced slice of the grid so independent
-  processes/machines can split a campaign, coordinating only through the
-  shared cache directory; interrupted runs resume from cached chunks.
-  Routed through ``repro.api.evaluate`` (the grid is wrapped as an
-  ad-hoc scenario; spec hashes are unchanged).
-* ``gather`` — merge the chunk artifacts written by shard runs into the
-  full campaign result (bitwise-identical to an unsharded run).
+  (``scenarios gather NAME``). ``--param key=value`` forwards factory
+  parameters (sweep granularity, SNR points, seeds) to parameterized
+  scenarios; the ``grid`` scenario takes the whole protocols × powers ×
+  geometries × fading draws grid this way. ``scenarios run --shard I/N``
+  evaluates one balanced slice of the scenario's grid — analytic or
+  operational (link-level) — so independent processes or machines can
+  split it, coordinating only through the shared cache directory;
+  interrupted runs resume from cached chunks. ``scenarios gather`` takes
+  the same name and ``--param`` list and merges the shard artifacts
+  bitwise-identically to an unsharded run.
 * ``serve`` — run the campaign daemon: a long-lived process owning a warm
   executor pool and the content-addressed cache, answering scenario
   evaluation requests over a Unix socket with in-flight deduplication,
@@ -298,7 +292,7 @@ def _cmd_fading(args) -> int:
     return 0 if report.all_checks_pass() else 1
 
 
-def _stderr_progress(label: str = "campaign"):
+def _stderr_progress(label: str):
     """A ``progress(done, total)`` callback drawing a one-line meter."""
     state = {"last_percent": -1}
 
@@ -314,12 +308,6 @@ def _stderr_progress(label: str = "campaign"):
             )
 
     return callback
-
-
-def _parse_campaign_protocols(text: str) -> tuple:
-    if text.strip().lower() == "all":
-        return tuple(Protocol)
-    return tuple(Protocol.from_name(name) for name in text.split(","))
 
 
 def _parse_shard(text: str) -> tuple:
@@ -379,10 +367,8 @@ def _parse_scenario_params(pairs) -> dict:
 def _shard_from_args(args, spec):
     """Resolve ``--shard``/``--chunk-size``/``--no-cache`` for a spec.
 
-    Shared by ``campaign`` and ``scenarios run`` so both subcommands
-    validate and word these errors identically. Raises ``ValueError``
-    (printed as ``error: ...`` with exit code 2 by the callers) on any
-    conflict; returns the ``CampaignShard`` or ``None``.
+    Raises ``ValueError`` (printed as ``error: ...`` with exit code 2)
+    on any conflict; returns the ``CampaignShard`` or ``None``.
     """
     shard = spec.shard(*_parse_shard(args.shard)) if args.shard else None
     if args.chunk_size is not None and args.chunk_size < 1:
@@ -395,150 +381,9 @@ def _shard_from_args(args, spec):
     return shard
 
 
-def _campaign_spec_from_args(args):
-    """Build the campaign/gather grid spec from shared CLI arguments.
-
-    Raises ``ValueError`` (which :class:`InvalidParameterError` subclasses)
-    on any malformed grid parameter.
-    """
-    from .campaign import CampaignSpec, FadingSpec
-
-    if args.draws < 0:
-        raise ValueError(f"--draws must be non-negative, got {args.draws}")
-    protocols = _parse_campaign_protocols(args.protocols)
-    powers_db = tuple(float(p) for p in args.powers_db.split(","))
-    fading = (
-        FadingSpec(n_draws=args.draws, seed=args.seed, k_factor=args.k_factor)
-        if args.draws > 0
-        else None
-    )
-    if args.placements:
-        return CampaignSpec.from_placements(
-            protocols,
-            powers_db,
-            args.placements,
-            path_loss_exponent=args.path_loss_exponent,
-            fading=fading,
-        )
-    return CampaignSpec(
-        protocols=protocols,
-        powers_db=powers_db,
-        gains=(LinkGains.from_db(args.gab_db, args.gar_db, args.gbr_db),),
-        fading=fading,
-    )
-
-
 def _dump_values(result, path) -> None:
     np.save(path, result.values)
     print(f"wrote {path}")
-
-
-def _print_campaign_summary(result, title: str) -> None:
-    print(
-        render_table(
-            ["protocol", "P [dB]", "ergodic mean", "std err", "10%-outage", "median"],
-            result.summary_rows(epsilon=0.1),
-            title=title,
-        )
-    )
-
-
-def _cmd_campaign(args) -> int:
-    from .api import evaluate
-    from .campaign import CampaignCache, get_executor
-    from .scenarios import Scenario
-
-    try:
-        spec = _campaign_spec_from_args(args)
-        scenario = Scenario.from_campaign_spec(
-            spec,
-            name="cli-campaign",
-            description="ad-hoc grid from repro campaign arguments",
-        )
-        shard = _shard_from_args(args, spec)
-        executor = get_executor(args.executor, processes=args.processes or None)
-    except ValueError as error:
-        print(f"error: {error}")
-        return 2
-
-    cache = False if args.no_cache else CampaignCache(args.cache_dir)
-    label = shard.label if shard is not None else "campaign"
-    progress = None if args.quiet else _stderr_progress(label)
-
-    evaluation = evaluate(
-        scenario,
-        executor=executor,
-        cache=cache,
-        progress=progress,
-        shard=shard,
-        chunk_size=args.chunk_size,
-    )
-    result = evaluation.campaign
-
-    if shard is None:
-        geometry = (
-            f"{args.placements} relay placements"
-            if args.placements
-            else f"G_ab={args.gab_db:g}, G_ar={args.gar_db:g}, "
-            f"G_br={args.gbr_db:g} dB"
-        )
-        fading_note = (
-            f"{spec.n_draws} draws/geometry (seed {args.seed}, K={args.k_factor:g})"
-            if spec.fading
-            else "no fading"
-        )
-        _print_campaign_summary(
-            result,
-            f"campaign over {geometry}; {fading_note} — sum rates [bits/use]",
-        )
-        print()
-    source = "cache" if result.from_cache else f"{result.executor_name} executor"
-    done = result.cells_from_cache + result.cells_computed
-    scope = shard.n_units if shard is not None else spec.n_units
-    print(
-        f"{label}: {done}/{scope} cells via {source} "
-        f"in {result.elapsed_seconds:.3f} s, "
-        f"{result.cells_from_cache} from cache, "
-        f"{result.cells_computed} computed"
-    )
-    print(f"spec {spec.spec_hash()}")
-    if args.dump:
-        _dump_values(result, args.dump)
-    return 0
-
-
-def _cmd_gather(args) -> int:
-    from .api import gather
-    from .exceptions import IncompleteCampaignError
-    from .scenarios import Scenario
-
-    try:
-        spec = _campaign_spec_from_args(args)
-        scenario = Scenario.from_campaign_spec(
-            spec,
-            name="cli-campaign",
-            description="ad-hoc grid from repro gather arguments",
-        )
-    except ValueError as error:
-        print(f"error: {error}")
-        return 2
-    cache = _gather_store_or_error(args)
-    if cache is None:
-        return 1
-    try:
-        result = gather(scenario, cache)
-    except IncompleteCampaignError as error:
-        print(f"error: {error}")
-        return 1
-    _print_campaign_summary(result, "gathered campaign — sum rates [bits/use]")
-    print(
-        f"\ngathered {spec.n_units}/{spec.n_units} cells from "
-        f"{cache.directory} in {result.elapsed_seconds:.3f} s"
-    )
-    print(f"spec {spec.spec_hash()}")
-    if args.dump:
-        _dump_values(result, args.dump)
-    return 0
 
 
 def _cmd_fairness(args) -> int:
@@ -713,16 +558,22 @@ def _scenario_summary(result, objective):
     return headers, result.summary_rows(epsilon=0.1)
 
 
-def _cmd_scenarios_run(args) -> int:
-    from .api import evaluate
-    from .campaign import CampaignCache
+def _scenario_from_args(args):
+    """The scenario named by ``name`` + ``--param`` (shared by run/gather)."""
     from .scenarios import get_scenario
 
+    return get_scenario(args.name, **_parse_scenario_params(args.param))
+
+
+def _cmd_scenarios_run(args) -> int:
+    from .api import evaluate
+    from .campaign import CampaignCache, get_executor
+
     try:
-        params = _parse_scenario_params(args.param)
-        scenario = get_scenario(args.name, **params)
+        scenario = _scenario_from_args(args)
         spec = scenario.to_campaign_spec()
         shard = _shard_from_args(args, spec)
+        executor = get_executor(args.executor, processes=args.processes or None)
     except ValueError as error:
         print(f"error: {error}")
         return 2
@@ -731,7 +582,7 @@ def _cmd_scenarios_run(args) -> int:
     progress = None if args.quiet else _stderr_progress(label)
     result = evaluate(
         scenario,
-        executor=args.executor,
+        executor=executor,
         cache=cache,
         progress=progress,
         shard=shard,
@@ -785,10 +636,9 @@ def _cmd_scenarios_run(args) -> int:
 def _cmd_scenarios_gather(args) -> int:
     from .api import gather
     from .exceptions import IncompleteCampaignError
-    from .scenarios import get_scenario
 
     try:
-        scenario = get_scenario(args.name)
+        scenario = _scenario_from_args(args)
     except ValueError as error:
         print(f"error: {error}")
         return 2
@@ -936,11 +786,11 @@ def _cmd_client(args) -> int:
 def _gather_store_or_error(args):
     """The gather cache store, or ``None`` after a clear operator error.
 
-    ``repro gather`` reads shard artifacts that some earlier run must
-    have written; a missing, non-directory or empty cache directory
-    means the operator pointed at the wrong place (or no shard has run),
-    which deserves a direct message instead of the generic
-    "missing N of N cells" incompleteness report.
+    ``scenarios gather`` reads shard artifacts that earlier ``scenarios
+    run --shard`` runs must have written; a missing, non-directory or
+    empty cache directory means the operator pointed at the wrong place
+    (or no shard has run), which deserves a direct message instead of
+    the generic "missing N of N cells" incompleteness report.
     """
     from .campaign import CampaignCache
 
@@ -965,83 +815,34 @@ def _gather_store_or_error(args):
     return cache
 
 
-def _add_campaign_grid_arguments(parser: argparse.ArgumentParser) -> None:
-    """Grid/cache arguments shared by ``campaign`` and ``gather``.
+def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
+    """Arguments shared by ``scenarios run`` and ``scenarios gather``.
 
-    Both subcommands must describe the same spec for their content hashes
-    to line up, so the grid vocabulary is defined once.
+    A gather must describe the same spec as the shard runs it merges for
+    the content hashes to line up, so both subcommands take the scenario
+    name and its ``--param`` list from one definition.
     """
+    parser.add_argument("name", help="registered scenario name")
     parser.add_argument(
-        "--protocols",
-        default="dt,mabc,tdbc,hbc",
-        help="comma-separated protocol names, or 'all' (default dt,mabc,tdbc,hbc)",
-    )
-    parser.add_argument(
-        "--powers-db",
-        default="10",
-        help="comma-separated transmit powers in dB (default '10')",
-    )
-    parser.add_argument(
-        "--placements",
-        type=int,
-        default=0,
-        metavar="N",
-        help="sweep N relay placements along the a-b segment instead of "
-        "using the --g*-db gains",
-    )
-    parser.add_argument(
-        "--path-loss-exponent",
-        type=float,
-        default=3.0,
-        help="path-loss exponent of the placement sweep (default 3)",
-    )
-    parser.add_argument(
-        "--draws",
-        type=int,
-        default=100,
-        help="fading draws per geometry; 0 evaluates the means (default 100)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="fading ensemble seed (default 0)",
-    )
-    parser.add_argument(
-        "--k-factor",
-        type=float,
-        default=0.0,
-        help="Rician K-factor (default 0 = Rayleigh)",
+        "--param",
+        action="append",
+        default=None,
+        metavar="KEY=VALUE",
+        help="forward a factory parameter to a parameterized scenario "
+        "(repeatable); values coerce int, then float, then "
+        "comma-separated floats, else string",
     )
     parser.add_argument(
         "--cache-dir",
         default=None,
-        help="result cache directory (default $REPRO_CAMPAIGN_CACHE or "
-        "~/.cache/repro/campaigns)",
+        help="result cache directory, shared by shard runs and their "
+        "gather (default $REPRO_CAMPAIGN_CACHE or ~/.cache/repro/campaigns)",
     )
     parser.add_argument(
         "--dump",
         default=None,
         metavar="PATH",
         help="also write the raw result array to PATH via np.save",
-    )
-    parser.add_argument(
-        "--gab-db",
-        type=float,
-        default=-7.0,
-        help="direct-link gain G_ab in dB (default -7)",
-    )
-    parser.add_argument(
-        "--gar-db",
-        type=float,
-        default=0.0,
-        help="a-relay gain G_ar in dB (default 0)",
-    )
-    parser.add_argument(
-        "--gbr-db",
-        type=float,
-        default=5.0,
-        help="b-relay gain G_br in dB (default 5)",
     )
 
 
@@ -1208,7 +1009,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scn_run = scenario_sub.add_parser(
         "run", help="evaluate a registered scenario through repro.api"
     )
-    p_scn_run.add_argument("name", help="registered scenario name")
+    _add_scenario_arguments(p_scn_run)
     p_scn_run.add_argument(
         "--executor",
         default=None,
@@ -1216,13 +1017,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="campaign executor (default vectorized)",
     )
     p_scn_run.add_argument(
-        "--param",
-        action="append",
-        default=None,
-        metavar="KEY=VALUE",
-        help="forward a factory parameter to a parameterized scenario "
-        "(repeatable); values coerce int, then float, then "
-        "comma-separated floats, else string",
+        "--processes",
+        type=int,
+        default=0,
+        help="worker count for --executor process or async (default: cpu count)",
     )
     p_scn_run.add_argument(
         "--shard",
@@ -1239,12 +1037,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="checkpoint granularity in grid cells (default 256)",
     )
     p_scn_run.add_argument(
-        "--cache-dir",
-        default=None,
-        help="result cache directory (default $REPRO_CAMPAIGN_CACHE or "
-        "~/.cache/repro/campaigns)",
-    )
-    p_scn_run.add_argument(
         "--no-cache",
         action="store_true",
         help="disable the result cache",
@@ -1253,82 +1045,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet",
         action="store_true",
         help="suppress the progress meter",
-    )
-    p_scn_run.add_argument(
-        "--dump",
-        default=None,
-        metavar="PATH",
-        help="also write the raw result array to PATH via np.save",
     )
     p_scn_run.set_defaults(func=_cmd_scenarios_run)
     p_scn_gather = scenario_sub.add_parser(
         "gather",
         help="merge a sharded scenario's chunk artifacts into its full result",
     )
-    p_scn_gather.add_argument("name", help="registered scenario name")
-    p_scn_gather.add_argument(
-        "--cache-dir",
-        default=None,
-        help="cache directory holding the shard artifacts (default "
-        "$REPRO_CAMPAIGN_CACHE or ~/.cache/repro/campaigns)",
-    )
-    p_scn_gather.add_argument(
-        "--dump",
-        default=None,
-        metavar="PATH",
-        help="also write the raw result array to PATH via np.save",
-    )
+    _add_scenario_arguments(p_scn_gather)
     p_scn_gather.set_defaults(func=_cmd_scenarios_gather)
-
-    p_campaign = sub.add_parser(
-        "campaign",
-        help="evaluate a protocols × powers × geometries × draws grid",
-    )
-    _add_campaign_grid_arguments(p_campaign)
-    p_campaign.add_argument(
-        "--executor",
-        default="vectorized",
-        choices=["serial", "process", "vectorized", "async"],
-        help="execution backend (default vectorized)",
-    )
-    p_campaign.add_argument(
-        "--processes",
-        type=int,
-        default=0,
-        help="worker count for --executor process or async (default: cpu count)",
-    )
-    p_campaign.add_argument(
-        "--shard",
-        default=None,
-        metavar="I/N",
-        help="evaluate only slice I of N (1-based) of the flat grid; "
-        "shards coordinate through the shared cache directory",
-    )
-    p_campaign.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        metavar="CELLS",
-        help="checkpoint granularity in grid cells (default 256)",
-    )
-    p_campaign.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the result cache",
-    )
-    p_campaign.add_argument(
-        "--quiet",
-        action="store_true",
-        help="suppress the progress meter",
-    )
-    p_campaign.set_defaults(func=_cmd_campaign)
-
-    p_gather = sub.add_parser(
-        "gather",
-        help="merge shard chunk artifacts into the full campaign result",
-    )
-    _add_campaign_grid_arguments(p_gather)
-    p_gather.set_defaults(func=_cmd_gather)
 
     p_serve = sub.add_parser(
         "serve",

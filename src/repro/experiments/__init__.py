@@ -4,7 +4,7 @@ from .ascii_plot import ascii_plot
 from .config import FIG3_DEFAULT, FIG4_P0, FIG4_P10, Fig3Config, Fig4Config
 from .diagrams import all_protocol_diagrams, phase_timeline
 from .dmt import DEFAULT_MULTIPLEXING_GAINS, DmtCurve, finite_snr_dmt
-from .fig3 import Fig3Result, Fig3Row, fig3_result, fig3_shape_checks, run_fig3
+from .fig3 import Fig3Result, Fig3Row, fig3_result, fig3_shape_checks
 from .fig4 import Fig4Result, RegionTrace, fig4_shape_checks, run_fig4
 from .runner import (
     DEFAULT_FADING_SPEC,
@@ -17,7 +17,6 @@ from .runner import (
 )
 from .sweeps import (
     PowerSweepRow,
-    power_sweep,
     protocol_crossover_power,
     sweep_powers,
     winner_table,
@@ -40,7 +39,6 @@ __all__ = [
     "Fig3Row",
     "fig3_result",
     "fig3_shape_checks",
-    "run_fig3",
     "Fig4Result",
     "RegionTrace",
     "fig4_shape_checks",
@@ -53,7 +51,6 @@ __all__ = [
     "fig4_report",
     "run_experiment",
     "PowerSweepRow",
-    "power_sweep",
     "protocol_crossover_power",
     "sweep_powers",
     "winner_table",

@@ -16,12 +16,11 @@ intermediate regime, so HBC does not reduce to either special case.
 Both sweeps are the registered scenarios ``fig3-placement`` and
 ``fig3-symmetric`` evaluated through the :mod:`repro.api` facade;
 :func:`fig3_result` assembles the figure artifact from those
-evaluations, and :func:`run_fig3` remains as a deprecation shim over it.
+evaluations.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from ..channels.gains import LinkGains
@@ -35,7 +34,6 @@ __all__ = [
     "Fig3Row",
     "Fig3Result",
     "fig3_result",
-    "run_fig3",
     "fig3_shape_checks",
     "PROTOCOL_ORDER",
 ]
@@ -64,36 +62,6 @@ class Fig3Row:
         return [self.sweep_value, *self.sum_rates.values()]
 
 
-class _HeadersDispatch:
-    """Dual-mode ``Fig3Result.headers`` accessor.
-
-    On an instance, headers derive from that run's protocol axis, so
-    subset runs can never misalign with their rows. The historical
-    class-level call (``Fig3Result.headers("x")``) survives as a
-    deprecation shim that assumes the full four-protocol figure.
-    """
-
-    def __get__(self, instance, owner):
-        if instance is None:
-
-            def class_headers(sweep_name: str) -> list:
-                warnings.warn(
-                    "calling Fig3Result.headers on the class is deprecated "
-                    "and assumes the full four-protocol figure; call "
-                    "headers() on a Fig3Result instance instead",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-                return [sweep_name] + [p.name for p in PROTOCOL_ORDER]
-
-            return class_headers
-
-        def instance_headers(sweep_name: str) -> list:
-            return [sweep_name] + [p.name for p in instance.protocols]
-
-        return instance_headers
-
-
 @dataclass(frozen=True)
 class Fig3Result:
     """Both sweeps of the Fig. 3 reproduction."""
@@ -103,9 +71,9 @@ class Fig3Result:
     symmetric_rows: tuple
     protocols: tuple = PROTOCOL_ORDER
 
-    #: Table headers for one sweep, from this run's protocol axis (a
-    #: class-level call is a deprecated four-protocol shim).
-    headers = _HeadersDispatch()
+    def headers(self, sweep_name: str) -> list:
+        """Table headers for one sweep, from this run's protocol axis."""
+        return [sweep_name] + [p.name for p in self.protocols]
 
     def to_rows(self, rows) -> list:
         """Table rows for one sweep, aligned with :meth:`headers`."""
@@ -208,36 +176,6 @@ def fig3_result(
         config=config,
         placement_rows=placement_rows,
         symmetric_rows=symmetric_rows,
-        protocols=protocols,
-    )
-
-
-def run_fig3(
-    config: Fig3Config = FIG3_DEFAULT,
-    *,
-    backend: str = DEFAULT_BACKEND,
-    executor="vectorized",
-    cache=None,
-    protocols=PROTOCOL_ORDER,
-) -> Fig3Result:
-    """Deprecated alias of :func:`fig3_result`.
-
-    .. deprecated::
-        Evaluate the ``fig3-placement`` / ``fig3-symmetric`` scenarios
-        through :func:`repro.api.evaluate`, or call :func:`fig3_result`
-        for the assembled figure artifact.
-    """
-    warnings.warn(
-        "run_fig3 is deprecated; use repro.api.evaluate('fig3-placement') / "
-        "evaluate('fig3-symmetric') or repro.experiments.fig3.fig3_result",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return fig3_result(
-        config,
-        backend=backend,
-        executor=executor,
-        cache=cache,
         protocols=protocols,
     )
 

@@ -4,8 +4,7 @@ The paper evaluates two power points (Fig. 4) and one channel-quality
 sweep (Fig. 3). Downstream users invariably ask the next questions:
 
 * *how do the protocols scale with transmit power on my channel?*
-  (:func:`sweep_powers`, with :func:`power_sweep` kept as a deprecation
-  shim),
+  (:func:`sweep_powers`),
 * *at exactly which power does TDBC overtake MABC?*
   (:func:`protocol_crossover_power` — the low/high-SNR regime boundary the
   paper describes qualitatively, located numerically with bisection),
@@ -21,7 +20,6 @@ to fall back to the historical per-point LP loop with an explicit
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from ..channels.gains import LinkGains
@@ -36,7 +34,6 @@ from ..optimize.search import find_crossover
 __all__ = [
     "PowerSweepRow",
     "sweep_powers",
-    "power_sweep",
     "protocol_crossover_power",
     "winner_table",
 ]
@@ -123,37 +120,6 @@ def sweep_powers(
         )
         for wi, power_db in enumerate(powers)
     ]
-
-
-def power_sweep(
-    gains: LinkGains,
-    powers_db,
-    *,
-    protocols=SWEEP_PROTOCOLS,
-    backend: str = DEFAULT_BACKEND,
-    executor="vectorized",
-    cache=None,
-) -> list:
-    """Deprecated alias of :func:`sweep_powers`.
-
-    .. deprecated::
-        Evaluate a power-sweep scenario through
-        :func:`repro.api.evaluate`, or call :func:`sweep_powers`.
-    """
-    warnings.warn(
-        "power_sweep is deprecated; evaluate a power-sweep scenario through "
-        "repro.api.evaluate or call repro.experiments.sweeps.sweep_powers",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return sweep_powers(
-        gains,
-        powers_db,
-        protocols=protocols,
-        backend=backend,
-        executor=executor,
-        cache=cache,
-    )
 
 
 def protocol_crossover_power(

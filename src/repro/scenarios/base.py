@@ -24,8 +24,6 @@ backoffs applied on top of the swept base powers.
 
 from __future__ import annotations
 
-import warnings
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 from ..campaign.spec import CampaignSpec, FadingSpec, GridAxis, LinkSimSpec
@@ -187,12 +185,6 @@ class Topology:
         )
 
 
-#: Set while a :class:`PowerPolicy` factory classmethod is constructing an
-#: instance; direct ``PowerPolicy(...)`` calls (the pre-allocation API)
-#: see the default and emit a :class:`DeprecationWarning`.
-_POLICY_FACTORY: ContextVar[bool] = ContextVar("_POLICY_FACTORY", default=False)
-
-
 @dataclass(frozen=True)
 class PowerPolicy:
     """Transmit-power policy: base sweep, policy backoffs, allocations.
@@ -200,9 +192,8 @@ class PowerPolicy:
     Construct through the factory classmethods — :meth:`uniform` (every
     node at the swept power, the paper's model), :meth:`per_node`
     (explicit per-node dB offsets) or :meth:`sum_constrained` (splits of
-    a total-power budget, arXiv:0810.2746). The bare constructor is the
-    deprecated pre-allocation API; it still works (as ``uniform``) but
-    warns.
+    a total-power budget, arXiv:0810.2746). The bare constructor takes
+    the same fields and equals :meth:`uniform` on its defaults.
 
     Attributes
     ----------
@@ -236,14 +227,6 @@ class PowerPolicy:
     allocation_labels: tuple | None = None
 
     def __post_init__(self) -> None:
-        if not _POLICY_FACTORY.get():
-            warnings.warn(
-                "constructing PowerPolicy directly is deprecated; use "
-                "PowerPolicy.uniform, PowerPolicy.per_node or "
-                "PowerPolicy.sum_constrained",
-                DeprecationWarning,
-                stacklevel=3,
-            )
         powers = tuple(float(p) for p in self.powers_db)
         offsets = tuple(float(x) for x in self.offsets_db)
         object.__setattr__(self, "powers_db", powers)
@@ -289,14 +272,6 @@ class PowerPolicy:
                 )
 
     @classmethod
-    def _build(cls, **kwargs) -> "PowerPolicy":
-        token = _POLICY_FACTORY.set(True)
-        try:
-            return cls(**kwargs)
-        finally:
-            _POLICY_FACTORY.reset(token)
-
-    @classmethod
     def uniform(
         cls,
         powers_db=(10.0,),
@@ -306,7 +281,7 @@ class PowerPolicy:
         name: str = "fixed",
     ) -> "PowerPolicy":
         """Every node transmits at the swept power — the classic policy."""
-        return cls._build(
+        return cls(
             powers_db=powers_db,
             offsets_db=offsets_db,
             offset_labels=offset_labels,
@@ -325,7 +300,7 @@ class PowerPolicy:
         name: str = "per-node",
     ) -> "PowerPolicy":
         """Explicit per-node ``(a, b, r)`` dB offsets on the swept power."""
-        return cls._build(
+        return cls(
             powers_db=powers_db,
             offsets_db=offsets_db,
             offset_labels=offset_labels,
@@ -374,7 +349,7 @@ class PowerPolicy:
             labels = tuple(
                 f"{fa:g}/{fb:g}/{fr:g}" for fa, fb, fr in split_tuples
             )
-        return cls._build(
+        return cls(
             powers_db=(float(total_db),),
             allocations_db=allocations,
             allocation_labels=labels,
@@ -535,6 +510,7 @@ class Scenario:
         name: str,
         description: str = "",
         objective: str = "sum_rate",
+        grounding: str = "",
     ) -> "Scenario":
         """Wrap an existing campaign spec as a scenario.
 
@@ -604,6 +580,7 @@ class Scenario:
         scenario = cls(
             name=name,
             description=description,
+            grounding=grounding,
             protocols=spec.protocols,
             topology=Topology(gains=spec.gains, pairs=pairs),
             power=power,

@@ -10,6 +10,9 @@ Registered names:
 * ``fig3-placement`` / ``fig3-symmetric`` — the Fig. 3 sum-rate sweeps;
 * ``fig4-operating-points`` — the Fig. 4 gain triple at both panel powers;
 * ``fading-ensemble`` — the Section IV quasi-static Rayleigh ensemble;
+* ``grid`` — the general protocols × powers × geometries × fading draws
+  grid, every dimension a ``--param`` (relay placements or one gain
+  triple; Rayleigh/Rician draws or the mean gains);
 * ``two-pair-round-robin`` — the first multi-pair grid: two terminal
   pairs share the relay round-robin (arXiv:1002.0123 baseline);
 * ``operational-goodput`` — the first link-level workload: measured
@@ -45,10 +48,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..campaign.spec import FadingSpec, LinkSimSpec, TrafficSpec
+from ..campaign.spec import CampaignSpec, FadingSpec, LinkSimSpec, TrafficSpec
 from ..channels.gains import LinkGains
 from ..channels.pathloss import linear_relay_gains
 from ..core.protocols import Protocol
+from ..exceptions import InvalidParameterError
 from ..experiments.config import FIG3_DEFAULT, Fig3Config
 from ..simulation.sampling import ImportanceSamplingSpec
 from .base import PowerPolicy, RelayPair, Scenario, Topology
@@ -60,6 +64,7 @@ __all__ = [
     "fig3_symmetric_scenario",
     "fig4_operating_points_scenario",
     "fading_ensemble_scenario",
+    "grid_scenario",
     "power_sweep_scenario",
     "two_pair_round_robin_scenario",
     "operational_goodput_scenario",
@@ -151,6 +156,111 @@ def fading_ensemble_scenario() -> Scenario:
         topology=Topology(gains=(_PAPER_GAINS,)),
         power=PowerPolicy.uniform(powers_db=(0.0, 10.0)),
         fading=FadingSpec(n_draws=200, seed=17),
+    )
+
+
+def _protocol_tuple(protocols) -> tuple:
+    """Protocols from ``"all"``, comma-separated names or a sequence."""
+    if isinstance(protocols, str):
+        if protocols.strip().lower() == "all":
+            return tuple(Protocol)
+        protocols = protocols.split(",")
+    elif np.ndim(protocols) == 0:
+        protocols = (protocols,)
+    return tuple(
+        p if isinstance(p, Protocol) else Protocol.from_name(str(p)) for p in protocols
+    )
+
+
+def _float_tuple(name: str, values) -> tuple:
+    """Floats from a number or a sequence of numbers."""
+    if np.ndim(values) == 0:
+        values = (values,)
+    return tuple(_number(name, v) for v in values)
+
+
+def _number(name: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"{name} must be a number, got {value!r}") from None
+
+
+def _whole(name: str, value) -> int:
+    number = _number(name, value)
+    if not number.is_integer():
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    return int(number)
+
+
+@register_scenario(name="grid")
+def grid_scenario(
+    protocols="dt,mabc,tdbc,hbc",
+    powers_db=(10.0,),
+    placements: int = 0,
+    path_loss_exponent: float = 3.0,
+    draws: int = 100,
+    seed: int = 0,
+    k_factor: float = 0.0,
+    gab_db: float = -7.0,
+    gar_db: float = 0.0,
+    gbr_db: float = 5.0,
+) -> Scenario:
+    """The protocols × powers × geometries × fading-draws grid.
+
+    Every dimension of the paper's evaluation grid is a parameter.
+    ``placements=N`` sweeps ``N`` relay placements along the a–b segment
+    under the path-loss law (the Fig. 3 geometry); ``0`` keeps the one
+    gain triple ``(gab_db, gar_db, gbr_db)``. ``draws`` Rayleigh (or
+    Rician, ``k_factor``) fading draws per geometry form the Section IV
+    ensemble; ``0`` evaluates the mean gains. ``protocols`` takes
+    ``"all"``, comma-separated names or a sequence, and ``powers_db`` a
+    number or a sequence, so ``repro scenarios run grid --param
+    protocols=mabc,hbc --param powers-db=0,10`` and a library call
+    lower to the same spec hash.
+    """
+    draws = _whole("draws", draws)
+    if draws < 0:
+        raise InvalidParameterError(f"draws must be non-negative, got {draws}")
+    protocols = _protocol_tuple(protocols)
+    powers = _float_tuple("powers_db", powers_db)
+    fading = (
+        FadingSpec(
+            n_draws=draws,
+            seed=_whole("seed", seed),
+            k_factor=_number("k_factor", k_factor),
+        )
+        if draws > 0
+        else None
+    )
+    placements = _whole("placements", placements)
+    if placements:
+        spec = CampaignSpec.from_placements(
+            protocols,
+            powers,
+            placements,
+            path_loss_exponent=_number("path_loss_exponent", path_loss_exponent),
+            fading=fading,
+        )
+    else:
+        spec = CampaignSpec(
+            protocols=protocols,
+            powers_db=powers,
+            gains=(
+                LinkGains.from_db(
+                    _number("gab_db", gab_db),
+                    _number("gar_db", gar_db),
+                    _number("gbr_db", gbr_db),
+                ),
+            ),
+            fading=fading,
+        )
+    return Scenario.from_campaign_spec(
+        spec,
+        name="grid",
+        description="protocols x powers x geometries x fading draws, "
+        "every axis a parameter",
+        grounding="Kim, Mitran & Tarokh, ICDCS Workshops 2007, Fig. 3 and Sec. IV",
     )
 
 

@@ -38,7 +38,6 @@ from .montecarlo import (
 )
 from .outage_capacity import (
     OutageCurve,
-    compute_outage_curve,
     outage_sum_rate,
     sample_outage_curve,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "simulate_protocol_cells",
     "wave_bounds",
     "OutageCurve",
-    "compute_outage_curve",
     "sample_outage_curve",
     "outage_sum_rate",
     "MabcRandomCodingReport",

@@ -14,13 +14,11 @@ LP optima used everywhere else:
 Ensemble evaluation routes through the :mod:`repro.api` facade
 (:func:`repro.api.evaluate_realizations`); pass ``executor=None`` to fall
 back to the historical one-LP-per-draw loop with an explicit LP
-``backend``. :func:`compute_outage_curve` is kept as a deprecation shim
-over :func:`sample_outage_curve`.
+``backend``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +31,7 @@ from ..core.protocols import Protocol
 from ..exceptions import InvalidParameterError
 from ..optimize.linprog import DEFAULT_BACKEND
 
-__all__ = [
-    "OutageCurve", "sample_outage_curve", "compute_outage_curve", "outage_sum_rate"
-]
+__all__ = ["OutageCurve", "sample_outage_curve", "outage_sum_rate"]
 
 
 @dataclass(frozen=True)
@@ -116,44 +112,6 @@ def sample_outage_curve(
             protocol, ensemble, power, executor=executor, cache=cache
         )
     return OutageCurve(protocol=protocol, samples=np.sort(values))
-
-
-def compute_outage_curve(
-    protocol: Protocol,
-    mean_gains: LinkGains,
-    power: float,
-    n_draws: int,
-    rng: np.random.Generator,
-    *,
-    k_factor: float = 0.0,
-    backend: str = DEFAULT_BACKEND,
-    executor="vectorized",
-    cache=None,
-) -> OutageCurve:
-    """Deprecated alias of :func:`sample_outage_curve`.
-
-    .. deprecated::
-        Evaluate a fading scenario through :func:`repro.api.evaluate`
-        (spec-owned randomness), or call :func:`sample_outage_curve` for
-        caller-owned RNGs.
-    """
-    warnings.warn(
-        "compute_outage_curve is deprecated; evaluate a fading scenario "
-        "through repro.api.evaluate or call sample_outage_curve",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return sample_outage_curve(
-        protocol,
-        mean_gains,
-        power,
-        n_draws,
-        rng,
-        k_factor=k_factor,
-        backend=backend,
-        executor=executor,
-        cache=cache,
-    )
 
 
 def outage_sum_rate(

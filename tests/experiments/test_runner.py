@@ -4,7 +4,7 @@ import pytest
 
 from repro.exceptions import InvalidParameterError
 from repro.experiments.config import Fig3Config, Fig4Config
-from repro.experiments.fig3 import run_fig3
+from repro.experiments.fig3 import fig3_result
 from repro.experiments.fig4 import run_fig4
 from repro.experiments.runner import (
     EXPERIMENT_IDS,
@@ -19,7 +19,7 @@ from repro.experiments.runner import (
 def small_fig3_report():
     config = Fig3Config(relay_fractions=(0.3, 0.55, 0.8),
                         symmetric_gains_db=(0.0, 10.0, 20.0))
-    return fig3_report(run_fig3(config))
+    return fig3_report(fig3_result(config))
 
 
 @pytest.fixture(scope="module")

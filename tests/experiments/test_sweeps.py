@@ -6,43 +6,43 @@ from repro.channels.gains import LinkGains
 from repro.core.protocols import Protocol
 from repro.exceptions import InvalidParameterError
 from repro.experiments.sweeps import (
-    power_sweep,
     protocol_crossover_power,
+    sweep_powers,
     winner_table,
 )
 
 
 class TestPowerSweep:
     def test_rows_cover_powers(self, paper_gains):
-        rows = power_sweep(paper_gains, (0.0, 10.0))
+        rows = sweep_powers(paper_gains, (0.0, 10.0))
         assert [row.power_db for row in rows] == [0.0, 10.0]
 
     def test_rates_monotone_in_power(self, paper_gains):
-        rows = power_sweep(paper_gains, (0.0, 5.0, 10.0, 15.0))
+        rows = sweep_powers(paper_gains, (0.0, 5.0, 10.0, 15.0))
         for protocol in rows[0].sum_rates:
             values = [row.sum_rates[protocol] for row in rows]
             assert all(v2 >= v1 - 1e-9 for v1, v2 in zip(values, values[1:]))
 
     def test_winner_is_argmax(self, paper_gains):
-        rows = power_sweep(paper_gains, (10.0,))
+        rows = sweep_powers(paper_gains, (10.0,))
         row = rows[0]
         best = row.winner()
         assert row.sum_rates[best] == max(row.sum_rates.values())
 
     def test_custom_protocol_subset(self, paper_gains):
-        rows = power_sweep(paper_gains, (10.0,),
-                           protocols=(Protocol.MABC, Protocol.TDBC))
+        rows = sweep_powers(paper_gains, (10.0,),
+                            protocols=(Protocol.MABC, Protocol.TDBC))
         assert set(rows[0].sum_rates) == {Protocol.MABC, Protocol.TDBC}
 
     def test_empty_sweep_rejected(self, paper_gains):
         with pytest.raises(InvalidParameterError):
-            power_sweep(paper_gains, ())
+            sweep_powers(paper_gains, ())
 
     def test_campaign_path_matches_legacy_lp_loop(self, paper_gains):
         """The batched campaign route reproduces the per-point LP sweep."""
         powers = (0.0, 7.5, 15.0)
-        fast = power_sweep(paper_gains, powers)
-        legacy = power_sweep(paper_gains, powers, executor=None)
+        fast = sweep_powers(paper_gains, powers)
+        legacy = sweep_powers(paper_gains, powers, executor=None)
         for fast_row, legacy_row in zip(fast, legacy):
             assert fast_row.power_db == legacy_row.power_db
             for protocol, value in legacy_row.sum_rates.items():
@@ -53,15 +53,15 @@ class TestPowerSweep:
     def test_explicit_backend_is_honored(self, paper_gains):
         """A non-default LP backend must actually run, not be shadowed by
         the default campaign executor."""
-        simplex = power_sweep(paper_gains, (10.0,),
-                              protocols=(Protocol.MABC,), backend="simplex")
-        default = power_sweep(paper_gains, (10.0,),
-                              protocols=(Protocol.MABC,))
+        simplex = sweep_powers(paper_gains, (10.0,),
+                               protocols=(Protocol.MABC,), backend="simplex")
+        default = sweep_powers(paper_gains, (10.0,),
+                               protocols=(Protocol.MABC,))
         assert simplex[0].sum_rates[Protocol.MABC] == pytest.approx(
             default[0].sum_rates[Protocol.MABC], abs=1e-6
         )
         with pytest.raises(InvalidParameterError):
-            power_sweep(paper_gains, (10.0,), backend="bogus")
+            sweep_powers(paper_gains, (10.0,), backend="bogus")
 
 
 class TestCrossover:
@@ -75,8 +75,8 @@ class TestCrossover:
         # throughout (the relay MAC phase is the bottleneck for MABC), so
         # either there is no flip (None) or a genuine crossover; both are
         # consistent — assert the classification matches a direct check.
-        rows = power_sweep(gains, (-10.0, 25.0),
-                           protocols=(Protocol.MABC, Protocol.TDBC))
+        rows = sweep_powers(gains, (-10.0, 25.0),
+                            protocols=(Protocol.MABC, Protocol.TDBC))
         lo_order = rows[0].sum_rates[Protocol.TDBC] - rows[0].sum_rates[Protocol.MABC]
         hi_order = rows[1].sum_rates[Protocol.TDBC] - rows[1].sum_rates[Protocol.MABC]
         if (lo_order > 0) == (hi_order > 0):
@@ -92,8 +92,8 @@ class TestCrossover:
                                              Protocol.DT,
                                              low_db=-15.0, high_db=25.0)
         if crossover is not None:
-            rows = power_sweep(gains, (crossover - 3, crossover + 3),
-                               protocols=(Protocol.DT, Protocol.MABC))
+            rows = sweep_powers(gains, (crossover - 3, crossover + 3),
+                                protocols=(Protocol.DT, Protocol.MABC))
             low_gap = (rows[0].sum_rates[Protocol.DT]
                        - rows[0].sum_rates[Protocol.MABC])
             high_gap = (rows[1].sum_rates[Protocol.DT]
@@ -119,3 +119,19 @@ class TestWinnerTable:
         rows = winner_table(paper_gains, (0.0, 5.0, 10.0))
         assert all(winner == "HBC" or margin < 1e-6
                    for _p, winner, margin in rows)
+
+
+class TestNoWarningsOnNewSurface:
+    def test_facade_and_impls_are_warning_free(self, paper_gains, recwarn):
+        from repro.api import evaluate
+        from repro.scenarios import power_sweep_scenario
+
+        sweep_powers(paper_gains, (10.0,), protocols=(Protocol.MABC,))
+        evaluate(
+            power_sweep_scenario(paper_gains, (10.0,), (Protocol.MABC,)),
+            executor="serial",
+        )
+        deprecations = [
+            w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
+        ]
+        assert not deprecations

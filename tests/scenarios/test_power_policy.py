@@ -69,10 +69,7 @@ class TestFactories:
 
 
 class TestDeprecationShim:
-    def test_direct_construction_warns(self):
-        with pytest.warns(DeprecationWarning, match="PowerPolicy.uniform"):
-            policy = PowerPolicy(powers_db=(0.0, 10.0))
-        assert policy.powers_db == (0.0, 10.0)
+    """The bare constructor is silent and equals the ``uniform`` factory."""
 
     def test_factories_are_warning_free(self, recwarn):
         PowerPolicy.uniform(powers_db=(10.0,))
@@ -84,8 +81,7 @@ class TestDeprecationShim:
         assert not deprecations
 
     def test_shimmed_instance_behaves_like_uniform(self):
-        with pytest.warns(DeprecationWarning):
-            old = PowerPolicy(powers_db=(0.0, 10.0), offsets_db=(0.0, -3.0))
+        old = PowerPolicy(powers_db=(0.0, 10.0), offsets_db=(0.0, -3.0))
         new = PowerPolicy.uniform(powers_db=(0.0, 10.0), offsets_db=(0.0, -3.0))
         assert old == new
 

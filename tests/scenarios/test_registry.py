@@ -6,6 +6,7 @@ from repro.campaign.spec import FadingSpec
 from repro.core.protocols import Protocol
 from repro.exceptions import InvalidParameterError
 from repro.scenarios import (
+    PAPER_PROTOCOLS,
     PowerPolicy,
     Scenario,
     Topology,
@@ -22,6 +23,10 @@ BUILTINS = (
     "fig4-operating-points",
     "two-pair-round-robin",
 )
+
+#: Spec hash of the ``grid`` defaults; the cache entries of that grid are
+#: keyed by it.
+DEFAULT_GRID_HASH = "0528b94aa5f288377cddf6fbcb4784e8e682ee6241a35bf0989ab14c8aa0d495"
 
 
 @pytest.fixture
@@ -55,6 +60,45 @@ class TestBuiltins:
             scenario = get_scenario(name)
             assert scenario.name == name
             assert scenario.to_campaign_spec().n_units > 0
+
+
+class TestGridScenario:
+    """The parameterized ``grid`` scenario lowers like a hand-built spec."""
+
+    def test_defaults_keep_the_historical_grid_hash(self):
+        spec = get_scenario("grid").to_campaign_spec()
+        assert spec.spec_hash() == DEFAULT_GRID_HASH
+        assert spec.protocols == PAPER_PROTOCOLS
+        assert spec.powers_db == (10.0,)
+        assert spec.fading == FadingSpec(n_draws=100, seed=0)
+
+    def test_cli_and_library_forms_lower_identically(self):
+        from repro.campaign.spec import CampaignSpec
+
+        from_cli = get_scenario(
+            "grid", protocols="mabc,hbc", powers_db=10, placements=3, draws=0
+        )
+        from_library = get_scenario(
+            "grid",
+            protocols=(Protocol.MABC, Protocol.HBC),
+            powers_db=(10.0,),
+            placements=3,
+            draws=0,
+        )
+        expected = CampaignSpec.from_placements(
+            (Protocol.MABC, Protocol.HBC), (10.0,), 3
+        )
+        assert from_cli.to_campaign_spec().spec_hash() == expected.spec_hash()
+        assert from_library.to_campaign_spec().spec_hash() == expected.spec_hash()
+
+    @pytest.mark.parametrize(
+        "params",
+        [{"draws": 2.5}, {"seed": "x"}, {"gab_db": (0.0, 1.0)}],
+        ids=["fractional-draws", "string-seed", "tuple-gain"],
+    )
+    def test_bad_parameters_rejected(self, params):
+        with pytest.raises(InvalidParameterError):
+            get_scenario("grid", **params)
 
 
 class TestRegistration:

@@ -15,8 +15,8 @@ class TestParser:
         subparsers = actions["command"]
         assert set(subparsers.choices) == {
             "fig3", "fig4", "region", "sumrate", "simulate", "diagrams",
-            "sweep", "adaptive", "fairness", "fading", "campaign", "gather",
-            "scenarios", "serve", "client",
+            "sweep", "adaptive", "fairness", "fading", "scenarios", "serve",
+            "client",
         }
 
     def test_region_requires_protocol(self):
@@ -176,83 +176,86 @@ class TestCommands:
         assert "hbc_dominates_ergodically" in out
 
 
-class TestCampaignCommand:
-    def test_campaign_runs_and_reports(self, capsys, tmp_path):
+class TestGridScenarioCommand:
+    """`scenarios run grid --param ...`: the protocols x powers x
+    geometries x draws grid."""
+
+    def test_grid_runs_and_reports(self, capsys, tmp_path):
         code = main([
-            "campaign", "--powers-db", "0,10", "--draws", "8",
-            "--cache-dir", str(tmp_path), "--quiet",
+            "scenarios", "run", "grid", "--param", "powers-db=0,10",
+            "--param", "draws=8", "--cache-dir", str(tmp_path), "--quiet",
         ])
         out = capsys.readouterr().out
         assert code == 0
         assert "ergodic mean" in out
         assert "vectorized executor" in out
 
-    def test_campaign_repeat_hits_cache(self, capsys, tmp_path):
-        args = ["campaign", "--powers-db", "10", "--draws", "6",
-                "--cache-dir", str(tmp_path), "--quiet"]
+    def test_grid_repeat_hits_cache(self, capsys, tmp_path):
+        args = ["scenarios", "run", "grid", "--param", "powers-db=10",
+                "--param", "draws=6", "--cache-dir", str(tmp_path), "--quiet"]
         assert main(args) == 0
         capsys.readouterr()
         assert main(args) == 0
         out = capsys.readouterr().out
         assert "via cache" in out
 
-    def test_campaign_placements_and_executor(self, capsys, tmp_path):
+    def test_grid_placements_and_executor(self, capsys, tmp_path):
         code = main([
-            "campaign", "--placements", "3", "--draws", "0",
-            "--protocols", "mabc,hbc", "--executor", "serial",
-            "--no-cache", "--quiet",
+            "scenarios", "run", "grid", "--param", "placements=3",
+            "--param", "draws=0", "--param", "protocols=mabc,hbc",
+            "--executor", "serial", "--no-cache", "--quiet",
         ])
         out = capsys.readouterr().out
         assert code == 0
-        assert "3 relay placements" in out
-        assert "serial executor" in out
+        assert "grid: 6/6 cells via serial executor" in out
 
-    def test_campaign_progress_meter(self, capsys, tmp_path):
-        code = main(["campaign", "--powers-db", "10", "--draws", "5",
-                     "--no-cache"])
+    def test_grid_progress_meter(self, capsys, tmp_path):
+        code = main(["scenarios", "run", "grid", "--param", "powers-db=10",
+                     "--param", "draws=5", "--no-cache"])
         captured = capsys.readouterr()
         assert code == 0
-        assert "[campaign]" in captured.err
+        assert "[grid]" in captured.err
         assert "100%" in captured.err
 
-    def test_campaign_bad_protocol_rejected(self, capsys):
-        code = main(["campaign", "--protocols", "bogus", "--quiet",
-                     "--no-cache"])
+    def test_grid_bad_protocol_rejected(self, capsys):
+        code = main(["scenarios", "run", "grid", "--param", "protocols=bogus",
+                     "--quiet", "--no-cache"])
         out = capsys.readouterr().out
         assert code == 2
         assert "unknown protocol" in out
 
-    def test_campaign_bad_powers_rejected(self, capsys):
-        code = main(["campaign", "--powers-db", "ten", "--quiet",
-                     "--no-cache"])
+    def test_grid_bad_powers_rejected(self, capsys):
+        code = main(["scenarios", "run", "grid", "--param", "powers-db=ten",
+                     "--quiet", "--no-cache"])
         out = capsys.readouterr().out
         assert code == 2
         assert "error" in out
 
     @pytest.mark.parametrize("executor", ["process", "async"])
-    def test_campaign_bad_executor_params_rejected(self, capsys, executor):
-        code = main(["campaign", "--executor", executor, "--processes",
-                     "-2", "--quiet", "--no-cache"])
+    def test_grid_bad_executor_params_rejected(self, capsys, executor):
+        code = main(["scenarios", "run", "grid", "--executor", executor,
+                     "--processes", "-2", "--quiet", "--no-cache"])
         out = capsys.readouterr().out
         assert code == 2
         assert "error" in out
 
-    def test_campaign_negative_draws_rejected(self, capsys):
-        code = main(["campaign", "--draws", "-5", "--quiet", "--no-cache"])
+    def test_grid_negative_draws_rejected(self, capsys):
+        code = main(["scenarios", "run", "grid", "--param", "draws=-5",
+                     "--quiet", "--no-cache"])
         out = capsys.readouterr().out
         assert code == 2
         assert "non-negative" in out
 
-    def test_campaign_duplicate_protocols_rejected(self, capsys):
-        code = main(["campaign", "--protocols", "mabc,mabc", "--quiet",
-                     "--no-cache"])
+    def test_grid_duplicate_protocols_rejected(self, capsys):
+        code = main(["scenarios", "run", "grid", "--param",
+                     "protocols=mabc,mabc", "--quiet", "--no-cache"])
         out = capsys.readouterr().out
         assert code == 2
         assert "duplicate" in out
 
-    def test_campaign_prints_full_spec_hash(self, capsys):
-        code = main(["campaign", "--powers-db", "10", "--draws", "4",
-                     "--no-cache", "--quiet"])
+    def test_grid_prints_full_spec_hash(self, capsys):
+        code = main(["scenarios", "run", "grid", "--param", "powers-db=10",
+                     "--param", "draws=4", "--no-cache", "--quiet"])
         out = capsys.readouterr().out
         assert code == 0
         hash_lines = [l for l in out.splitlines() if l.startswith("spec ")]
@@ -261,25 +264,40 @@ class TestCampaignCommand:
         assert len(digest) == 64
         assert set(digest) <= set("0123456789abcdef")
 
+    def test_ci_grid_spec_hash_is_pinned(self, capsys):
+        """The CI shard/gather grid keeps the cache key its shard
+        artifacts have always had."""
+        code = main(["scenarios", "run", "grid", "--param", "protocols=all",
+                     "--param", "powers-db=0,10", "--param", "placements=4",
+                     "--param", "draws=25", "--param", "seed=3",
+                     "--no-cache", "--quiet"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert ("spec 80582c79591ffd8ee77f9e30683c680a"
+                "74751ce55597a4f77b17545d1dbc17d0") in out.splitlines()
 
-class TestShardGatherCommands:
-    GRID = ["--powers-db", "0,10", "--draws", "6", "--protocols",
-            "mabc,hbc", "--seed", "2"]
+
+class TestGridShardGather:
+    """`scenarios run grid --shard` + `scenarios gather grid`."""
+
+    GRID = ["--param", "powers-db=0,10", "--param", "draws=6",
+            "--param", "protocols=mabc,hbc", "--param", "seed=2"]
 
     def test_shard_gather_matches_unsharded_bitwise(self, capsys, tmp_path):
         cached = [*self.GRID, "--cache-dir", str(tmp_path / "cache")]
         for i in (1, 2, 3):
-            assert main(["campaign", *cached, "--shard", f"{i}/3",
-                         "--chunk-size", "5", "--quiet"]) == 0
+            assert main(["scenarios", "run", "grid", *cached, "--shard",
+                         f"{i}/3", "--chunk-size", "5", "--quiet"]) == 0
         capsys.readouterr()
         gathered_path = str(tmp_path / "gathered.npy")
-        assert main(["gather", *cached, "--dump", gathered_path]) == 0
+        assert main(["scenarios", "gather", "grid", *cached,
+                     "--dump", gathered_path]) == 0
         out = capsys.readouterr().out
         assert "gathered 24/24 cells" in out
         assert "spec " in out
         reference_path = str(tmp_path / "reference.npy")
-        assert main(["campaign", *self.GRID, "--no-cache", "--quiet",
-                     "--dump", reference_path]) == 0
+        assert main(["scenarios", "run", "grid", *self.GRID, "--no-cache",
+                     "--quiet", "--dump", reference_path]) == 0
         gathered = np.load(gathered_path)
         reference = np.load(reference_path)
         assert gathered.shape == reference.shape
@@ -287,8 +305,8 @@ class TestShardGatherCommands:
 
     def test_rerun_shard_reports_cache_resumption(self, capsys, tmp_path):
         cached = [*self.GRID, "--cache-dir", str(tmp_path)]
-        shard = ["campaign", *cached, "--shard", "2/3", "--chunk-size", "5",
-                 "--quiet"]
+        shard = ["scenarios", "run", "grid", *cached, "--shard", "2/3",
+                 "--chunk-size", "5", "--quiet"]
         assert main(shard) == 0
         capsys.readouterr()
         assert main(shard) == 0
@@ -296,46 +314,24 @@ class TestShardGatherCommands:
         assert "shard 2/3: 8/8 cells via cache" in out
         assert "8 from cache, 0 computed" in out
 
-    def test_gather_incomplete_campaign_fails(self, capsys, tmp_path):
-        cached = [*self.GRID, "--cache-dir", str(tmp_path)]
-        assert main(["campaign", *cached, "--shard", "1/3",
-                     "--chunk-size", "5", "--quiet"]) == 0
-        capsys.readouterr()
-        code = main(["gather", *cached])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "missing" in out
-
-    def test_gather_missing_cache_directory_fails(self, capsys, tmp_path):
-        code = main(["gather", *self.GRID,
-                     "--cache-dir", str(tmp_path / "nowhere")])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "does not exist" in out
-
-    def test_gather_empty_cache_directory_fails(self, capsys, tmp_path):
-        code = main(["gather", *self.GRID, "--cache-dir", str(tmp_path)])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "no campaign artifacts" in out
-
     def test_bad_shard_values_rejected(self, capsys):
         for bad in ("4/3", "0/3", "x/3", "1/0", "12"):
-            code = main(["campaign", *self.GRID, "--shard", bad, "--quiet"])
+            code = main(["scenarios", "run", "grid", *self.GRID, "--shard",
+                         bad, "--quiet"])
             out = capsys.readouterr().out
             assert code == 2, bad
             assert "error" in out
 
     def test_shard_with_no_cache_rejected(self, capsys):
-        code = main(["campaign", *self.GRID, "--shard", "1/2", "--no-cache",
-                     "--quiet"])
+        code = main(["scenarios", "run", "grid", *self.GRID, "--shard", "1/2",
+                     "--no-cache", "--quiet"])
         out = capsys.readouterr().out
         assert code == 2
         assert "--no-cache" in out
 
     def test_bad_chunk_size_rejected(self, capsys):
-        code = main(["campaign", *self.GRID, "--chunk-size", "0",
-                     "--no-cache", "--quiet"])
+        code = main(["scenarios", "run", "grid", *self.GRID, "--chunk-size",
+                     "0", "--no-cache", "--quiet"])
         out = capsys.readouterr().out
         assert code == 2
         assert "chunk-size" in out
@@ -520,6 +516,22 @@ class TestScenarioShardGather:
         assert main(["scenarios", "run", self.NAME, "--no-cache", "--quiet",
                      "--dump", reference]) == 0
         capsys.readouterr()
+        assert np.load(gathered).tobytes() == np.load(reference).tobytes()
+
+    def test_gather_honours_params_of_the_shard_runs(self, capsys, tmp_path):
+        """A gather resolves the same parameterized factory as its shards."""
+        scenario = ["power-allocation-sweep", "--param", "n-splits=3"]
+        cache = str(tmp_path / "cache")
+        for shard in ("1/2", "2/2"):
+            assert main(["scenarios", "run", *scenario, "--shard", shard,
+                         "--cache-dir", cache, "--quiet"]) == 0
+        gathered = str(tmp_path / "gathered.npy")
+        assert main(["scenarios", "gather", *scenario, "--cache-dir", cache,
+                     "--dump", gathered]) == 0
+        assert "gathered 60/60 cells" in capsys.readouterr().out
+        reference = str(tmp_path / "reference.npy")
+        assert main(["scenarios", "run", *scenario, "--no-cache", "--quiet",
+                     "--dump", reference]) == 0
         assert np.load(gathered).tobytes() == np.load(reference).tobytes()
 
     def test_shard_requires_cache(self, capsys):
