@@ -65,6 +65,11 @@ class TestProtocolSubsets:
     def test_headers_follow_the_subset(self, subset_result):
         assert subset_result.headers("x") == ["x", "MABC", "HBC"]
 
+    def test_headers_need_a_result_instance(self):
+        """Columns come from a run's protocol axis; there is no class default."""
+        with pytest.raises(TypeError):
+            Fig3Result.headers("x")
+
     def test_rows_align_with_subset_headers(self, subset_result, small_result):
         headers = subset_result.headers("relay position")
         table = subset_result.to_rows(subset_result.placement_rows)

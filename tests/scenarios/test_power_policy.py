@@ -71,6 +71,14 @@ class TestFactories:
 class TestDeprecationShim:
     """The bare constructor is silent and equals the ``uniform`` factory."""
 
+    def test_direct_construction_is_silent(self, recwarn):
+        policy = PowerPolicy(powers_db=(0.0, 10.0))
+        assert policy.powers_db == (0.0, 10.0)
+        deprecations = [
+            w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
+        ]
+        assert not deprecations
+
     def test_factories_are_warning_free(self, recwarn):
         PowerPolicy.uniform(powers_db=(10.0,))
         PowerPolicy.per_node((10.0,), allocations_db=((0.0, 0.0, 0.0),))

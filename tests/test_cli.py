@@ -314,6 +314,30 @@ class TestGridShardGather:
         assert "shard 2/3: 8/8 cells via cache" in out
         assert "8 from cache, 0 computed" in out
 
+    def test_gather_incomplete_campaign_fails(self, capsys, tmp_path):
+        cached = [*self.GRID, "--cache-dir", str(tmp_path)]
+        assert main(["scenarios", "run", "grid", *cached, "--shard", "1/3",
+                     "--chunk-size", "5", "--quiet"]) == 0
+        capsys.readouterr()
+        code = main(["scenarios", "gather", "grid", *cached])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "missing" in out
+
+    def test_gather_missing_cache_directory_fails(self, capsys, tmp_path):
+        code = main(["scenarios", "gather", "grid", *self.GRID,
+                     "--cache-dir", str(tmp_path / "nowhere")])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "does not exist" in out
+
+    def test_gather_empty_cache_directory_fails(self, capsys, tmp_path):
+        code = main(["scenarios", "gather", "grid", *self.GRID,
+                     "--cache-dir", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "no campaign artifacts" in out
+
     def test_bad_shard_values_rejected(self, capsys):
         for bad in ("4/3", "0/3", "x/3", "1/0", "12"):
             code = main(["scenarios", "run", "grid", *self.GRID, "--shard",
