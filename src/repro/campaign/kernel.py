@@ -21,7 +21,8 @@ Correctness does not rest on tolerance thresholds: every candidate duration
 vector is clipped to the simplex and its *achieved* value recomputed as the
 true min over all functions, so each candidate is a certified lower bound
 and the enumeration attains the optimum at the optimal support. The kernel
-is cross-validated against both LP backends in the test suite.
+is cross-validated against the HiGHS oracle
+(:func:`repro.optimize.solve_lp`) in the test suite.
 
 All operations are elementwise along the batch axis, so evaluating a batch
 of ``N`` units produces bit-for-bit the same values as ``N`` batch-of-one

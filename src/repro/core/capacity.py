@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..optimize.linprog import DEFAULT_BACKEND
 from .bounds import bound_for
 from .gaussian import GaussianChannel
 from .optimize import RatePoint
@@ -35,9 +34,7 @@ __all__ = [
 ]
 
 
-def achievable_region(
-    protocol: Protocol, channel: GaussianChannel, *, backend: str = DEFAULT_BACKEND
-) -> RateRegion:
+def achievable_region(protocol: Protocol, channel: GaussianChannel) -> RateRegion:
     """The protocol's achievable (inner-bound) rate region on a channel.
 
     For DT this is the exact capacity region; for MABC it equals the
@@ -45,12 +42,10 @@ def achievable_region(
     achievable region.
     """
     spec = bound_for(protocol, BoundKind.INNER)
-    return RateRegion(evaluated=channel.evaluate(spec), backend=backend)
+    return RateRegion(evaluated=channel.evaluate(spec))
 
 
-def outer_bound_region(
-    protocol: Protocol, channel: GaussianChannel, *, backend: str = DEFAULT_BACKEND
-) -> RateRegion:
+def outer_bound_region(protocol: Protocol, channel: GaussianChannel) -> RateRegion:
     """The protocol's outer-bound region.
 
     * DT, MABC: coincides with the achievable region (exact capacity).
@@ -59,18 +54,16 @@ def outer_bound_region(
       not a proven outer bound; see :func:`repro.core.bounds.hbc_outer`.
     """
     spec = bound_for(protocol, BoundKind.OUTER)
-    return RateRegion(evaluated=channel.evaluate(spec), backend=backend)
+    return RateRegion(evaluated=channel.evaluate(spec))
 
 
-def optimal_sum_rate(
-    protocol: Protocol, channel: GaussianChannel, *, backend: str = DEFAULT_BACKEND
-) -> RatePoint:
+def optimal_sum_rate(protocol: Protocol, channel: GaussianChannel) -> RatePoint:
     """LP-optimal achievable sum rate of the protocol on the channel.
 
     This is the quantity plotted in the paper's Fig. 3 (inner bounds with
     optimized time periods).
     """
-    return achievable_region(protocol, channel, backend=backend).max_sum_rate()
+    return achievable_region(protocol, channel).max_sum_rate()
 
 
 @dataclass(frozen=True)
@@ -95,15 +88,11 @@ def compare_protocols(
     protocols=(
         Protocol.DT, Protocol.NAIVE4, Protocol.MABC, Protocol.TDBC, Protocol.HBC
     ),
-    backend: str = DEFAULT_BACKEND,
 ) -> ProtocolComparison:
     """Optimal sum rate of each protocol.
 
     Defaults to all five protocols (the paper's four plus the Fig. 1(ii)
     naive baseline); the Fig. 3 harness restricts to the paper's four.
     """
-    rates = {
-        protocol: optimal_sum_rate(protocol, channel, backend=backend)
-        for protocol in protocols
-    }
+    rates = {protocol: optimal_sum_rate(protocol, channel) for protocol in protocols}
     return ProtocolComparison(channel=channel, sum_rates=rates)

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..exceptions import InvalidParameterError
 from ..network.cutset import CutConstraint
-from ..optimize.linprog import DEFAULT_BACKEND, LinearProgram, solve_lp
+from ..optimize.linprog import LinearProgram, solve_lp
 from .optimize import RatePoint
 from .protocols import PhaseDurations
 
@@ -57,8 +57,6 @@ def cutset_support_point(
     n_phases: int,
     mu_a: float,
     mu_b: float,
-    *,
-    backend: str = DEFAULT_BACKEND,
 ) -> RatePoint:
     """Maximize ``μ_a·Ra + μ_b·Rb`` over engine constraints and durations."""
     if not constraints:
@@ -70,7 +68,7 @@ def cutset_support_point(
     a_ub, b_ub, a_eq, b_eq = _assemble(constraints, n_phases)
     c = np.zeros(2 + n_phases)
     c[0], c[1] = -mu_a, -mu_b
-    result = solve_lp(LinearProgram(c, a_ub, b_ub, a_eq, b_eq), backend=backend)
+    result = solve_lp(LinearProgram(c, a_ub, b_ub, a_eq, b_eq))
     durations = np.clip(result.x[2:], 0.0, None)
     total = durations.sum()
     durations = (
@@ -83,11 +81,9 @@ def cutset_support_point(
     )
 
 
-def cutset_max_sum_rate(
-    constraints: list[CutConstraint], n_phases: int, *, backend: str = DEFAULT_BACKEND
-) -> RatePoint:
+def cutset_max_sum_rate(constraints: list[CutConstraint], n_phases: int) -> RatePoint:
     """The sum-rate-optimal point of a mechanically generated outer bound."""
-    return cutset_support_point(constraints, n_phases, 1.0, 1.0, backend=backend)
+    return cutset_support_point(constraints, n_phases, 1.0, 1.0)
 
 
 def cutset_boundary(
@@ -95,7 +91,6 @@ def cutset_boundary(
     n_phases: int,
     *,
     n_points: int = 17,
-    backend: str = DEFAULT_BACKEND,
 ) -> np.ndarray:
     """Trace the outer-bound boundary from engine constraints."""
     if n_points < 2:
@@ -108,7 +103,6 @@ def cutset_boundary(
             n_phases,
             max(float(np.cos(theta)), 0.0),
             max(float(np.sin(theta)), 0.0),
-            backend=backend,
         )
         points.append((point.ra, point.rb))
     ordered = sorted(points, key=lambda p: (p[0], -p[1]))

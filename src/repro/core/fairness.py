@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..exceptions import InvalidParameterError
-from ..optimize.linprog import DEFAULT_BACKEND
 from .bounds import bound_for
 from .gaussian import GaussianChannel
 from .optimize import RatePoint, equal_rate_point, max_sum_rate
@@ -41,12 +40,10 @@ def jain_index(ra: float, rb: float) -> float:
     return (ra + rb) ** 2 / (2.0 * total_square)
 
 
-def max_equal_rate(
-    protocol: Protocol, channel: GaussianChannel, *, backend: str = DEFAULT_BACKEND
-) -> RatePoint:
+def max_equal_rate(protocol: Protocol, channel: GaussianChannel) -> RatePoint:
     """The best symmetric operating point ``Ra = Rb`` of a protocol."""
     evaluated = channel.evaluate(bound_for(protocol, BoundKind.INNER))
-    return equal_rate_point(evaluated, backend=backend)
+    return equal_rate_point(evaluated)
 
 
 @dataclass(frozen=True)
@@ -84,7 +81,6 @@ def fairness_report(
     protocols=(
         Protocol.DT, Protocol.NAIVE4, Protocol.MABC, Protocol.TDBC, Protocol.HBC
     ),
-    backend: str = DEFAULT_BACKEND,
 ) -> list[FairnessRow]:
     """Fairness metrics for every protocol on one channel."""
     rows = []
@@ -93,8 +89,8 @@ def fairness_report(
         rows.append(
             FairnessRow(
                 protocol=protocol,
-                sum_optimal=max_sum_rate(evaluated, backend=backend),
-                equal_rate=equal_rate_point(evaluated, backend=backend),
+                sum_optimal=max_sum_rate(evaluated),
+                equal_rate=equal_rate_point(evaluated),
             )
         )
     return rows

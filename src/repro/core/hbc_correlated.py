@@ -27,7 +27,6 @@ import numpy as np
 
 from ..exceptions import InvalidParameterError
 from ..information.functions import gaussian_capacity
-from ..optimize.linprog import DEFAULT_BACKEND
 from .bounds import hbc_outer
 from .gaussian import EvaluatedBound, EvaluatedConstraint, GaussianChannel
 from .optimize import RatePoint, max_sum_rate, support_point
@@ -90,7 +89,7 @@ def evaluate_hbc_outer_correlated(
 
 
 def hbc_outer_correlated_sum_rate(
-    channel: GaussianChannel, *, rhos=None, backend: str = DEFAULT_BACKEND
+    channel: GaussianChannel, *, rhos=None
 ) -> tuple[RatePoint, float]:
     """Max sum rate of the Theorem-6 Gaussian evaluation over ρ.
 
@@ -103,9 +102,7 @@ def hbc_outer_correlated_sum_rate(
     best_point: RatePoint | None = None
     best_rho = 0.0
     for rho in rhos:
-        point = max_sum_rate(
-            evaluate_hbc_outer_correlated(channel, float(rho)), backend=backend
-        )
+        point = max_sum_rate(evaluate_hbc_outer_correlated(channel, float(rho)))
         if best_point is None or point.sum_rate > best_point.sum_rate:
             best_point, best_rho = point, float(rho)
     assert best_point is not None
@@ -117,7 +114,6 @@ def hbc_outer_correlated_boundary(
     *,
     n_points: int = 17,
     rhos=None,
-    backend: str = DEFAULT_BACKEND,
 ) -> np.ndarray:
     """Pareto boundary of the union over ρ of the Theorem-6 evaluation.
 
@@ -136,7 +132,7 @@ def hbc_outer_correlated_boundary(
         mu_b = max(float(np.sin(theta)), 0.0)
         best = None
         for bound in evaluated:
-            point = support_point(bound, mu_a, mu_b, backend=backend)
+            point = support_point(bound, mu_a, mu_b)
             value = mu_a * point.ra + mu_b * point.rb
             if best is None or value > best[0]:
                 best = (value, point)

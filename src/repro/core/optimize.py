@@ -6,7 +6,7 @@ simply contributes one linear constraint per argument. Maximizing any
 non-negative weighted sum ``μ_a·Ra + μ_b·Rb`` over the *union over phase
 durations* of the per-Δ regions is therefore a single LP — this is exactly
 the "linear programming may then be used to find optimal time durations"
-step of Section IV, implemented over either LP backend.
+step of Section IV, solved by HiGHS through :func:`repro.optimize.solve_lp`.
 
 Variables are ordered ``x = [Ra, Rb, Δ_1, ..., Δ_L]`` with ``x >= 0`` and
 ``sum(Δ) = 1``.
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import InfeasibleProblemError, InvalidParameterError
-from ..optimize.linprog import DEFAULT_BACKEND, LinearProgram, solve_lp
+from ..optimize.linprog import LinearProgram, solve_lp
 from .gaussian import EvaluatedBound
 from .protocols import PhaseDurations
 
@@ -80,7 +80,6 @@ def support_point(
     mu_b: float,
     *,
     lexicographic: bool = True,
-    backend: str = DEFAULT_BACKEND,
 ) -> RatePoint:
     """Maximize ``μ_a·Ra + μ_b·Rb`` over rates *and* phase durations.
 
@@ -108,7 +107,7 @@ def support_point(
 
     c = np.zeros(2 + n_phases)
     c[0], c[1] = -mu_a, -mu_b
-    first = solve_lp(LinearProgram(c, a_ub, b_ub, a_eq, b_eq), backend=backend)
+    first = solve_lp(LinearProgram(c, a_ub, b_ub, a_eq, b_eq))
     value = -first.objective
 
     x = first.x
@@ -123,7 +122,7 @@ def support_point(
         b_ub2 = np.concatenate([b_ub, [-value + slack]])
         c2 = np.zeros(2 + n_phases)
         c2[0], c2[1] = -mu_b, -mu_a
-        second = solve_lp(LinearProgram(c2, a_ub2, b_ub2, a_eq, b_eq), backend=backend)
+        second = solve_lp(LinearProgram(c2, a_ub2, b_ub2, a_eq, b_eq))
         x = second.x
 
     durations = np.clip(x[2:], 0.0, None)
@@ -136,16 +135,12 @@ def support_point(
     )
 
 
-def max_sum_rate(
-    evaluated: EvaluatedBound, *, backend: str = DEFAULT_BACKEND
-) -> RatePoint:
+def max_sum_rate(evaluated: EvaluatedBound) -> RatePoint:
     """The sum-rate-optimal operating point (``μ_a = μ_b = 1``)."""
-    return support_point(evaluated, 1.0, 1.0, lexicographic=False, backend=backend)
+    return support_point(evaluated, 1.0, 1.0, lexicographic=False)
 
 
-def equal_rate_point(
-    evaluated: EvaluatedBound, *, backend: str = DEFAULT_BACKEND
-) -> RatePoint:
+def equal_rate_point(evaluated: EvaluatedBound) -> RatePoint:
     """Maximize the symmetric rate ``t`` with ``Ra = Rb = t``.
 
     Variables are ``[t, Δ_1..Δ_L]``; each constraint ``sum(rates) <= f(Δ)``
@@ -167,7 +162,7 @@ def equal_rate_point(
     b_eq = np.array([1.0])
     c = np.zeros(n_vars)
     c[0] = -1.0
-    result = solve_lp(LinearProgram(c, a_ub, b_ub, a_eq, b_eq), backend=backend)
+    result = solve_lp(LinearProgram(c, a_ub, b_ub, a_eq, b_eq))
     t = float(max(result.x[0], 0.0))
     durations = np.clip(result.x[1:], 0.0, None)
     total = durations.sum()
@@ -192,7 +187,6 @@ def feasible_rate_pair(
     ra: float,
     rb: float,
     *,
-    backend: str = DEFAULT_BACKEND,
     tol: float = 1e-9,
 ) -> bool:
     """Whether ``(ra, rb)`` lies in the union-over-durations region.
@@ -218,7 +212,7 @@ def feasible_rate_pair(
     b_eq = np.array([1.0])
     c = np.zeros(n_phases)
     try:
-        solve_lp(LinearProgram(c, a_ub, b_ub, a_eq, b_eq), backend=backend)
+        solve_lp(LinearProgram(c, a_ub, b_ub, a_eq, b_eq))
     except InfeasibleProblemError:
         return False
     return True

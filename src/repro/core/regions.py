@@ -17,7 +17,6 @@ import numpy as np
 
 from ..exceptions import InvalidParameterError
 from ..information.mac import MacPentagon
-from ..optimize.linprog import DEFAULT_BACKEND
 from .gaussian import EvaluatedBound
 from .optimize import RatePoint, feasible_rate_pair, max_sum_rate, support_point
 
@@ -59,13 +58,11 @@ class RateRegion:
     Attributes
     ----------
     evaluated:
-        The numeric bound (channel already applied).
-    backend:
-        LP backend used for all queries.
+        The numeric bound (channel already applied); every query solves
+        its LP with HiGHS (:func:`repro.optimize.solve_lp`).
     """
 
     evaluated: EvaluatedBound
-    backend: str = DEFAULT_BACKEND
 
     @property
     def label(self) -> str:
@@ -74,7 +71,7 @@ class RateRegion:
 
     def support(self, mu_a: float, mu_b: float) -> RatePoint:
         """Boundary point maximizing ``μ_a·Ra + μ_b·Rb`` (lexicographic)."""
-        return support_point(self.evaluated, mu_a, mu_b, backend=self.backend)
+        return support_point(self.evaluated, mu_a, mu_b)
 
     def max_ra(self) -> RatePoint:
         """The corner with maximal ``Ra`` (ties broken toward large ``Rb``)."""
@@ -86,11 +83,11 @@ class RateRegion:
 
     def max_sum_rate(self) -> RatePoint:
         """The sum-rate-optimal operating point."""
-        return max_sum_rate(self.evaluated, backend=self.backend)
+        return max_sum_rate(self.evaluated)
 
     def contains(self, ra: float, rb: float, *, tol: float = 1e-9) -> bool:
         """Membership test via a feasibility LP in the durations."""
-        return feasible_rate_pair(self.evaluated, ra, rb, backend=self.backend, tol=tol)
+        return feasible_rate_pair(self.evaluated, ra, rb, tol=tol)
 
     def boundary(self, n_points: int = 33) -> np.ndarray:
         """Trace the Pareto frontier as an ``(n, 2)`` array of rate pairs.

@@ -24,10 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..channels.gains import LinkGains
-from ..core.capacity import compare_protocols
-from ..core.gaussian import GaussianChannel
 from ..core.protocols import Protocol
-from ..optimize.linprog import DEFAULT_BACKEND
 from .config import FIG3_DEFAULT, Fig3Config
 
 __all__ = [
@@ -89,25 +86,6 @@ class Fig3Result:
         ]
 
 
-def _sum_rates(channel: GaussianChannel, protocols, backend: str) -> dict:
-    comparison = compare_protocols(channel, protocols=protocols, backend=backend)
-    return {p: point.sum_rate for p, point in comparison.sum_rates.items()}
-
-
-def _legacy_rows(sweep_values, gains_list, protocols, power, backend) -> tuple:
-    """One sweep through the historical per-point LP loop."""
-    return tuple(
-        Fig3Row(
-            sweep_value=float(value),
-            gains=gains,
-            sum_rates=_sum_rates(
-                GaussianChannel(gains=gains, power=power), protocols, backend
-            ),
-        )
-        for value, gains in zip(sweep_values, gains_list)
-    )
-
-
 def _facade_rows(scenario, sweep_values, executor, cache) -> tuple:
     """One sweep as a scenario evaluated through the facade."""
     from ..api import evaluate
@@ -131,7 +109,6 @@ def _facade_rows(scenario, sweep_values, executor, cache) -> tuple:
 def fig3_result(
     config: Fig3Config = FIG3_DEFAULT,
     *,
-    backend: str = DEFAULT_BACKEND,
     executor="vectorized",
     cache=None,
     protocols=PROTOCOL_ORDER,
@@ -139,34 +116,23 @@ def fig3_result(
     """Compute both Fig. 3 sweeps.
 
     Every point solves one LP per protocol over rates and phase durations
-    jointly, exactly the optimization the paper describes. By default
-    both sweeps evaluate as the ``fig3-placement`` / ``fig3-symmetric``
-    scenarios through :func:`repro.api.evaluate` (``executor``: campaign
-    executor name or instance, ``cache`` forwarded to the engine, so the
-    sweeps are chunk-checkpointed and resumable with a cache directory);
-    passing ``executor=None`` — or requesting a non-default LP
-    ``backend`` — runs the legacy per-point LP loop so the backend choice
-    is honored. ``protocols`` selects the compared protocol set; the
-    result's tables derive their columns from it.
+    jointly, exactly the optimization the paper describes. Both sweeps
+    evaluate as the ``fig3-placement`` / ``fig3-symmetric`` scenarios
+    through :func:`repro.api.evaluate` (``executor``: campaign executor
+    name or instance, ``None`` meaning the engine default ``vectorized``;
+    ``cache`` forwarded to the engine, so the sweeps are
+    chunk-checkpointed and resumable with a cache directory).
+    ``protocols`` selects the compared protocol set; the result's tables
+    derive their columns from it.
     """
     from ..scenarios.builtin import fig3_placement_scenario, fig3_symmetric_scenario
 
     protocols = tuple(protocols)
-    if backend != DEFAULT_BACKEND:
-        executor = None
 
     def sweep_rows(scenario_factory, sweep_values) -> tuple:
         if not tuple(sweep_values):
             return ()
         scenario = scenario_factory(config, protocols)
-        if executor is None:
-            return _legacy_rows(
-                sweep_values,
-                scenario.topology.gains,
-                protocols,
-                config.power,
-                backend,
-            )
         return _facade_rows(scenario, sweep_values, executor, cache)
 
     placement_rows = sweep_rows(fig3_placement_scenario, config.relay_fractions)

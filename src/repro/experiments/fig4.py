@@ -21,7 +21,6 @@ import numpy as np
 from ..core.capacity import achievable_region, outer_bound_region
 from ..core.protocols import Protocol
 from ..core.regions import RateRegion, region_dominates
-from ..optimize.linprog import DEFAULT_BACKEND
 from .config import Fig4Config
 
 __all__ = ["RegionTrace", "Fig4Result", "run_fig4", "fig4_shape_checks"]
@@ -70,16 +69,16 @@ def _trace(label: str, region: RateRegion, n_points: int) -> RegionTrace:
     )
 
 
-def run_fig4(config: Fig4Config, *, backend: str = DEFAULT_BACKEND) -> Fig4Result:
+def run_fig4(config: Fig4Config) -> Fig4Result:
     """Trace every Fig. 4 curve for one panel."""
     channel = config.channel()
     n = config.boundary_points
     regions = {
-        "DT": achievable_region(Protocol.DT, channel, backend=backend),
-        "MABC": achievable_region(Protocol.MABC, channel, backend=backend),
-        "TDBC inner": achievable_region(Protocol.TDBC, channel, backend=backend),
-        "TDBC outer": outer_bound_region(Protocol.TDBC, channel, backend=backend),
-        "HBC": achievable_region(Protocol.HBC, channel, backend=backend),
+        "DT": achievable_region(Protocol.DT, channel),
+        "MABC": achievable_region(Protocol.MABC, channel),
+        "TDBC inner": achievable_region(Protocol.TDBC, channel),
+        "TDBC outer": outer_bound_region(Protocol.TDBC, channel),
+        "HBC": achievable_region(Protocol.HBC, channel),
     }
     traces = {key: _trace(key, region, n) for key, region in regions.items()}
 
@@ -98,9 +97,7 @@ def run_fig4(config: Fig4Config, *, backend: str = DEFAULT_BACKEND) -> Fig4Resul
     )
 
 
-def fig4_shape_checks(
-    low_snr: Fig4Result, high_snr: Fig4Result, *, backend: str = DEFAULT_BACKEND
-) -> dict:
+def fig4_shape_checks(low_snr: Fig4Result, high_snr: Fig4Result) -> dict:
     """The paper's Fig. 4 claims as named boolean checks.
 
     * ``mabc_inner_equals_outer`` — Theorem 2 is tight: the MABC inner and
@@ -130,10 +127,10 @@ def fig4_shape_checks(
 
     def _regions(channel):
         return {
-            "mabc_in": achievable_region(Protocol.MABC, channel, backend=backend),
-            "mabc_out": outer_bound_region(Protocol.MABC, channel, backend=backend),
-            "tdbc_in": achievable_region(Protocol.TDBC, channel, backend=backend),
-            "tdbc_out": outer_bound_region(Protocol.TDBC, channel, backend=backend),
+            "mabc_in": achievable_region(Protocol.MABC, channel),
+            "mabc_out": outer_bound_region(Protocol.MABC, channel),
+            "tdbc_in": achievable_region(Protocol.TDBC, channel),
+            "tdbc_out": outer_bound_region(Protocol.TDBC, channel),
         }
 
     low = _regions(low_channel)

@@ -264,11 +264,7 @@ def run_experiment(experiment_id: str, *, executor=None) -> ExperimentReport:
     experiment's default.
     """
     registry = {
-        "fig3": lambda: (
-            fig3_report()
-            if executor is None
-            else fig3_report(fig3_result(executor=executor))
-        ),
+        "fig3": lambda: fig3_report(fig3_result(executor=executor)),
         "fig4a": lambda: fig4_report(FIG4_P0, "fig4a"),
         "fig4b": lambda: fig4_report(FIG4_P10, "fig4b"),
         "fading": lambda: fading_report(executor=executor),

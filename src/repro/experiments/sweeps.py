@@ -13,9 +13,7 @@ sweep (Fig. 3). Downstream users invariably ask the next questions:
 
 Sweeps are power-sweep scenarios evaluated through the :mod:`repro.api`
 facade: one declarative ``protocols × powers`` grid evaluated by the
-vectorized executor in a handful of batched solves. Pass ``executor=None``
-to fall back to the historical per-point LP loop with an explicit
-``backend``.
+vectorized executor in a handful of batched solves.
 """
 
 from __future__ import annotations
@@ -23,12 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..channels.gains import LinkGains
-from ..core.capacity import compare_protocols, optimal_sum_rate
+from ..core.capacity import optimal_sum_rate
 from ..core.gaussian import GaussianChannel
 from ..core.protocols import Protocol
 from ..exceptions import InvalidParameterError
 from ..information.functions import db_to_linear
-from ..optimize.linprog import DEFAULT_BACKEND
 from ..optimize.search import find_crossover
 
 __all__ = [
@@ -65,7 +62,6 @@ def sweep_powers(
     powers_db,
     *,
     protocols=SWEEP_PROTOCOLS,
-    backend: str = DEFAULT_BACKEND,
     executor="vectorized",
     cache=None,
 ) -> list:
@@ -73,34 +69,14 @@ def sweep_powers(
 
     The sweep is a power-sweep scenario evaluated through
     :func:`repro.api.evaluate` (``executor``: campaign executor name or
-    instance; ``cache`` forwarded to the engine, so the sweep is
-    chunk-checkpointed and served from the content-addressed store on
-    repetition). Passing ``executor=None`` — or requesting a non-default
-    LP ``backend`` — runs the legacy one-LP-per-point loop so the backend
-    choice is honored.
+    instance, ``None`` meaning the engine default ``vectorized``;
+    ``cache`` forwarded to the engine, so the sweep is chunk-checkpointed
+    and served from the content-addressed store on repetition).
     """
     powers = [float(p) for p in powers_db]
     if not powers:
         raise InvalidParameterError("at least one power point required")
     protocols = tuple(protocols)
-    if backend != DEFAULT_BACKEND:
-        executor = None
-    if executor is None:
-        rows = []
-        for power_db in powers:
-            channel = GaussianChannel(gains=gains, power=db_to_linear(power_db))
-            comparison = compare_protocols(
-                channel, protocols=protocols, backend=backend
-            )
-            rows.append(
-                PowerSweepRow(
-                    power_db=power_db,
-                    sum_rates={
-                        p: pt.sum_rate for p, pt in comparison.sum_rates.items()
-                    },
-                )
-            )
-        return rows
 
     from ..api import evaluate
     from ..scenarios.builtin import power_sweep_scenario
@@ -130,7 +106,6 @@ def protocol_crossover_power(
     low_db: float = -10.0,
     high_db: float = 30.0,
     tol: float = 1e-6,
-    backend: str = DEFAULT_BACKEND,
 ) -> float | None:
     """The power (dB) where ``second``'s sum rate overtakes ``first``'s.
 
@@ -145,8 +120,8 @@ def protocol_crossover_power(
     def gap(power_db: float) -> float:
         channel = GaussianChannel(gains=gains, power=db_to_linear(power_db))
         return (
-            optimal_sum_rate(second, channel, backend=backend).sum_rate
-            - optimal_sum_rate(first, channel, backend=backend).sum_rate
+            optimal_sum_rate(second, channel).sum_rate
+            - optimal_sum_rate(first, channel).sum_rate
         )
 
     lo_gap, hi_gap = gap(low_db), gap(high_db)
@@ -159,7 +134,6 @@ def winner_table(
     gains: LinkGains,
     powers_db,
     *,
-    backend: str = DEFAULT_BACKEND,
     executor="vectorized",
     cache=None,
 ) -> list:
@@ -169,9 +143,7 @@ def winner_table(
     the right protocol is worth at each operating point.
     """
     rows = []
-    for row in sweep_powers(
-        gains, powers_db, backend=backend, executor=executor, cache=cache
-    ):
+    for row in sweep_powers(gains, powers_db, executor=executor, cache=cache):
         ordered = sorted(row.sum_rates.items(), key=lambda kv: -kv[1])
         margin = ordered[0][1] - ordered[1][1]
         rows.append((row.power_db, ordered[0][0].name, margin))

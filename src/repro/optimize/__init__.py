@@ -1,16 +1,14 @@
-"""Optimization substrate: LP solvers and scalar search."""
+"""Optimization substrate: the HiGHS LP facade and scalar search."""
 
-from .linprog import DEFAULT_BACKEND, LinearProgram, LpResult, solve_lp
+from .linprog import LinearProgram, LpResult, solve_lp
 from .search import (
     ScalarSearchResult,
     find_crossover,
     golden_section_maximize,
     grid_maximize,
 )
-from .simplex import SimplexSolution, simplex_solve
 
 __all__ = [
-    "DEFAULT_BACKEND",
     "LinearProgram",
     "LpResult",
     "solve_lp",
@@ -18,6 +16,4 @@ __all__ = [
     "find_crossover",
     "golden_section_maximize",
     "grid_maximize",
-    "SimplexSolution",
-    "simplex_solve",
 ]

@@ -1,11 +1,10 @@
-"""Unified linear-programming facade.
+"""Linear-programming facade over scipy's HiGHS solver.
 
-Every LP in this library (phase-duration optimization, weighted-sum-rate
-boundary tracing) goes through :func:`solve_lp`, which dispatches to either
-the built-in simplex (:mod:`repro.optimize.simplex`) or scipy's HiGHS
-backend. The two backends are cross-validated against each other in the
-property tests; the facade exists so the rest of the code never needs to
-know which one it is using.
+Every scalar LP in this library (phase-duration optimization,
+weighted-sum-rate boundary tracing) goes through :func:`solve_lp`, which
+solves it with HiGHS and maps solver statuses onto the library's exception
+hierarchy. HiGHS is the analytic side's independent oracle: the batched
+campaign kernel (:mod:`repro.campaign.kernel`) is checked against it.
 """
 
 from __future__ import annotations
@@ -15,16 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import (
+    ConvergenceError,
     InfeasibleProblemError,
     InvalidParameterError,
     UnboundedProblemError,
 )
-from .simplex import simplex_solve
 
-__all__ = ["LinearProgram", "LpResult", "solve_lp", "DEFAULT_BACKEND"]
-
-DEFAULT_BACKEND = "scipy"
-_BACKENDS = ("scipy", "simplex")
+__all__ = ["LinearProgram", "LpResult", "solve_lp"]
 
 
 @dataclass(frozen=True)
@@ -79,37 +75,23 @@ class LpResult:
         Optimal point.
     objective:
         Optimal value of ``c @ x`` (the *minimization* objective).
-    backend:
-        Which solver produced the result.
     """
 
     x: np.ndarray
     objective: float
-    backend: str
 
 
-def solve_lp(problem: LinearProgram, *, backend: str = DEFAULT_BACKEND) -> LpResult:
-    """Solve an LP with the selected backend.
+def solve_lp(problem: LinearProgram) -> LpResult:
+    """Solve an LP with scipy's HiGHS solver.
 
     Raises
     ------
     InfeasibleProblemError / UnboundedProblemError
-        Mapped uniformly from both backends.
+        HiGHS proved the problem infeasible / unbounded.
+    ConvergenceError
+        HiGHS stopped without a solution (iteration limit or numerical
+        difficulties).
     """
-    if backend not in _BACKENDS:
-        raise InvalidParameterError(
-            f"unknown backend {backend!r}; available: {_BACKENDS}"
-        )
-    if backend == "simplex":
-        solution = simplex_solve(
-            problem.c,
-            a_ub=problem.a_ub,
-            b_ub=problem.b_ub,
-            a_eq=problem.a_eq,
-            b_eq=problem.b_eq,
-        )
-        return LpResult(x=solution.x, objective=solution.objective, backend=backend)
-
     from scipy.optimize import linprog as scipy_linprog
 
     result = scipy_linprog(
@@ -125,10 +107,6 @@ def solve_lp(problem: LinearProgram, *, backend: str = DEFAULT_BACKEND) -> LpRes
         raise InfeasibleProblemError(f"scipy reports infeasible LP: {result.message}")
     if result.status == 3:
         raise UnboundedProblemError(f"scipy reports unbounded LP: {result.message}")
-    if not result.success:  # pragma: no cover - other statuses are rare
-        raise InvalidParameterError(f"scipy LP failed: {result.message}")
-    return LpResult(
-        x=np.asarray(result.x),
-        objective=float(result.fun),
-        backend=backend,
-    )
+    if not result.success:
+        raise ConvergenceError(f"scipy LP failed: {result.message}")
+    return LpResult(x=np.asarray(result.x), objective=float(result.fun))

@@ -29,7 +29,6 @@ from ..core.capacity import optimal_sum_rate
 from ..core.gaussian import GaussianChannel
 from ..core.protocols import Protocol
 from ..exceptions import InvalidParameterError
-from ..optimize.linprog import DEFAULT_BACKEND
 
 __all__ = ["AdaptiveReport", "adaptive_sum_rate", "selection_frequencies"]
 
@@ -74,7 +73,6 @@ def adaptive_sum_rate(
     *,
     candidates=(Protocol.MABC, Protocol.TDBC),
     k_factor: float = 0.0,
-    backend: str = DEFAULT_BACKEND,
 ) -> AdaptiveReport:
     """Evaluate per-fade protocol selection over a Rayleigh/Rician ensemble.
 
@@ -108,7 +106,7 @@ def adaptive_sum_rate(
     for draw in ensemble:
         channel = GaussianChannel(gains=draw, power=power)
         rates = {
-            protocol: optimal_sum_rate(protocol, channel, backend=backend).sum_rate
+            protocol: optimal_sum_rate(protocol, channel).sum_rate
             for protocol in candidates
         }
         for protocol, value in rates.items():

@@ -12,9 +12,8 @@ LP optima used everywhere else:
 * :func:`OutageCurve` — the full rate-vs-outage trade-off for plotting.
 
 Ensemble evaluation routes through the :mod:`repro.api` facade
-(:func:`repro.api.evaluate_realizations`); pass ``executor=None`` to fall
-back to the historical one-LP-per-draw loop with an explicit LP
-``backend``.
+(:func:`repro.api.evaluate_realizations`), which solves every draw's LP in
+the batched campaign kernel.
 """
 
 from __future__ import annotations
@@ -25,11 +24,8 @@ import numpy as np
 
 from ..channels.fading import sample_gain_ensemble
 from ..channels.gains import LinkGains
-from ..core.capacity import optimal_sum_rate
-from ..core.gaussian import GaussianChannel
 from ..core.protocols import Protocol
 from ..exceptions import InvalidParameterError
-from ..optimize.linprog import DEFAULT_BACKEND
 
 __all__ = ["OutageCurve", "sample_outage_curve", "outage_sum_rate"]
 
@@ -77,40 +73,25 @@ def sample_outage_curve(
     rng: np.random.Generator,
     *,
     k_factor: float = 0.0,
-    backend: str = DEFAULT_BACKEND,
     executor="vectorized",
     cache=None,
 ) -> OutageCurve:
     """Sample the per-fade optimal sum rate distribution of a protocol.
 
-    ``executor`` selects a campaign executor (name or instance); passing
-    ``None`` — or requesting a non-default LP ``backend`` — runs the
-    legacy per-draw LP loop so the backend choice is honored. With a
-    ``cache`` the ensemble evaluation is chunk-checkpointed under a
-    content hash of the drawn realizations (see
-    :func:`repro.api.evaluate_realizations`), making the 10⁵+-draw
-    curves needed for outage studies resumable.
+    ``executor`` selects a campaign executor (name or instance; ``None``
+    means the engine default ``vectorized``). With a ``cache`` the
+    ensemble evaluation is chunk-checkpointed under a content hash of the
+    drawn realizations (see :func:`repro.api.evaluate_realizations`),
+    making the 10⁵+-draw curves needed for outage studies resumable.
     """
+    from ..api import evaluate_realizations
+
     if n_draws < 1:
         raise InvalidParameterError(f"need at least one draw, got {n_draws}")
     ensemble = sample_gain_ensemble(mean_gains, n_draws, rng, k_factor=k_factor)
-    if backend != DEFAULT_BACKEND:
-        executor = None
-    if executor is None:
-        values = [
-            optimal_sum_rate(
-                protocol,
-                GaussianChannel(gains=draw, power=power),
-                backend=backend,
-            ).sum_rate
-            for draw in ensemble
-        ]
-    else:
-        from ..api import evaluate_realizations
-
-        values = evaluate_realizations(
-            protocol, ensemble, power, executor=executor, cache=cache
-        )
+    values = evaluate_realizations(
+        protocol, ensemble, power, executor=executor, cache=cache
+    )
     return OutageCurve(protocol=protocol, samples=np.sort(values))
 
 
@@ -123,7 +104,6 @@ def outage_sum_rate(
     rng: np.random.Generator,
     *,
     k_factor: float = 0.0,
-    backend: str = DEFAULT_BACKEND,
     executor="vectorized",
     cache=None,
 ) -> float:
@@ -135,7 +115,6 @@ def outage_sum_rate(
         n_draws,
         rng,
         k_factor=k_factor,
-        backend=backend,
         executor=executor,
         cache=cache,
     )

@@ -1,6 +1,7 @@
 """Unit tests for repro.core.optimize (the phase-duration LP)."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from repro.core.optimize import (
     sum_rate_fixed_durations,
     support_point,
 )
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import ConvergenceError, InvalidParameterError
 from repro.information.functions import gaussian_capacity
 
 
@@ -39,11 +40,15 @@ class TestSupportPoint:
         plain = support_point(evaluated, 1.0, 1e-9)
         assert corner.ra == pytest.approx(plain.ra, abs=1e-5)
 
-    def test_backend_agreement(self, channel_high):
-        evaluated = channel_high.evaluate(tdbc_inner())
-        scipy_point = support_point(evaluated, 1.0, 1.0, backend="scipy")
-        simplex_point = support_point(evaluated, 1.0, 1.0, backend="simplex")
-        assert scipy_point.sum_rate == pytest.approx(simplex_point.sum_rate, abs=1e-7)
+    @pytest.mark.parametrize("bound", [dt_capacity, mabc_inner, tdbc_inner, hbc_inner])
+    def test_lexicographic_stage_keeps_the_optimum(self, channel_high, bound):
+        """The tie-breaking second LP must not lose weighted-sum value."""
+        evaluated = channel_high.evaluate(bound())
+        lex = support_point(evaluated, 1.0, 2.0)
+        plain = support_point(evaluated, 1.0, 2.0, lexicographic=False)
+        assert lex.ra + 2.0 * lex.rb == pytest.approx(
+            plain.ra + 2.0 * plain.rb, abs=1e-7
+        )
 
 
 class TestMaxSumRate:
@@ -126,6 +131,20 @@ class TestFeasibility:
     def test_negative_rates_infeasible(self, channel_high):
         evaluated = channel_high.evaluate(mabc_inner())
         assert not feasible_rate_pair(evaluated, -0.5, 0.1)
+
+    def test_solver_failure_is_not_a_membership_verdict(
+        self, channel_high, monkeypatch
+    ):
+        """Only a proven-infeasible LP means "outside"; a failure propagates."""
+        import scipy.optimize
+
+        def failing_linprog(*args, **kwargs):
+            return SimpleNamespace(status=4, success=False, message="numerics")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", failing_linprog)
+        evaluated = channel_high.evaluate(mabc_inner())
+        with pytest.raises(ConvergenceError):
+            feasible_rate_pair(evaluated, 0.1, 0.1)
 
 
 class TestFixedDurationSumRate:

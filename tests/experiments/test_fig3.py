@@ -1,7 +1,10 @@
 """Unit tests for the Fig. 3 harness (reduced sweep sizes for speed)."""
 
+import numpy as np
 import pytest
 
+from repro.core.capacity import compare_protocols
+from repro.core.gaussian import GaussianChannel
 from repro.core.protocols import Protocol
 from repro.experiments.config import Fig3Config
 from repro.experiments.fig3 import (
@@ -28,6 +31,27 @@ class TestSweepStructure:
     def test_row_counts(self, small_result):
         assert len(small_result.placement_rows) == 5
         assert len(small_result.symmetric_rows) == 4
+
+    def test_executor_none_is_the_vectorized_default(self, small_config):
+        def tables(executor):
+            result = fig3_result(small_config, executor=executor)
+            return np.array(
+                result.to_rows(result.placement_rows)
+                + result.to_rows(result.symmetric_rows)
+            )
+
+        assert tables(None).tobytes() == tables("vectorized").tobytes()
+
+    def test_facade_matches_highs_oracle(self, small_config, small_result):
+        """Every sweep point equals a per-point HiGHS solve on its channel."""
+        rows = small_result.placement_rows + small_result.symmetric_rows
+        for row in rows:
+            channel = GaussianChannel(gains=row.gains, power=small_config.power)
+            oracle = compare_protocols(channel, protocols=small_result.protocols)
+            for protocol, point in oracle.sum_rates.items():
+                assert row.sum_rates[protocol] == pytest.approx(
+                    point.sum_rate, abs=1e-7
+                )
 
     def test_each_row_has_the_papers_protocols(self, small_result):
         from repro.experiments.fig3 import PROTOCOL_ORDER

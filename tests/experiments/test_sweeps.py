@@ -1,15 +1,20 @@
 """Unit tests for the power-sweep and crossover utilities."""
 
+import numpy as np
 import pytest
 
 from repro.channels.gains import LinkGains
+from repro.core.capacity import compare_protocols
+from repro.core.gaussian import GaussianChannel
 from repro.core.protocols import Protocol
 from repro.exceptions import InvalidParameterError
 from repro.experiments.sweeps import (
+    SWEEP_PROTOCOLS,
     protocol_crossover_power,
     sweep_powers,
     winner_table,
 )
+from repro.information.functions import db_to_linear
 
 
 class TestPowerSweep:
@@ -39,29 +44,36 @@ class TestPowerSweep:
             sweep_powers(paper_gains, ())
 
     def test_campaign_path_matches_legacy_lp_loop(self, paper_gains):
-        """The batched campaign route reproduces the per-point LP sweep."""
+        """The batched campaign route reproduces a per-point HiGHS loop."""
         powers = (0.0, 7.5, 15.0)
         fast = sweep_powers(paper_gains, powers)
-        legacy = sweep_powers(paper_gains, powers, executor=None)
-        for fast_row, legacy_row in zip(fast, legacy):
-            assert fast_row.power_db == legacy_row.power_db
-            for protocol, value in legacy_row.sum_rates.items():
+        for fast_row, power_db in zip(fast, powers):
+            assert fast_row.power_db == power_db
+            channel = GaussianChannel(gains=paper_gains, power=db_to_linear(power_db))
+            oracle = compare_protocols(channel, protocols=SWEEP_PROTOCOLS)
+            for protocol, point in oracle.sum_rates.items():
                 assert fast_row.sum_rates[protocol] == pytest.approx(
-                    value, abs=1e-7
+                    point.sum_rate, abs=1e-7
                 )
 
-    def test_explicit_backend_is_honored(self, paper_gains):
-        """A non-default LP backend must actually run, not be shadowed by
-        the default campaign executor."""
-        simplex = sweep_powers(paper_gains, (10.0,),
-                               protocols=(Protocol.MABC,), backend="simplex")
-        default = sweep_powers(paper_gains, (10.0,),
-                               protocols=(Protocol.MABC,))
-        assert simplex[0].sum_rates[Protocol.MABC] == pytest.approx(
-            default[0].sum_rates[Protocol.MABC], abs=1e-6
-        )
-        with pytest.raises(InvalidParameterError):
-            sweep_powers(paper_gains, (10.0,), backend="bogus")
+    @pytest.mark.parametrize(
+        "rates",
+        [
+            lambda gains, powers, executor: [
+                list(row.sum_rates.values())
+                for row in sweep_powers(gains, powers, executor=executor)
+            ],
+            lambda gains, powers, executor: [
+                row[2] for row in winner_table(gains, powers, executor=executor)
+            ],
+        ],
+        ids=["sweep_powers", "winner_table"],
+    )
+    def test_executor_none_is_the_vectorized_default(self, paper_gains, rates):
+        powers = (0.0, 7.5, 15.0)
+        default = np.array(rates(paper_gains, powers, None))
+        vectorized = np.array(rates(paper_gains, powers, "vectorized"))
+        assert default.tobytes() == vectorized.tobytes()
 
 
 class TestCrossover:

@@ -1,11 +1,11 @@
-"""Property-based cross-validation of the two LP backends."""
+"""Property-based checks of HiGHS solutions through the LP facade."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import InfeasibleProblemError, UnboundedProblemError
+from repro.exceptions import InfeasibleProblemError
 from repro.optimize.linprog import LinearProgram, solve_lp
 
 seeds = st.integers(min_value=0, max_value=2 ** 31 - 1)
@@ -27,7 +27,7 @@ def random_bounded_lp(seed: int) -> LinearProgram:
     return LinearProgram(c=c, a_ub=a_ub, b_ub=b_ub)
 
 
-def random_simplex_lp(seed: int) -> LinearProgram:
+def random_duration_lp(seed: int) -> LinearProgram:
     """A random LP over the probability simplex (like duration problems)."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 6))
@@ -39,41 +39,43 @@ def random_simplex_lp(seed: int) -> LinearProgram:
     return LinearProgram(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
 
 
-class TestBackendAgreement:
+class TestHighsSolutions:
     @settings(max_examples=40, deadline=None)
     @given(seeds)
-    def test_bounded_lps_agree(self, seed):
+    def test_optimum_beats_sampled_feasible_points(self, seed):
         problem = random_bounded_lp(seed)
-        ours = solve_lp(problem, backend="simplex")
-        ref = solve_lp(problem, backend="scipy")
-        assert ours.objective == pytest.approx(ref.objective, abs=1e-7)
+        result = solve_lp(problem)
+        rng = np.random.default_rng(seed)
+        caps = problem.b_ub[-problem.n_variables :]
+        points = rng.uniform(0.0, 1.0, size=(200, problem.n_variables)) * caps
+        feasible = np.all(points @ problem.a_ub.T <= problem.b_ub, axis=1)
+        assert np.all(points[feasible] @ problem.c >= result.objective - 1e-9)
 
     @settings(max_examples=40, deadline=None)
     @given(seeds)
-    def test_simplex_constrained_lps_agree(self, seed):
-        problem = random_simplex_lp(seed)
+    def test_duration_lps_are_solved_on_the_simplex(self, seed):
+        problem = random_duration_lp(seed)
         try:
-            ref = solve_lp(problem, backend="scipy")
+            result = solve_lp(problem)
         except InfeasibleProblemError:
-            with pytest.raises(InfeasibleProblemError):
-                solve_lp(problem, backend="simplex")
             return
-        ours = solve_lp(problem, backend="simplex")
-        assert ours.objective == pytest.approx(ref.objective, abs=1e-7)
+        assert np.all(result.x >= -1e-9)
+        assert result.x.sum() == pytest.approx(1.0, abs=1e-9)
+        assert np.all(problem.a_ub @ result.x <= problem.b_ub + 1e-7)
+        assert result.objective == pytest.approx(float(problem.c @ result.x), abs=1e-9)
 
     @settings(max_examples=40, deadline=None)
     @given(seeds)
     def test_solutions_are_feasible(self, seed):
         problem = random_bounded_lp(seed)
-        for backend in ("simplex", "scipy"):
-            result = solve_lp(problem, backend=backend)
-            assert np.all(result.x >= -1e-9)
-            assert np.all(problem.a_ub @ result.x <= problem.b_ub + 1e-7)
+        result = solve_lp(problem)
+        assert np.all(result.x >= -1e-9)
+        assert np.all(problem.a_ub @ result.x <= problem.b_ub + 1e-7)
 
     @settings(max_examples=25, deadline=None)
     @given(seeds)
     def test_objective_matches_point(self, seed):
         problem = random_bounded_lp(seed)
-        result = solve_lp(problem, backend="simplex")
+        result = solve_lp(problem)
         assert result.objective == pytest.approx(float(problem.c @ result.x),
                                                  abs=1e-9)

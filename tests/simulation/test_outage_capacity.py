@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.channels.fading import sample_gain_ensemble
+from repro.core.capacity import optimal_sum_rate
+from repro.core.gaussian import GaussianChannel
 from repro.core.protocols import Protocol
 from repro.exceptions import InvalidParameterError
 from repro.simulation.outage_capacity import (
@@ -94,7 +97,7 @@ class TestOutageSumRate:
             sample_outage_curve(Protocol.DT, paper_gains, 1.0, 0, rng)
 
     def test_campaign_path_matches_legacy_lp_loop(self, paper_gains):
-        """Campaign executor and per-draw LP loop agree draw for draw."""
+        """Campaign executor and a per-draw HiGHS loop agree draw for draw."""
         fast = sample_outage_curve(
             Protocol.HBC,
             paper_gains,
@@ -102,12 +105,24 @@ class TestOutageSumRate:
             n_draws=20,
             rng=np.random.default_rng(21),
         )
-        legacy = sample_outage_curve(
-            Protocol.HBC,
-            paper_gains,
-            power=10.0,
-            n_draws=20,
-            rng=np.random.default_rng(21),
-            executor=None,
+        ensemble = sample_gain_ensemble(paper_gains, 20, np.random.default_rng(21))
+        oracle = [
+            optimal_sum_rate(Protocol.HBC, GaussianChannel(gains=draw, power=10.0))
+            for draw in ensemble
+        ]
+        np.testing.assert_allclose(
+            fast.samples, np.sort([point.sum_rate for point in oracle]), atol=1e-7
         )
-        np.testing.assert_allclose(fast.samples, legacy.samples, atol=1e-7)
+
+    def test_executor_none_is_the_vectorized_default(self, paper_gains):
+        def samples(executor):
+            return sample_outage_curve(
+                Protocol.HBC,
+                paper_gains,
+                power=10.0,
+                n_draws=20,
+                rng=np.random.default_rng(21),
+                executor=executor,
+            ).samples
+
+        assert samples(None).tobytes() == samples("vectorized").tobytes()
