@@ -19,6 +19,14 @@ their chunk artifacts into a result bitwise-identical to an unsharded
 run (executors are bitwise-equivalent and chunking is elementwise, so
 how the grid was partitioned can never change the numbers).
 
+There is one chunk loop (:func:`_run_chunked`) for every executor: it
+hands each round of missing chunks to
+:func:`repro.campaign.executors.chunk_outcomes`, which runs them as
+concurrent futures on a pool executor and one by one on any other. The
+loop owns the cache lookup, the checkpoint write, the retry accounting
+and the deadline rule; the one fault hook is
+:meth:`repro.faults.FaultToken.apply`, which travels with each job.
+
 :func:`evaluate_ensemble` is the lower-level building block for callers
 that already hold concrete channel realizations (e.g. the Monte-Carlo
 drivers, which own their RNG for backward compatibility); given a cache
@@ -32,7 +40,7 @@ import hashlib
 import time
 from collections.abc import Mapping
 from concurrent.futures import BrokenExecutor
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +62,7 @@ from .executors import (
     SerialExecutor,
     UnitBatch,
     VectorizedExecutor,
+    chunk_outcomes,
     get_executor,
 )
 from .kernel import KERNEL_VERSION
@@ -120,7 +129,7 @@ _RETRYABLE_ERRORS = (RetryableChunkError, BrokenExecutor)
 
 @dataclass
 class _ExecutionContext:
-    """Per-run fault, retry and deadline state threaded through chunk loops."""
+    """Per-run fault, retry and deadline state threaded through the chunk loop."""
 
     plan: FaultPlan | None = None
     policy: RetryPolicy = field(default_factory=RetryPolicy)
@@ -147,6 +156,15 @@ def _check_deadline(ctx: _ExecutionContext, completed: int, total: int):
             completed=completed,
             total=total,
         )
+
+
+def _chunk_jobs(tags, batches_for, plan, failures):
+    """One round's chunk jobs, built only as the executor pulls them."""
+    for tag in tags:
+        token = None
+        if plan is not None:
+            token = FaultToken(plan, tag, failures.get(tag, 0))
+        yield tag, batches_for(*tag), token
 
 
 def _retry_exhausted(chunk, failures: int, error) -> ChunkRetryExhaustedError:
@@ -346,15 +364,6 @@ def _resolve_shard(spec: CampaignSpec, shard) -> CampaignShard | None:
     return spec.shard(int(index), int(count))
 
 
-def _offset_progress(progress, base: int, total: int):
-    """Adapt an executor's call-local progress to campaign-global counts."""
-
-    def advanced(done_in_call: int, _total_in_call: int) -> None:
-        progress(base + done_in_call, total)
-
-    return advanced
-
-
 def _grid_batches(spec, flat_gains, start, stop):
     """Unit batches covering flat grid units ``[start, stop)``, in order.
 
@@ -413,7 +422,7 @@ def _grid_batches(spec, flat_gains, start, stop):
     return [UnitBatch.concatenate(run) for run in runs]
 
 
-def _run_chunk_futures(
+def _run_chunked(
     key,
     unit_range,
     batches_for,
@@ -425,21 +434,27 @@ def _run_chunk_futures(
     progress,
     ctx=None,
 ):
-    """Evaluate a flat unit range as concurrent chunk futures.
+    """Evaluate a flat unit range chunk by chunk, checkpointing each one.
 
-    The chunk-future seam: every chunk missing from ``store`` is handed
-    to ``executor.run_chunks`` in one submission, results arrive in
-    completion order (whichever worker frees up first steals the next
-    chunk), and each finished chunk is checkpointed immediately — a slow
-    chunk never delays the durability of a fast one. Reassembly is by
+    The engine's one chunk loop, for every executor. Every chunk is
+    first looked up in ``store`` (a verified hit skips the executor
+    entirely); the missing ones go to :func:`chunk_outcomes` as one lazy
+    round of jobs. A pool executor runs them as concurrent futures
+    (whichever worker frees up first steals the next chunk), an
+    in-process one runs them in order; either way each finished chunk is
+    checkpointed the moment its outcome arrives, when the executor is
+    cache-trusted, and progress ticks once per chunk. Reassembly is by
     chunk range, so completion order cannot change the result.
 
     Failed chunks arrive as :class:`ChunkFailure` outcomes: retryable
     ones (transient chunk errors, a broken pool — by then healed by the
     executor) are re-submitted in the next round with per-chunk attempt
     accounting and deterministic backoff, everything else propagates
-    immediately.  Chunks that completed before a failure stay
-    checkpointed either way.  Returns ``(flat_values, cells_from_cache,
+    immediately. Chunks that completed before a failure stay
+    checkpointed either way. The deadline is checked before each round
+    and after each outcome while chunks of the round remain; stopping
+    early starts no further chunk. Retry, deadline and fault-injection
+    state ride in ``ctx``. Returns ``(flat_values, cells_from_cache,
     cells_computed)``.
     """
     if ctx is None:
@@ -469,34 +484,33 @@ def _run_chunk_futures(
                 stack.enter_context(reserve())
             while pending:
                 _check_deadline(ctx, done, total)
-                jobs = []
-                for tag in pending:
-                    if ctx.plan is None:
-                        jobs.append((tag, batches_for(*tag)))
-                    else:
-                        token = FaultToken(ctx.plan, tag, failures.get(tag, 0))
-                        jobs.append((tag, batches_for(*tag), token))
+                jobs = _chunk_jobs(pending, batches_for, ctx.plan, failures)
+                remaining = len(pending)
                 retry_tags = []
-                for tag, outcome in executor.run_chunks(jobs):
-                    if isinstance(outcome, ChunkFailure):
-                        error = outcome.error
-                        if not isinstance(error, _RETRYABLE_ERRORS):
-                            raise error
-                        count = failures.get(tag, 0) + 1
-                        failures[tag] = count
-                        if count >= ctx.policy.max_attempts:
-                            raise _retry_exhausted(tag, count, error) from error
-                        ctx.chunk_retries += 1
-                        retry_tags.append(tag)
-                        continue
-                    lo, hi = tag
-                    values_by_range[tag] = outcome
-                    cells_computed += hi - lo
-                    done += hi - lo
-                    if store is not None and trusted:
-                        store.store_chunk(key, lo, hi, outcome, meta)
-                    if progress is not None:
-                        progress(done, total)
+                with closing(chunk_outcomes(executor, jobs)) as outcomes:
+                    for tag, outcome in outcomes:
+                        remaining -= 1
+                        if isinstance(outcome, ChunkFailure):
+                            error = outcome.error
+                            if not isinstance(error, _RETRYABLE_ERRORS):
+                                raise error
+                            count = failures.get(tag, 0) + 1
+                            failures[tag] = count
+                            if count >= ctx.policy.max_attempts:
+                                raise _retry_exhausted(tag, count, error) from error
+                            ctx.chunk_retries += 1
+                            retry_tags.append(tag)
+                        else:
+                            lo, hi = tag
+                            values_by_range[tag] = outcome
+                            cells_computed += hi - lo
+                            done += hi - lo
+                            if store is not None and trusted:
+                                store.store_chunk(key, lo, hi, outcome, meta)
+                            if progress is not None:
+                                progress(done, total)
+                        if remaining:
+                            _check_deadline(ctx, done, total)
                 pending = retry_tags
                 if pending:
                     delay = ctx.policy.delay(max(failures[t] for t in pending))
@@ -507,103 +521,6 @@ def _run_chunk_futures(
         if ranges
         else np.zeros(0)
     )
-    return flat, cells_from_cache, cells_computed
-
-
-def _run_chunk_with_retry(executor, batches_for, chunk, sub_progress, ctx):
-    """One chunk through an in-process ``executor.run``, with retries.
-
-    Fault injection is armed per attempt through the engine-side
-    ``chunk_guard`` (pool executors take the chunk-future path, whose
-    workers apply a :class:`FaultToken` themselves).  Backoff is the
-    policy's deterministic schedule; exhaustion raises a single typed
-    :class:`ChunkRetryExhaustedError` naming the chunk.
-    """
-    lo, hi = chunk
-    failures = 0
-    while True:
-        try:
-            if ctx.plan is not None:
-                ctx.plan.chunk_guard(chunk, failures)
-            value_arrays = executor.run(batches_for(lo, hi), progress=sub_progress)
-            return np.concatenate(value_arrays)
-        except _RETRYABLE_ERRORS as error:
-            failures += 1
-            if failures >= ctx.policy.max_attempts:
-                raise _retry_exhausted(chunk, failures, error) from error
-            ctx.chunk_retries += 1
-            delay = ctx.policy.delay(failures)
-            if delay > 0.0:
-                time.sleep(delay)
-
-
-def _run_chunked(
-    key,
-    unit_range,
-    batches_for,
-    meta,
-    store,
-    trusted,
-    executor,
-    chunk_size,
-    progress,
-    ctx=None,
-):
-    """Evaluate a flat unit range chunk by chunk, checkpointing each one.
-
-    Every chunk is first looked up in ``store`` (a verified hit skips the
-    executor entirely); freshly computed chunks are written back
-    immediately when the executor is cache-trusted, so an interrupted run
-    resumes from its last completed chunk. Executors exposing the
-    chunk-future seam (``run_chunks``, i.e. the process pool) evaluate
-    their chunks concurrently via :func:`_run_chunk_futures`; in-process
-    executors run this sequential loop — either way, chunking is
-    elementwise and the values are identical.
-    Retry, deadline and fault-injection state ride in ``ctx``.  Returns
-    ``(flat_values, cells_from_cache, cells_computed)``.
-    """
-    if hasattr(executor, "run_chunks"):
-        return _run_chunk_futures(
-            key,
-            unit_range,
-            batches_for,
-            meta,
-            store,
-            trusted,
-            executor,
-            chunk_size,
-            progress,
-            ctx,
-        )
-    if ctx is None:
-        ctx = _ExecutionContext()
-    start, stop = unit_range
-    total = stop - start
-    pieces = []
-    done = 0
-    cells_from_cache = 0
-    cells_computed = 0
-    for lo, hi in chunk_ranges(start, stop, chunk_size):
-        values = store.load_chunk(key, lo, hi) if store is not None else None
-        if values is None:
-            _check_deadline(ctx, done, total)
-            sub_progress = None
-            if progress is not None:
-                sub_progress = _offset_progress(progress, done, total)
-            values = _run_chunk_with_retry(
-                executor, batches_for, (lo, hi), sub_progress, ctx
-            )
-            cells_computed += hi - lo
-            if store is not None and trusted:
-                store.store_chunk(key, lo, hi, values, meta)
-            done += hi - lo
-        else:
-            cells_from_cache += hi - lo
-            done += hi - lo
-            if progress is not None:
-                progress(done, total)
-        pieces.append(values)
-    flat = np.concatenate(pieces) if pieces else np.zeros(0)
     return flat, cells_from_cache, cells_computed
 
 
@@ -639,7 +556,9 @@ def run_campaign(
         an interrupted campaign resumes from cache instead of restarting.
     progress:
         Optional callable ``progress(done_units, total_units)`` invoked as
-        evaluation advances (and once on a cache hit). For a shard run the
+        evaluation advances (and once on a cache hit). A chunked run ticks
+        once per completed chunk on every executor; the one-pass path
+        ticks at the executor's own granularity. For a shard run the
         totals are shard-local.
     shard:
         ``None`` evaluates the whole grid. A :class:`CampaignShard` (or
@@ -666,9 +585,11 @@ def run_campaign(
     deadline:
         Optional ``time.monotonic()`` timestamp after which the run
         aborts at the next chunk boundary with
-        :class:`~repro.exceptions.CampaignTimeoutError`. Completed chunks
-        stay checkpointed, and a fully-cached spec is still served even
-        past the deadline (reads are cheap; only fresh compute is cut).
+        :class:`~repro.exceptions.CampaignTimeoutError`, on every
+        executor; a pool's unstarted chunk futures are cancelled.
+        Completed chunks stay checkpointed, and a fully-cached spec is
+        still served even past the deadline (reads are cheap; only fresh
+        compute is cut).
     """
     executor = get_executor(executor)
     store = _resolve_cache(cache)
@@ -898,7 +819,8 @@ def evaluate_ensemble(
         Checkpoint granularity in draws (default
         :data:`repro.campaign.spec.DEFAULT_CHUNK_SIZE`).
     progress:
-        Optional callable ``progress(done_draws, total_draws)``.
+        Optional callable ``progress(done_draws, total_draws)``; with a
+        cache or ``chunk_size`` it ticks once per completed chunk.
 
     Returns
     -------

@@ -22,6 +22,12 @@ itself as ``"process"``.
 Because all executors agree exactly, cached campaign results are keyed by
 the spec alone — never by how they were computed.
 
+The executor protocol is ``name`` plus ``run(batches, progress)``.  Pool
+executors add ``run_chunks(jobs)``; :func:`chunk_outcomes` is the one
+adapter the engine's chunk loop calls, and it serves a ``run``-only
+executor chunk by chunk, so every executor — user-supplied ones too —
+goes through the same loop, fault hook and deadline rule.
+
 The pool is *self-healing*: a dead worker (OOM kill, signal, ``os._exit``)
 breaks a ``concurrent.futures`` pool permanently, so when a reserved pool
 surfaces :class:`concurrent.futures.BrokenExecutor` the executor swaps in a
@@ -62,7 +68,7 @@ __all__ = [
 
 
 class ChunkFailure:
-    """A chunk job's failure, yielded by ``run_chunks`` in place of values.
+    """A chunk job's failure, yielded by :func:`chunk_outcomes` in place of values.
 
     The chunk-future seam reports per-chunk outcomes rather than raising
     mid-iteration: the caller learns *which* chunk failed (its tag arrives
@@ -399,7 +405,8 @@ class AsyncExecutor:
         instead of aborting the whole round — other chunks' values keep
         streaming, and the caller retries exactly the failed tags.  A
         broken pool is healed immediately (identity-guarded, so the many
-        failures one dead worker causes rebuild only once).
+        failures one dead worker causes rebuild only once).  Closing the
+        generator early cancels every future that has not started.
         """
         futures = {}
         for job in jobs:
@@ -411,24 +418,30 @@ class AsyncExecutor:
                 self._heal(pool)
                 yield tag, ChunkFailure(error)
         pending = set(futures)
-        while pending:
-            finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in finished:
-                tag = futures[future]
-                try:
-                    values = future.result()
-                except BrokenExecutor as error:
-                    self._heal(pool)
-                    yield tag, ChunkFailure(error)
-                except Exception as error:
-                    yield tag, ChunkFailure(error)
-                else:
-                    yield tag, values
+        try:
+            while pending:
+                finished, pending = wait(pending, return_when=FIRST_COMPLETED)
+                for future in finished:
+                    tag = futures[future]
+                    try:
+                        values = future.result()
+                    except BrokenExecutor as error:
+                        self._heal(pool)
+                        yield tag, ChunkFailure(error)
+                    except Exception as error:
+                        yield tag, ChunkFailure(error)
+                    else:
+                        yield tag, values
+        finally:
+            # A caller that stops early (deadline, fatal error) frees the
+            # workers: futures that have not started never will.
+            for future in pending:
+                future.cancel()
 
     def run_chunks(self, jobs):
         """Evaluate chunk jobs, yielding outcomes in completion order.
 
-        The engine's chunk-future seam: each job — ``(tag, batches)`` or
+        The pool side of :func:`chunk_outcomes`: each job — ``(tag, batches)`` or
         ``(tag, batches, fault_token)`` — becomes one pool future and is
         yielded as ``(tag, values)`` the moment it completes, so the caller
         can checkpoint finished chunks while slower ones are still in
@@ -476,6 +489,35 @@ class AsyncExecutor:
             parts = [pieces[key] for key in sorted(pieces) if key[0] == bi]
             results.append(np.concatenate(parts) if parts else np.zeros(0))
         return results
+
+
+def chunk_outcomes(executor, jobs):
+    """Evaluate chunk jobs on any executor, yielding per-chunk outcomes.
+
+    The engine's one chunk seam.  A pool executor's own ``run_chunks``
+    serves the jobs concurrently, in completion order.  Any other
+    executor — the in-process ones and user-supplied ``run``-only
+    executors — evaluates one job at a time, in job order: the job's
+    :class:`~repro.faults.FaultToken` (if not ``None``) is applied with
+    ``in_worker=False``, then the chunk's batches go through
+    ``executor.run``.  Either way a job ``(tag, batches, token)`` yields
+    ``(tag, values)`` or ``(tag, ChunkFailure(error))``.
+
+    Lazy on both sides: the next job is pulled only after the previous
+    outcome was consumed, so a caller that stops iterating (a fatal
+    error, a passed deadline) starts no further chunk.
+    """
+    if hasattr(executor, "run_chunks"):
+        yield from executor.run_chunks(jobs)
+        return
+    for tag, batches, fault in jobs:
+        try:
+            if fault is not None:
+                fault.apply(in_worker=False)
+            outcome = np.concatenate(executor.run(batches))
+        except Exception as error:
+            outcome = ChunkFailure(error)
+        yield tag, outcome
 
 
 class MultiprocessExecutor(AsyncExecutor):

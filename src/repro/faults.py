@@ -26,8 +26,9 @@ Fault kinds
 
 ``chunk-error``
     Raise :class:`InjectedChunkError` (a :class:`RetryableChunkError`) from
-    chunk evaluation — in the pool worker for process executors, engine-side
-    for in-process executors.
+    chunk evaluation.  Every executor fires it through the same hook,
+    :meth:`FaultToken.apply`: in the pool worker for pool executors, and
+    just before ``executor.run`` for in-process ones.
 ``worker-death``
     ``os._exit`` inside the pool worker evaluating the chunk, breaking the
     process pool.  Only fires inside a worker (``in_worker=True``); for
@@ -198,25 +199,6 @@ class FaultPlan:
                 return rule
         return None
 
-    def chunk_guard(self, chunk_range, attempt: int, *, in_worker: bool = False):
-        """Apply chunk-level faults for ``chunk_range`` on ``attempt``.
-
-        ``worker-death`` only fires when ``in_worker`` is true — in-process
-        executors must not take the whole interpreter down.  ``chunk-error``
-        raises :class:`InjectedChunkError` wherever evaluation runs.
-        """
-
-        lo, hi = chunk_range
-        site = chunk_site(lo, hi)
-        rule = self.decide("worker-death", site, attempt)
-        if rule is not None and in_worker:
-            os._exit(rule.exit_code)
-        rule = self.decide("chunk-error", site, attempt)
-        if rule is not None:
-            raise InjectedChunkError(
-                f"injected transient fault at {site} on attempt {attempt}"
-            )
-
     def to_dict(self) -> dict:
         return {"seed": self.seed, "rules": [rule.to_dict() for rule in self.rules]}
 
@@ -265,10 +247,12 @@ class FaultPlan:
 class FaultToken:
     """A plan bound to one chunk attempt, picklable into pool workers.
 
-    Pool executors forward the token to their worker entry point, which
-    calls :meth:`apply` before evaluating — so ``worker-death`` genuinely
-    kills a pool process and ``chunk-error`` raises from inside the worker,
-    exercising the real failure paths rather than simulations of them.
+    The one chunk fault hook.  Pool executors forward the token to their
+    worker entry point, which calls :meth:`apply` before evaluating — so
+    ``worker-death`` genuinely kills a pool process and ``chunk-error``
+    raises from inside the worker, exercising the real failure paths rather
+    than simulations of them.  In-process executors apply it with
+    ``in_worker=False`` (:func:`repro.campaign.executors.chunk_outcomes`).
     """
 
     plan: FaultPlan
@@ -276,7 +260,21 @@ class FaultToken:
     attempt: int
 
     def apply(self, *, in_worker: bool = True):
-        self.plan.chunk_guard(self.chunk, self.attempt, in_worker=in_worker)
+        """Fire this chunk attempt's faults before it is evaluated.
+
+        ``worker-death`` only fires when ``in_worker`` is true — in-process
+        executors must not take the whole interpreter down.  ``chunk-error``
+        raises :class:`InjectedChunkError` wherever evaluation runs.
+        """
+
+        site = chunk_site(*self.chunk)
+        rule = self.plan.decide("worker-death", site, self.attempt)
+        if rule is not None and in_worker:
+            os._exit(rule.exit_code)
+        if self.plan.decide("chunk-error", site, self.attempt) is not None:
+            raise InjectedChunkError(
+                f"injected transient fault at {site} on attempt {self.attempt}"
+            )
 
 
 class FaultInjector:

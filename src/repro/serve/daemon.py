@@ -41,8 +41,7 @@ import socket as socket_module
 import time
 from dataclasses import dataclass, field
 
-from ..campaign.cache import CampaignCache
-from ..campaign.engine import _cache_key, run_campaign
+from ..campaign.engine import _cache_key, _resolve_cache, run_campaign
 from ..campaign.executors import get_executor
 from ..exceptions import CampaignTimeoutError, InvalidParameterError, ReproError
 from ..faults import FaultInjector, FaultPlan
@@ -146,17 +145,6 @@ class _Job:
             queue.put_nowait(item)
 
 
-def _resolve_store(cache):
-    """Normalize the config's cache selector to a store (or ``None``)."""
-    if cache is None or cache is False:
-        return None
-    if cache is True:
-        return CampaignCache()
-    if isinstance(cache, CampaignCache):
-        return cache
-    return CampaignCache(cache)
-
-
 def _socket_in_use(path: str) -> bool:
     """Whether a live server is already listening on ``path``."""
     probe = socket_module.socket(socket_module.AF_UNIX, socket_module.SOCK_STREAM)
@@ -176,7 +164,7 @@ class CampaignServer:
 
     def __init__(self, config: ServeConfig, fault_plan: FaultPlan | None = None):
         self.config = config
-        self._store = _resolve_store(config.cache)
+        self._store = _resolve_cache(config.cache)
         self._executor = get_executor(config.executor, processes=config.processes)
         # Chaos-testing seam: an armed plan injects engine faults into
         # jobs and socket faults into outbound frames.  Defaults to the
@@ -503,13 +491,14 @@ class CampaignServer:
             await self._send(
                 writer,
                 # Retryable: an identical re-request joins the still-running
-                # job (or hits the cache once it lands) — it never forks a
-                # divergent second evaluation.
+                # job (or resumes from its checkpointed chunks once the job's
+                # own deadline stopped it) — it never forks a divergent
+                # second evaluation.
                 error_event(
                     rid,
                     "timeout",
-                    f"no result within {timeout} s; the job keeps running "
-                    "and will be served from cache when done",
+                    f"no result within {timeout} s; a retry joins the job "
+                    "or resumes from its checkpointed chunks",
                     retryable=True,
                 ),
             )
@@ -569,8 +558,9 @@ class CampaignServer:
         """Run one campaign synchronously (called in a worker thread).
 
         The request's timeout propagates into the chunk loop as a
-        monotonic deadline: the engine aborts between chunks once it
-        passes, so an abandoned request stops consuming pool workers
+        monotonic deadline: on every executor the engine aborts between
+        chunks once it passes and cancels the pool futures that have not
+        started, so an abandoned request stops consuming pool workers
         instead of computing to completion for nobody.  Completed chunks
         stay checkpointed — a retry resumes from them.
         """

@@ -14,6 +14,7 @@ import pytest
 
 from repro.campaign.cache import CampaignCache
 from repro.campaign.engine import RetryPolicy, run_campaign
+from repro.campaign.executors import get_executor
 from repro.campaign.spec import CampaignSpec, FadingSpec
 from repro.core.protocols import Protocol
 from repro.exceptions import (
@@ -178,7 +179,10 @@ class TestChunkRetry:
         assert excinfo.value.chunk == (16, 32)
         assert excinfo.value.attempts == FAST_RETRY.max_attempts
 
-    def test_completed_chunks_survive_exhaustion(self, spec, reference, tmp_path):
+    @pytest.mark.parametrize("executor", ["serial", "async"])
+    def test_completed_chunks_survive_exhaustion(
+        self, spec, reference, tmp_path, executor
+    ):
         cache = CampaignCache(tmp_path)
         plan = FaultPlan(
             rules=(FaultRule(kind="chunk-error", site=chunk_site(32, 48), times=None),)
@@ -186,16 +190,35 @@ class TestChunkRetry:
         with pytest.raises(ChunkRetryExhaustedError):
             run_campaign(
                 spec,
-                executor="serial",
+                executor=get_executor(executor, processes=2),
                 cache=cache,
                 chunk_size=16,
                 fault_plan=plan,
                 retry=FAST_RETRY,
             )
-        # The chunks before the poisoned one were checkpointed; a clean
-        # rerun resumes from them and converges bitwise.
+        # Every chunk but the poisoned one was checkpointed in the first
+        # round; a clean rerun resumes from them and converges bitwise.
         result = run_campaign(spec, cache=cache, chunk_size=16)
-        assert result.cells_from_cache >= 32
+        assert result.cells_from_cache == spec.n_units - 16
+        assert result.values.tobytes() == reference.values.tobytes()
+
+    @pytest.mark.parametrize("executor", ["serial", "vectorized"])
+    def test_worker_death_is_a_no_op_in_process(
+        self, spec, reference, tmp_path, executor
+    ):
+        # In-process executors apply the fault token with in_worker=False:
+        # killing the worker would kill the interpreter itself.
+        plan = FaultPlan(rules=(FaultRule(kind="worker-death", times=None),))
+        result = run_campaign(
+            spec,
+            executor=executor,
+            cache=tmp_path,
+            chunk_size=16,
+            fault_plan=plan,
+            retry=FAST_RETRY,
+        )
+        assert result.chunk_retries == 0
+        assert result.pool_rebuilds == 0
         assert result.values.tobytes() == reference.values.tobytes()
 
     def test_fatal_errors_are_not_retried(self, spec, tmp_path):
@@ -268,13 +291,14 @@ class TestDeadline:
         assert excinfo.value.completed == 0
         assert excinfo.value.total == spec.n_units
 
-    def test_checkpointed_chunks_count_as_completed(self, spec, tmp_path):
+    @pytest.mark.parametrize("executor", ["serial", "async"])
+    def test_checkpointed_chunks_count_as_completed(self, spec, tmp_path, executor):
         import time
 
         cache = CampaignCache(tmp_path)
         full = run_campaign(spec, cache=cache, chunk_size=16)
-        # Drop the full entry and one chunk: the rerun serves the leading
-        # checkpoints, then hits the expired deadline at the gap.
+        # Drop the full entry and one chunk: the rerun serves every other
+        # checkpoint, then hits the expired deadline before the gap.
         from repro.campaign.engine import _cache_key
 
         key = _cache_key(spec)
@@ -283,11 +307,12 @@ class TestDeadline:
         with pytest.raises(CampaignTimeoutError) as excinfo:
             run_campaign(
                 spec,
+                executor=get_executor(executor, processes=2),
                 cache=cache,
                 chunk_size=16,
                 deadline=time.monotonic() - 1.0,
             )
-        assert excinfo.value.completed == 32
+        assert excinfo.value.completed == spec.n_units - 16
         # The full-entry hot path still serves even past the deadline:
         # reads are cheap, only fresh compute is cut.
         cache.store(key, full.values, spec.to_dict())
@@ -296,3 +321,36 @@ class TestDeadline:
         )
         assert served.from_cache
         assert served.values.tobytes() == full.values.tobytes()
+
+    @pytest.mark.parametrize("executor", ["serial", "vectorized", "async"])
+    def test_deadline_stops_every_executor(self, spec, reference, tmp_path, executor):
+        import time
+
+        deadline = time.monotonic() + 1.0
+
+        def wait_out_deadline(done, total):
+            # Called once the first chunk lands: let the deadline pass.
+            while time.monotonic() < deadline:
+                time.sleep(0.01)
+
+        cache = CampaignCache(tmp_path)
+        with pytest.raises(CampaignTimeoutError) as excinfo:
+            run_campaign(
+                spec,
+                executor=get_executor(executor, processes=2),
+                cache=cache,
+                chunk_size=16,
+                progress=wait_out_deadline,
+                deadline=deadline,
+            )
+        completed = excinfo.value.completed
+        assert 0 < completed < spec.n_units
+        assert excinfo.value.total == spec.n_units
+        resumed = run_campaign(
+            spec,
+            executor=get_executor(executor, processes=2),
+            cache=cache,
+            chunk_size=16,
+        )
+        assert resumed.cells_from_cache == completed
+        assert resumed.values.tobytes() == reference.values.tobytes()
