@@ -23,7 +23,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .campaign.engine import CampaignResult, evaluate_ensemble, gather_campaign, run_campaign
+from .campaign.engine import (
+    CampaignResult,
+    evaluate_ensemble,
+    gather_campaign,
+    run_campaign,
+)
 from .core.protocols import Protocol
 from .exceptions import InvalidParameterError
 from .scenarios.base import Scenario

@@ -597,9 +597,7 @@ def run_campaign(
     if chunk_size is not None and chunk_size < 1:
         raise InvalidParameterError(f"chunk size must be positive, got {chunk_size}")
     plan = fault_plan if fault_plan is not None else FaultPlan.from_env()
-    ctx = _ExecutionContext(
-        plan=plan, policy=_resolve_retry(retry), deadline=deadline
-    )
+    ctx = _ExecutionContext(plan=plan, policy=_resolve_retry(retry), deadline=deadline)
     if plan is not None and store is not None and plan.has("torn-write"):
         store = store.with_injector(FaultInjector(plan))
     rebuilds_before = getattr(executor, "pool_rebuilds", 0)

@@ -13,21 +13,38 @@ At fixed durations the optimum is the closed form
 equivalent to maximizing a *minimum of linear functions of Δ* over the
 simplex — a max-min problem whose optimum sits at an equalization point of
 at most ``L`` active functions. This module solves **many such problems at
-once** by stacking the candidate equalization systems of every ensemble
-member into batched NumPy linear solves; no per-unit Python LP calls, no
-scipy round trips.
+once**: for every ensemble member and every candidate support it writes the
+equalization solve out in closed form, elementwise along the batch axis; no
+per-unit Python LP calls, no scipy round trips, no LAPACK.
 
-Correctness does not rest on tolerance thresholds: every candidate duration
-vector is clipped to the simplex and its *achieved* value recomputed as the
-true min over all functions, so each candidate is a certified lower bound
-and the enumeration attains the optimum at the optimal support. The kernel
-is cross-validated against the HiGHS oracle
-(:func:`repro.optimize.solve_lp`) in the test suite.
+Closed-form solve. A support pairs ``k`` functions with ``k`` phases; its
+``k × k`` coefficient block ``F`` equalizes when ``F Δ_S = v·1`` with
+``1ᵀΔ_S = 1``, i.e. the bordered system ``[F −1; 1ᵀ 0] [Δ_S; v] = [0; 1]``.
+Its solution is ``Δ_S = w / Σw`` with ``w = adj(F)·1``, where ``w_i =
+det(F with column i replaced by ones)``. Subtracting row 0 from the other
+rows (the edge rows ``E``) turns that column into ``e_0``, so ``w_i =
+(−1)^i · det(E without column i)``: the generalized cross product of the
+``k − 1`` edge rows, written out for ``k = 2, 3, 4``. By the Schur
+complement, ``Σw = 1ᵀ adj(F) 1 = det F · 1ᵀF⁻¹1 = det[F −1; 1ᵀ 0]``: the
+bordered determinant, which :data:`_DET_FLOOR` guards. Candidate
+durations are ``max(w/Σw, 0)``, renormalized. The explicit forms stop at
+``k = 4``, so the kernel refuses more than four phases; the five protocols
+have at most four.
+
+Correctness does not rest on tolerance thresholds: each candidate is
+re-scored on its own ``k`` phases (every other phase has ``Δ = 0``) as the
+true min over *all* functions, so it is the value of a feasible point of
+the LP — a certified lower bound however badly its solve rounded — and the
+enumeration attains the optimum at the optimal support. The kernel is
+cross-validated against the HiGHS oracle (:func:`repro.optimize.solve_lp`)
+in the test suite.
 
 All operations are elementwise along the batch axis, so evaluating a batch
 of ``N`` units produces bit-for-bit the same values as ``N`` batch-of-one
 evaluations — the property the campaign executors rely on to make serial,
-multiprocessing and vectorized execution interchangeable.
+multiprocessing and vectorized execution interchangeable. It is also what
+lets the kernel walk a large batch in fixed slices of units, which bounds
+its working set without changing a bit.
 """
 
 from __future__ import annotations
@@ -52,17 +69,28 @@ __all__ = ["KERNEL_VERSION", "batched_sum_rates", "mi_value_table"]
 #: .sample_gain_ensemble` and :meth:`CampaignSpec.sample_gain_draws`).
 #: Part of the campaign cache key, so stale on-disk results are never
 #: served across versions.
-KERNEL_VERSION = 1
+KERNEL_VERSION = 2
 
 _MI_KEYS = tuple(MiKey)
 _MI_INDEX = {key: i for i, key in enumerate(_MI_KEYS)}
 
-#: Determinants smaller than this are treated as exactly singular and the
-#: corresponding candidate system skipped (its support is represented by
-#: another candidate).  Ill-conditioned systems above the floor are solved
-#: anyway: their candidates are re-certified from scratch, so a bad solve
-#: can only yield a suboptimal feasible point, never an overestimate.
+#: Bordered determinants ``Σw = det[F −1; 1ᵀ 0]`` smaller than this in
+#: magnitude are treated as exactly singular and the candidate skipped (its
+#: support is represented by another candidate). Ill-conditioned supports
+#: above the floor are solved anyway: every candidate is re-certified from
+#: scratch, so a bad solve can only yield a suboptimal feasible point, never
+#: an overestimate.
 _DET_FLOOR = 1e-30
+
+#: Largest support the closed-form solves cover (the five protocols' max).
+_MAX_PHASES = 4
+
+#: Units per kernel pass. Every temporary is ``(units, candidates)`` or
+#: ``(units, functions, candidates)``, so slicing the batch bounds the
+#: working set (about 1 MB for HBC at 128 units, against 6 MB for a
+#: 750-unit block in one pass) at the same speed. Values do not depend on
+#: it: all arithmetic is elementwise along the batch axis.
+_CELLS_PER_PASS = 128
 
 
 def _node_power_columns(power):
@@ -278,7 +306,15 @@ def _objective_functions(
 
 @lru_cache(maxsize=None)
 def _support_candidates(n_functions: int, n_phases: int):
-    """All (function subset, phase subset) pairs of equal size ``k >= 2``."""
+    """All (function subset, phase subset) pairs of equal size ``k >= 2``.
+
+    The equalization solves are written out for ``k <= 4`` only (see
+    :func:`_ones_cofactors`), so more than four phases are refused.
+    """
+    if n_phases > _MAX_PHASES:
+        raise InvalidParameterError(
+            f"the analytic kernel solves at most {_MAX_PHASES} phases, got {n_phases}"
+        )
     candidates = []
     for k in range(2, n_phases + 1):
         if k > n_functions:
@@ -295,51 +331,99 @@ def _support_candidates(n_functions: int, n_phases: int):
     return tuple(candidates)
 
 
+def _ones_cofactors(edges):
+    """``adj(F)·1`` of a ``k × k`` support block, from its edge rows.
+
+    ``edges`` holds rows ``1..k-1`` of ``E`` — the block ``F`` with row 0
+    subtracted — as ``k-1`` lists of ``k`` arrays. Entry ``i`` of the
+    result is ``(-1)^i · det(E without column i)``, which equals
+    ``det(F with column i replaced by ones)``: the generalized cross
+    product of the edge rows, written out for ``k = 2, 3, 4``.
+    """
+    if len(edges) == 1:
+        ((e0, e1),) = edges
+        return [e1, -e0]
+    if len(edges) == 2:
+        (a0, a1, a2), (b0, b1, b2) = edges
+        return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = edges
+    # The six 2x2 minors of the last two edge rows, shared by all four
+    # 3x3 determinants (Laplace expansion along the first edge row).
+    m01 = b0 * c1 - b1 * c0
+    m02 = b0 * c2 - b2 * c0
+    m03 = b0 * c3 - b3 * c0
+    m12 = b1 * c2 - b2 * c1
+    m13 = b1 * c3 - b3 * c1
+    m23 = b2 * c3 - b3 * c2
+    return [
+        a1 * m23 - a2 * m13 + a3 * m12,
+        a2 * m03 - a0 * m23 - a3 * m02,
+        a0 * m13 - a1 * m03 + a3 * m01,
+        a1 * m02 - a0 * m12 - a2 * m01,
+    ]
+
+
+def _support_durations(functions, phase_sets, function_sets):
+    """Equalizing durations of every candidate support, in closed form.
+
+    Returns ``(durations, usable)``: ``k`` arrays of shape ``(n, n_cand)``
+    holding ``Δ`` on the candidates' phases, normalized to the simplex,
+    and the mask of candidates that are not singular. A function of its
+    own so that the block, edge and cofactor temporaries are freed before
+    the re-score allocates its ``(n, F, n_cand)`` terms (peak memory).
+    """
+    k = phase_sets.shape[1]
+
+    def entry(i, j):
+        """Support block entry F[i][j] = functions[:, f_i, l_j], (n, n_cand)."""
+        return functions[:, function_sets[:, i], phase_sets[:, j]]
+
+    first = [entry(0, j) for j in range(k)]
+    edges = [[entry(i, j) - first[j] for j in range(k)] for i in range(1, k)]
+    weights = _ones_cofactors(edges)
+    # Σw is the bordered determinant det[F -1; 1ᵀ 0] (see _DET_FLOOR).
+    total = sum(weights)
+    singular = ~(np.abs(total) > _DET_FLOOR)
+    safe_total = np.where(singular, 1.0, total)
+    durations = [np.maximum(weight / safe_total, 0.0) for weight in weights]
+    mass = sum(durations)
+    usable = (mass > 0.0) & ~singular
+    safe_mass = np.where(usable, mass, 1.0)
+    return [duration / safe_mass for duration in durations], usable
+
+
 def _equalization_values(functions: np.ndarray) -> np.ndarray:
     """Best certified value over all equalization supports, per unit.
 
     ``functions`` has shape ``(n, F, L)``; the result has shape ``(n,)`` and
     equals ``max_{Δ in simplex} min_f functions[n, f] · Δ`` exactly (up to
-    floating-point rounding of the candidate systems).
+    floating-point rounding of the candidate systems). The batch is
+    evaluated :data:`_CELLS_PER_PASS` units at a time.
     """
-    n, n_functions, n_phases = functions.shape
+    return np.concatenate(
+        [
+            _equalization_pass(functions[start : start + _CELLS_PER_PASS])
+            for start in range(0, functions.shape[0], _CELLS_PER_PASS)
+        ]
+    )
+
+
+def _equalization_pass(functions: np.ndarray) -> np.ndarray:
+    """:func:`_equalization_values` for one slice of the batch."""
+    _, n_functions, n_phases = functions.shape
     # k = 1 candidates are the simplex corners: value = min_f F[n, f, l].
     corner_values = functions.min(axis=1)
     best = corner_values.max(axis=1)
     for k, phase_sets, function_sets in _support_candidates(n_functions, n_phases):
-        n_cand = phase_sets.shape[0]
-        # Equalization system per candidate: the k selected functions share
-        # a common value v on the k selected phases, and durations sum to 1:
-        #   [ F_sub  -1 ] [Δ_S]   [0]
-        #   [ 1^T     0 ] [ v ] = [1]
-        sub = functions[:, function_sets[:, :, None], phase_sets[:, None, :]]
-        systems = np.zeros((n, n_cand, k + 1, k + 1))
-        systems[:, :, :k, :k] = sub
-        systems[:, :, :k, k] = -1.0
-        systems[:, :, k, :k] = 1.0
-        rhs = np.zeros((n, n_cand, k + 1, 1))
-        rhs[:, :, k, 0] = 1.0
-        dets = np.linalg.det(systems)
-        singular = ~(np.abs(dets) > _DET_FLOOR)
-        if singular.any():
-            systems[singular] = np.eye(k + 1)
-        solutions = np.linalg.solve(systems, rhs)[..., 0]
-        # Project each candidate back onto the simplex and certify it by
-        # recomputing the min over *all* functions; garbage solutions from
-        # ill-conditioned systems therefore only ever lose.
-        durations = np.zeros((n, n_cand, n_phases))
-        np.put_along_axis(
-            durations,
-            np.broadcast_to(phase_sets[None, :, :], (n, n_cand, k)),
-            np.maximum(solutions[:, :, :k], 0.0),
-            axis=2,
+        durations, usable = _support_durations(functions, phase_sets, function_sets)
+        # Certify each candidate by re-scoring it as the min over *all*
+        # functions on its own k phases (the other phases get Δ = 0), so
+        # a bad solve can only lose, never overestimate.
+        achieved = sum(
+            functions[:, :, phase_sets[:, j]] * durations[j][:, None, :]
+            for j in range(k)
         )
-        totals = durations.sum(axis=2)
-        usable = (totals > 0.0) & ~singular
-        safe_totals = np.where(usable, totals, 1.0)
-        durations /= safe_totals[:, :, None]
-        achieved = np.einsum("nfl,ncl->ncf", functions, durations).min(axis=2)
-        achieved = np.where(usable, achieved, -np.inf)
+        achieved = np.where(usable, achieved.min(axis=1), -np.inf)
         best = np.maximum(best, achieved.max(axis=1))
     return best
 

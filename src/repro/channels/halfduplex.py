@@ -538,9 +538,7 @@ class FusedHalfDuplexMedium:
                         gain = self.complex_gains[frozenset((tx, node))]
                         clean = clean + np.real(gain * np.asarray(x))
                     signs[:, li, :] = np.sign(clean)
-                signs = signs.reshape(
-                    self.n_cells, rounds, len(listeners), n_symbols
-                )
+                signs = signs.reshape(self.n_cells, rounds, len(listeners), n_symbols)
             draws, log_lr = self.twist.apply(draws, scale, signs)
             self.phase_log_lrs.append(log_lr.reshape(-1))
         draws = draws.reshape(n_rows, len(listeners), 2, n_symbols)

@@ -83,9 +83,7 @@ class NodePowers:
             )
         missing = set(NODE_ORDER) - set(mapping)
         if missing:
-            raise InvalidParameterError(
-                f"missing powers for nodes {sorted(missing)}"
-            )
+            raise InvalidParameterError(f"missing powers for nodes {sorted(missing)}")
         return cls(pa=mapping["a"], pb=mapping["b"], pr=mapping["r"])
 
     def power(self, node: str) -> float:
@@ -127,7 +125,5 @@ def node_power(power, node: str) -> float:
     if isinstance(power, Mapping):
         return NodePowers.from_mapping(power).power(node)
     if node not in NODE_ORDER:
-        raise InvalidParameterError(
-            f"unknown node {node!r}; nodes are {NODE_ORDER}"
-        )
+        raise InvalidParameterError(f"unknown node {node!r}; nodes are {NODE_ORDER}")
     return float(power)

@@ -192,9 +192,7 @@ def _sampling_from_args(args):
         stray = [flag for flag, value in dependents.items() if value is not None]
         if stray:
             verb = "requires" if len(stray) == 1 else "require"
-            raise ValueError(
-                f"{', '.join(stray)} {verb} --importance-sampling SCALE"
-            )
+            raise ValueError(f"{', '.join(stray)} {verb} --importance-sampling SCALE")
         return None
     if args.reference:
         raise ValueError(
@@ -1176,9 +1174,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     client_sub.add_parser("ping", help="liveness probe")
     client_sub.add_parser("stats", help="serving counters and in-flight jobs")
-    client_sub.add_parser(
-        "health", help="pool, queue and fault-injection counters"
-    )
+    client_sub.add_parser("health", help="pool, queue and fault-injection counters")
     client_sub.add_parser("shutdown", help="ask the daemon to drain and exit")
     p_client.set_defaults(func=_cmd_client)
 

@@ -71,9 +71,7 @@ def cutset_support_point(
     result = solve_lp(LinearProgram(c, a_ub, b_ub, a_eq, b_eq))
     durations = np.clip(result.x[2:], 0.0, None)
     total = durations.sum()
-    durations = (
-        durations / total if total > 0 else np.full(n_phases, 1.0 / n_phases)
-    )
+    durations = durations / total if total > 0 else np.full(n_phases, 1.0 / n_phases)
     return RatePoint(
         ra=float(max(result.x[0], 0.0)),
         rb=float(max(result.x[1], 0.0)),

@@ -81,9 +81,7 @@ class Fig3Result:
 
     def best_protocol_per_row(self, rows) -> list:
         """Name of the sum-rate winner at each sweep point."""
-        return [
-            max(row.sum_rates, key=lambda p: row.sum_rates[p]).name for row in rows
-        ]
+        return [max(row.sum_rates, key=lambda p: row.sum_rates[p]).name for row in rows]
 
 
 def _facade_rows(scenario, sweep_values, executor, cache) -> tuple:

@@ -120,8 +120,9 @@ def marginal(p_joint: np.ndarray, keep_axes: Sequence[int]) -> np.ndarray:
     return np.transpose(summed, perm)
 
 
-def conditional_entropy(p_joint: np.ndarray, target_axes: Sequence[int],
-                        given_axes: Sequence[int]) -> float:
+def conditional_entropy(
+    p_joint: np.ndarray, target_axes: Sequence[int], given_axes: Sequence[int]
+) -> float:
     """Conditional entropy ``H(X_target | X_given)`` in bits.
 
     Computed as ``H(target, given) - H(given)``.
@@ -139,17 +140,21 @@ def conditional_entropy(p_joint: np.ndarray, target_axes: Sequence[int],
     return h_joint - h_given
 
 
-def mutual_information(p_joint: np.ndarray, axes_x: Sequence[int],
-                       axes_y: Sequence[int]) -> float:
+def mutual_information(
+    p_joint: np.ndarray, axes_x: Sequence[int], axes_y: Sequence[int]
+) -> float:
     """Mutual information ``I(X; Y)`` in bits between two groups of axes."""
     h_x = entropy(marginal(p_joint, axes_x))
     h_x_given_y = conditional_entropy(p_joint, axes_x, axes_y)
     return max(0.0, h_x - h_x_given_y)
 
 
-def conditional_mutual_information(p_joint: np.ndarray, axes_x: Sequence[int],
-                                   axes_y: Sequence[int],
-                                   axes_z: Sequence[int]) -> float:
+def conditional_mutual_information(
+    p_joint: np.ndarray,
+    axes_x: Sequence[int],
+    axes_y: Sequence[int],
+    axes_z: Sequence[int],
+) -> float:
     """Conditional mutual information ``I(X; Y | Z)`` in bits.
 
     Computed as ``H(X|Z) - H(X|Y,Z)``. This is the quantity appearing in the

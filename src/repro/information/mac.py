@@ -40,9 +40,11 @@ class MacPentagon:
     sum_max: float
 
     def __post_init__(self) -> None:
-        for name, value in (("rate1_max", self.rate1_max),
-                            ("rate2_max", self.rate2_max),
-                            ("sum_max", self.sum_max)):
+        for name, value in (
+            ("rate1_max", self.rate1_max),
+            ("rate2_max", self.rate2_max),
+            ("sum_max", self.sum_max),
+        ):
             if value < 0:
                 raise InvalidParameterError(f"{name} must be non-negative, got {value}")
         if self.sum_max > self.rate1_max + self.rate2_max + 1e-9:

@@ -63,8 +63,9 @@ def is_weakly_typical(p: np.ndarray, sequence: Sequence[int], eps: float) -> boo
     return abs(ll - entropy(p)) <= eps
 
 
-def is_jointly_typical(p_joint: np.ndarray, sequences: Sequence[Sequence[int]],
-                       eps: float) -> bool:
+def is_jointly_typical(
+    p_joint: np.ndarray, sequences: Sequence[Sequence[int]], eps: float
+) -> bool:
     """Joint weak typicality of parallel sequences w.r.t. a joint distribution.
 
     Parameters

@@ -97,9 +97,13 @@ class ProtocolSchedule:
 class MutualInformationOracle(TypingProtocol):
     """Evaluates the collapsed per-phase MI term ``I(X_A; Y_B | X_C)``."""
 
-    def mutual_information(self, phase_index: int, sources: frozenset,
-                           listeners: frozenset,
-                           conditioned: frozenset) -> float:
+    def mutual_information(
+        self,
+        phase_index: int,
+        sources: frozenset,
+        listeners: frozenset,
+        conditioned: frozenset,
+    ) -> float:
         """MI in bits for phase ``phase_index``; 0 if either set is empty."""
         ...  # pragma: no cover - protocol definition
 
@@ -133,18 +137,20 @@ class GaussianMIOracle:
         if self.power < 0:
             raise InvalidParameterError(f"power must be non-negative, got {self.power}")
 
-    def mutual_information(self, phase_index: int, sources: frozenset,
-                           listeners: frozenset,
-                           conditioned: frozenset) -> float:
+    def mutual_information(
+        self,
+        phase_index: int,
+        sources: frozenset,
+        listeners: frozenset,
+        conditioned: frozenset,
+    ) -> float:
         """See :class:`MutualInformationOracle`."""
         if not sources or not listeners:
             return 0.0
         listener_list = sorted(listeners)
         gram = np.eye(len(listener_list))
         for source in sorted(sources):
-            h = np.array(
-                [np.sqrt(self.gains.gain(source, j)) for j in listener_list]
-            )
+            h = np.array([np.sqrt(self.gains.gain(source, j)) for j in listener_list])
             gram = gram + self.power * np.outer(h, h)
         sign, logdet = np.linalg.slogdet(gram)
         if sign <= 0:  # pragma: no cover - Gram matrices are PD by construction
@@ -182,8 +188,9 @@ class CutConstraint:
         return float(sum(d * mi for d, mi in zip(durations, self.phase_mi)))
 
 
-def cutset_outer_bound(network: NetworkModel, schedule: ProtocolSchedule,
-                       oracle: MutualInformationOracle) -> list[CutConstraint]:
+def cutset_outer_bound(
+    network: NetworkModel, schedule: ProtocolSchedule, oracle: MutualInformationOracle
+) -> list[CutConstraint]:
     """Generate every non-vacuous Lemma-1 constraint for the protocol.
 
     Parameters
@@ -216,9 +223,12 @@ def cutset_outer_bound(network: NetworkModel, schedule: ProtocolSchedule,
             listeners = complement - phase.transmitters
             conditioned = complement & phase.transmitters
             mi_per_phase.append(
-                oracle.mutual_information(index, frozenset(sources),
-                                          frozenset(listeners),
-                                          frozenset(conditioned))
+                oracle.mutual_information(
+                    index,
+                    frozenset(sources),
+                    frozenset(listeners),
+                    frozenset(conditioned),
+                )
             )
         constraints.append(
             CutConstraint(

@@ -44,9 +44,7 @@ class CyclicGroup:
     def _check(self, *elements: int) -> None:
         for e in elements:
             if not self.contains(e):
-                raise InvalidParameterError(
-                    f"{e} is not an element of Z_{self.order}"
-                )
+                raise InvalidParameterError(f"{e} is not an element of Z_{self.order}")
 
     def add(self, x: int, y: int) -> int:
         """Group operation ``x + y (mod L)``."""

@@ -260,9 +260,7 @@ class PowerPolicy:
                     )
         if self.allocation_labels is not None:
             if self.allocations_db is None:
-                raise InvalidParameterError(
-                    "allocation labels require allocations"
-                )
+                raise InvalidParameterError("allocation labels require allocations")
             labels = tuple(str(label) for label in self.allocation_labels)
             object.__setattr__(self, "allocation_labels", labels)
             if len(labels) != len(self.allocations_db):
@@ -346,9 +344,7 @@ class PowerPolicy:
             tuple(linear_to_db(f) for f in split) for split in split_tuples
         )
         if labels is None:
-            labels = tuple(
-                f"{fa:g}/{fb:g}/{fr:g}" for fa, fb, fr in split_tuples
-            )
+            labels = tuple(f"{fa:g}/{fb:g}/{fr:g}" for fa, fb, fr in split_tuples)
         return cls(
             powers_db=(float(total_db),),
             allocations_db=allocations,

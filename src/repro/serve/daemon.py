@@ -39,7 +39,7 @@ import contextlib
 import os
 import socket as socket_module
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..campaign.engine import _cache_key, _resolve_cache, run_campaign
 from ..campaign.executors import get_executor
@@ -170,7 +170,9 @@ class CampaignServer:
         # jobs and socket faults into outbound frames.  Defaults to the
         # REPRO_FAULT_PLAN environment variable so subprocess tests can
         # arm a daemon without new CLI surface.
-        self._fault_plan = fault_plan if fault_plan is not None else FaultPlan.from_env()
+        self._fault_plan = (
+            fault_plan if fault_plan is not None else FaultPlan.from_env()
+        )
         self._faults = (
             FaultInjector(self._fault_plan) if self._fault_plan is not None else None
         )

@@ -164,9 +164,7 @@ class WeightedFerCounter:
         self.sum_sq_weights += float(
             (weights_a * weights_a).sum() + (weights_b * weights_b).sum()
         )
-        self.weighted_errors += float(
-            weights_a[err_a].sum() + weights_b[err_b].sum()
-        )
+        self.weighted_errors += float(weights_a[err_a].sum() + weights_b[err_b].sum())
         self.weighted_sq_errors += float(
             (weights_a[err_a] ** 2).sum() + (weights_b[err_b] ** 2).sum()
         )

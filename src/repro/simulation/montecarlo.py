@@ -468,9 +468,7 @@ def simulate_protocol_cells(
     if row_cap is not None and row_cap < 1:
         raise InvalidParameterError(f"row cap must be positive, got {row_cap}")
     if sampling is not None and not isinstance(sampling, ImportanceSamplingSpec):
-        raise InvalidParameterError(
-            f"{sampling!r} is not an ImportanceSamplingSpec"
-        )
+        raise InvalidParameterError(f"{sampling!r} is not an ImportanceSamplingSpec")
     bounds = wave_bounds(
         n_rounds, target_rel_error=target_rel_error, max_rounds=max_rounds
     )

@@ -129,9 +129,13 @@ def mabc_rate_pair_feasible(
     cap_sum_relay = n_mac * mac_capacity      # XOR MAC: sum = individual
     cap_a_bc = n_broadcast * (1.0 - binary_entropy(channel.crossover("b", "r")))
     cap_b_bc = n_broadcast * (1.0 - binary_entropy(channel.crossover("a", "r")))
-    return (bits_a <= cap_ra_relay and bits_a <= cap_a_bc
-            and bits_b <= cap_rb_relay and bits_b <= cap_b_bc
-            and bits_a + bits_b <= cap_sum_relay)
+    return (
+        bits_a <= cap_ra_relay
+        and bits_a <= cap_a_bc
+        and bits_b <= cap_rb_relay
+        and bits_b <= cap_b_bc
+        and bits_a + bits_b <= cap_sum_relay
+    )
 
 
 def _bsc_noise(rng: np.random.Generator, p: float, n: int) -> np.ndarray:

@@ -78,9 +78,7 @@ class TestChunkFutureSeam:
             gbr=draws[:, 2],
             power=np.full(draws.shape[0], 10.0),
         )
-        jobs = [
-            ((lo, lo + 3), [batch.slice(lo, lo + 3)]) for lo in range(0, 9, 3)
-        ]
+        jobs = [((lo, lo + 3), [batch.slice(lo, lo + 3)]) for lo in range(0, 9, 3)]
         executor = AsyncExecutor(processes=2)
         with executor.reserve():
             results = dict(executor.run_chunks(jobs))

@@ -10,7 +10,6 @@ same directory.
 
 import threading
 
-import numpy as np
 import pytest
 
 from repro.campaign.cache import CampaignCache
@@ -48,9 +47,7 @@ def _damage_one_chunk(cache, spec):
 
 
 class TestConcurrentRecovery:
-    def test_two_executors_recover_bitwise_identically(
-        self, spec, reference, tmp_path
-    ):
+    def test_two_executors_recover_bitwise_identically(self, spec, reference, tmp_path):
         cache = CampaignCache(tmp_path)
         _damage_one_chunk(cache, spec)
 
@@ -86,9 +83,7 @@ class TestConcurrentRecovery:
     def test_cache_is_healthy_after_recovery(self, spec, reference, tmp_path):
         cache = CampaignCache(tmp_path)
         _damage_one_chunk(cache, spec)
-        recovered = run_campaign(
-            spec, executor="serial", cache=cache, chunk_size=CHUNK
-        )
+        recovered = run_campaign(spec, executor="serial", cache=cache, chunk_size=CHUNK)
         assert recovered.values.tobytes() == reference.values.tobytes()
         # The recomputed run healed the store: a fresh run is a pure hit.
         healed = run_campaign(spec, executor="serial", cache=cache)
@@ -100,9 +95,7 @@ class TestConcurrentRecovery:
     ):
         cache = CampaignCache(tmp_path)
         _damage_one_chunk(cache, spec)
-        result = run_campaign(
-            spec, executor="serial", cache=cache, chunk_size=CHUNK
-        )
+        result = run_campaign(spec, executor="serial", cache=cache, chunk_size=CHUNK)
         assert result.cells_computed == CHUNK
         assert result.cells_from_cache == spec.n_units - CHUNK
         assert result.values.tobytes() == reference.values.tobytes()

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.campaign import engine
 from repro.campaign.cache import CampaignCache
 from repro.campaign.engine import evaluate_ensemble, run_campaign
 from repro.campaign.executors import MultiprocessExecutor
+from repro.campaign.kernel import KERNEL_VERSION
 from repro.campaign.spec import CampaignSpec, FadingSpec
 from repro.channels.fading import sample_gain_ensemble
 from repro.core.capacity import optimal_sum_rate
@@ -90,6 +92,22 @@ class TestCaching:
         assert second.cells_from_cache == fading_spec.n_units
         assert second.cells_computed == 0
         assert np.array_equal(first.values, second.values)
+
+    def test_older_kernel_version_is_recomputed(
+        self, fading_spec, tmp_path, monkeypatch
+    ):
+        """Entries written by kernel version 1 are never served at version 2."""
+        assert KERNEL_VERSION == 2
+        cache = CampaignCache(tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "KERNEL_VERSION", 1)
+            stale = run_campaign(fading_spec, cache=cache, chunk_size=16)
+        assert stale.cells_computed == fading_spec.n_units
+        current = run_campaign(fading_spec, cache=cache, chunk_size=16)
+        assert not current.from_cache
+        assert current.cells_from_cache == 0
+        assert current.cells_computed == fading_spec.n_units
+        assert run_campaign(fading_spec, cache=cache).from_cache
 
     def test_cache_shared_across_executors(self, fading_spec, tmp_path):
         cache = CampaignCache(tmp_path)

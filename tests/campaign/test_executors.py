@@ -83,8 +83,7 @@ def link_batch():
         gar=np.array([g.gar for g in gains]),
         gbr=np.array([g.gbr for g in gains]),
         power=np.full(6, 10**1.2),
-        link=LinkSimSpec(n_rounds=4, payload_bits=24, seed=5, code="test",
-                         crc="crc8"),
+        link=LinkSimSpec(n_rounds=4, payload_bits=24, seed=5, code="test", crc="crc8"),
         indices=np.arange(6),
     )
 

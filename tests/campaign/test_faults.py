@@ -9,7 +9,6 @@ on every replay, with no wall-clock randomness anywhere.
 
 import pickle
 
-import numpy as np
 import pytest
 
 from repro.campaign.cache import CampaignCache
@@ -157,9 +156,7 @@ class TestChunkRetry:
         self, spec, reference, tmp_path, monkeypatch
     ):
         monkeypatch.setenv(FAULT_PLAN_ENV, one_shot_chunk_error(0, 16).to_json())
-        result = run_campaign(
-            spec, cache=tmp_path, chunk_size=16, retry=FAST_RETRY
-        )
+        result = run_campaign(spec, cache=tmp_path, chunk_size=16, retry=FAST_RETRY)
         assert result.chunk_retries == 1
         assert result.values.tobytes() == reference.values.tobytes()
 

@@ -48,9 +48,7 @@ class TestBitwiseAcrossTheSeam:
 
     def test_vectorized_matches_serial_bitwise(self, reference):
         vectorized = run_campaign(importance_spec(), executor="vectorized")
-        assert (
-            vectorized.values.tobytes() == reference.values.tobytes()
-        )
+        assert vectorized.values.tobytes() == reference.values.tobytes()
 
     def test_sharded_then_gathered_matches_bitwise(self, reference, tmp_path):
         spec = importance_spec()
@@ -66,9 +64,7 @@ class TestBitwiseAcrossTheSeam:
 
     def test_proposal_changes_the_realized_values(self, reference):
         """The twist is live: vanilla values differ from biased ones."""
-        vanilla = importance_spec(
-            link_kwargs={"importance_sampling": None}
-        )
+        vanilla = importance_spec(link_kwargs={"importance_sampling": None})
         result = run_campaign(vanilla, executor="serial")
         assert result.values.tobytes() != reference.values.tobytes()
 
@@ -103,9 +99,7 @@ class TestUnresolvedAccounting:
         assert result.unresolved_cells == result.spec.n_units == 2
 
     def test_importance_sampled_unresolved_cells_are_counted(self):
-        spec = self.adaptive_spec(
-            importance_sampling={"noise_scale": 1.01}
-        )
+        spec = self.adaptive_spec(importance_sampling={"noise_scale": 1.01})
         result = run_campaign(spec, executor="serial")
         assert result.unresolved_cells == 2
 

@@ -8,7 +8,6 @@ are already checkpointed and are never recomputed.  The recovered run is
 bitwise-identical to a fault-free one.
 """
 
-import numpy as np
 import pytest
 
 from repro.campaign.engine import RetryPolicy, run_campaign
@@ -78,9 +77,7 @@ class TestWorkerDeathRecovery:
 
     def test_transient_worker_error_does_not_rebuild(self, spec, reference, tmp_path):
         executor = AsyncExecutor(processes=2)
-        plan = FaultPlan(
-            rules=(FaultRule(kind="chunk-error", site=chunk_site(0, 16)),)
-        )
+        plan = FaultPlan(rules=(FaultRule(kind="chunk-error", site=chunk_site(0, 16)),))
         result = run_campaign(
             spec,
             executor=executor,

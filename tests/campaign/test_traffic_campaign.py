@@ -51,9 +51,7 @@ class TestTrafficSpecValidation:
 
     def test_traffic_parameters_require_a_traffic_metric(self):
         with pytest.raises(InvalidParameterError, match="traffic"):
-            LinkSimSpec(
-                n_rounds=8, payload_bits=32, seed=0, traffic=TrafficSpec()
-            )
+            LinkSimSpec(n_rounds=8, payload_bits=32, seed=0, traffic=TrafficSpec())
 
     def test_stable_throughput_requires_offered_loads(self):
         with pytest.raises(InvalidParameterError, match="offered_loads"):
@@ -141,9 +139,7 @@ class TestTrafficSpecSerialization:
     def test_traffic_parameters_move_the_hash(self):
         spec = traffic_spec()
         other = traffic_spec()
-        object.__setattr__(
-            other.link.traffic, "scheduler", "opportunistic"
-        )
+        object.__setattr__(other.link.traffic, "scheduler", "opportunistic")
         assert spec.spec_hash() != CampaignSpec.from_dict(other.to_dict()).spec_hash()
 
 

@@ -34,9 +34,7 @@ class TestChannel:
         assert channel.p_mac == pytest.approx(0.05)
 
     def test_link_capacity_closed_form(self, channel):
-        assert channel.link_capacity("a", "b") == pytest.approx(
-            1 - binary_entropy(0.2)
-        )
+        assert channel.link_capacity("a", "b") == pytest.approx(1 - binary_entropy(0.2))
 
 
 class TestOracle:

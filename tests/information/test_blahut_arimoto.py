@@ -5,6 +5,7 @@ import pytest
 
 from repro.exceptions import ConvergenceError, InvalidDistributionError
 from repro.information.blahut_arimoto import blahut_arimoto, channel_capacity
+from repro.information.discrete import joint_from_channel, mutual_information
 from repro.information.functions import binary_entropy
 
 
@@ -68,3 +69,40 @@ class TestBlahutArimotoMechanics:
             matrix = raw / raw.sum(axis=1, keepdims=True)
             capacity = channel_capacity(matrix, tol=1e-9)
             assert -1e-9 <= capacity <= np.log2(3) + 1e-9
+
+
+def _property_test_channel(seed):
+    """The 3x2 channel the Blahut–Arimoto property tests draw for ``seed``."""
+    rng = np.random.default_rng(seed)
+    raw = rng.random((3, 2)) + 1e-3
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
+class TestNearDuplicateInputs:
+    """Two near-identical input rows once stalled the gap past 50,000 steps."""
+
+    @pytest.mark.parametrize("seed", [7267, 10895])
+    def test_converges_with_a_certified_gap(self, seed):
+        channel = _property_test_channel(seed)
+        result = blahut_arimoto(channel, tol=1e-6, max_iter=50_000)
+        assert 0.0 <= result.gap <= 1e-6
+        assert result.iterations < 5_000
+        joint = joint_from_channel(result.input_distribution, channel)
+        assert mutual_information(joint, [0], [1]) == pytest.approx(
+            result.capacity, abs=1e-9
+        )
+
+    @pytest.mark.parametrize("seed", [7267, 10895])
+    def test_matches_the_extreme_input_subchannel(self, seed):
+        """A binary-output capacity is attained on the two extreme rows."""
+        channel = _property_test_channel(seed)
+        extremes = channel[[np.argmin(channel[:, 0]), np.argmax(channel[:, 0])]]
+        reference = blahut_arimoto(extremes, tol=1e-12).capacity
+        capacity = blahut_arimoto(channel, tol=1e-6, max_iter=50_000).capacity
+        assert reference - 1e-6 <= capacity <= reference + 1e-12
+
+    def test_exact_duplicate_rows_match_the_deduplicated_channel(self):
+        channel = np.array([[0.9, 0.1], [0.9, 0.1], [0.2, 0.8]])
+        result = blahut_arimoto(channel, tol=1e-10)
+        reference = blahut_arimoto(channel[1:], tol=1e-12).capacity
+        assert result.capacity == pytest.approx(reference, abs=1e-10)

@@ -57,9 +57,7 @@ class TestExecutorEquivalence:
         result = evaluate(two_pair_scenario, executor=executor)
         assert result.values.tobytes() == reference.values.tobytes()
 
-    def test_values_shape_matches_the_scenario_grid(
-        self, two_pair_scenario, reference
-    ):
+    def test_values_shape_matches_the_scenario_grid(self, two_pair_scenario, reference):
         spec = two_pair_scenario.to_campaign_spec()
         assert reference.values.shape == spec.grid_shape == (2, 1, 2, 1, 4)
 

@@ -35,8 +35,7 @@ def operational_scenario():
         ),
         power=PowerPolicy.uniform(powers_db=(0.0, 12.0)),
         objective="operational_goodput",
-        link=LinkSimSpec(n_rounds=6, payload_bits=24, seed=5, code="test",
-                         crc="crc8"),
+        link=LinkSimSpec(n_rounds=6, payload_bits=24, seed=5, code="test", crc="crc8"),
     )
 
 
@@ -103,8 +102,9 @@ class TestSpecIntegration:
             topology=operational_scenario.topology,
             power=operational_scenario.power,
             objective="operational_goodput",
-            link=LinkSimSpec(n_rounds=7, payload_bits=24, seed=5,
-                             code="test", crc="crc8"),
+            link=LinkSimSpec(
+                n_rounds=7, payload_bits=24, seed=5, code="test", crc="crc8"
+            ),
         ).to_campaign_spec()
         assert other.spec_hash() != spec.spec_hash()
 
@@ -118,9 +118,7 @@ class TestSpecIntegration:
         )
         assert "link" not in spec.to_dict()
 
-    def test_scenario_round_trips_through_campaign_spec(
-        self, operational_scenario
-    ):
+    def test_scenario_round_trips_through_campaign_spec(self, operational_scenario):
         spec = operational_scenario.to_campaign_spec()
         restored = Scenario.from_campaign_spec(spec, name="restored")
         assert restored.objective == "operational_goodput"
@@ -139,9 +137,16 @@ def fading_fer_scenario():
         power=PowerPolicy.uniform(powers_db=(-2.0, 12.0)),
         fading=FadingSpec(n_draws=3, seed=13),
         objective="operational_fer",
-        link=LinkSimSpec(n_rounds=4, payload_bits=24, seed=3, code="test",
-                         crc="crc8", metric="fer", target_rel_error=0.5,
-                         max_rounds=16),
+        link=LinkSimSpec(
+            n_rounds=4,
+            payload_bits=24,
+            seed=3,
+            code="test",
+            crc="crc8",
+            metric="fer",
+            target_rel_error=0.5,
+            max_rounds=16,
+        ),
     )
 
 
@@ -169,8 +174,7 @@ class TestFadingFerScenario:
     ):
         cache = CampaignCache(tmp_path)
         for index in range(3):
-            evaluate(fading_fer_scenario, shard=(index, 3), cache=cache,
-                     chunk_size=2)
+            evaluate(fading_fer_scenario, shard=(index, 3), cache=cache, chunk_size=2)
         gathered = gather(fading_fer_scenario, cache)
         assert gathered.values.tobytes() == reference.values.tobytes()
 
@@ -191,8 +195,9 @@ class TestAdaptiveSpecSerialization:
         ]
 
     def test_adaptive_fields_serialized_only_when_set(self):
-        data = LinkSimSpec(n_rounds=6, metric="fer", target_rel_error=0.4,
-                           max_rounds=48).to_dict()
+        data = LinkSimSpec(
+            n_rounds=6, metric="fer", target_rel_error=0.4, max_rounds=48
+        ).to_dict()
         assert data["metric"] == "fer"
         assert data["target_rel_error"] == 0.4
         assert data["max_rounds"] == 48
@@ -238,9 +243,7 @@ class TestAdaptiveSpecSerialization:
         with pytest.raises(InvalidParameterError):
             LinkSimSpec(n_rounds=4, metric="ber")
 
-    def test_fer_scenario_round_trips_through_campaign_spec(
-        self, fading_fer_scenario
-    ):
+    def test_fer_scenario_round_trips_through_campaign_spec(self, fading_fer_scenario):
         spec = fading_fer_scenario.to_campaign_spec()
         restored = Scenario.from_campaign_spec(spec, name="restored")
         assert restored.objective == "operational_fer"
@@ -302,8 +305,9 @@ class TestValidation:
             LinkSimSpec(n_rounds=1, modulation="qam")
 
     def test_link_spec_codec_construction(self):
-        codec = LinkSimSpec(n_rounds=1, payload_bits=16, code="test",
-                            crc="crc8", modulation="qpsk").codec()
+        codec = LinkSimSpec(
+            n_rounds=1, payload_bits=16, code="test", crc="crc8", modulation="qpsk"
+        ).codec()
         assert codec.payload_bits == 16
         assert codec.crc.n_bits == 8
         assert codec.modulation.bits_per_symbol == 2

@@ -44,12 +44,8 @@ class TestFactories:
         for split, allocation in zip(
             ((0.25, 0.25, 0.5), UNIFORM), policy.allocations_db
         ):
-            node_powers = [
-                db_to_linear(16.0 + offset) for offset in allocation
-            ]
-            assert node_powers == pytest.approx(
-                [f * total for f in split], rel=1e-12
-            )
+            node_powers = [db_to_linear(16.0 + offset) for offset in allocation]
+            assert node_powers == pytest.approx([f * total for f in split], rel=1e-12)
 
     def test_sum_constrained_rejects_bad_splits(self):
         with pytest.raises(InvalidParameterError):

@@ -168,9 +168,7 @@ class TestDeduplication:
         second.join(timeout=30)
         served = {results["first"].served_from, results["second"].served_from}
         assert served == {"computed", "joined"}
-        assert (
-            results["first"].values.tobytes() == results["second"].values.tobytes()
-        )
+        assert results["first"].values.tobytes() == results["second"].values.tobytes()
         assert client.stats()["stats"]["computed"] == 1
 
     def test_request_after_completion_starts_fresh(self, start_server):
@@ -233,9 +231,7 @@ class TestDegradation:
         assert served.values.tobytes() == local.values.tobytes()
         # The daemon is gone: new connections are refused.
         probe = ServeClient(server.config.socket_path, timeout=5)
-        _wait_for(
-            lambda: not os.path.exists(server.config.socket_path), timeout=20
-        )
+        _wait_for(lambda: not os.path.exists(server.config.socket_path), timeout=20)
         with pytest.raises(ServeError):
             probe.ping()
 
@@ -251,9 +247,7 @@ class TestDegradation:
 class TestFacadeRoute:
     def test_evaluate_server_is_bitwise_identical(self, start_server):
         server, _ = start_server()
-        via_server = evaluate(
-            "fig4-operating-points", server=server.config.socket_path
-        )
+        via_server = evaluate("fig4-operating-points", server=server.config.socket_path)
         local = evaluate("fig4-operating-points")
         assert via_server.values.tobytes() == local.values.tobytes()
         assert via_server.executor_name.startswith("serve:")

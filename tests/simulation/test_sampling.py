@@ -39,8 +39,16 @@ FAST_CODEC = LinkCodec(payload_bits=24, code=TEST_CODE, crc=CRC8)
 GAINS = LinkGains.from_db(-7.0, 0.0, 5.0)
 
 
-def run(protocol, *, sampling=None, seed=3, n_rounds=64, gains=GAINS,
-        power=10**0.6, **kwargs):
+def run(
+    protocol,
+    *,
+    sampling=None,
+    seed=3,
+    n_rounds=64,
+    gains=GAINS,
+    power=10**0.6,
+    **kwargs,
+):
     return simulate_protocol(
         protocol,
         gains,
@@ -71,9 +79,7 @@ class TestImportanceSamplingSpec:
             ImportanceSamplingSpec(noise_scale=1.1, min_ess_fraction=-0.1)
 
     def test_to_dict_is_sparse(self):
-        assert ImportanceSamplingSpec(noise_scale=1.1).to_dict() == {
-            "noise_scale": 1.1
-        }
+        assert ImportanceSamplingSpec(noise_scale=1.1).to_dict() == {"noise_scale": 1.1}
         full = ImportanceSamplingSpec(
             noise_scale=1.1,
             noise_shift=0.2,
@@ -90,7 +96,9 @@ class TestImportanceSamplingSpec:
     def test_cell_twist_uniform_without_target(self):
         spec = ImportanceSamplingSpec(noise_scale=1.2, noise_shift=0.1)
         twist = spec.cell_twist(
-            np.array([0.1, 1.0]), np.array([1.0, 1.0]), np.array([1.0, 1.0]),
+            np.array([0.1, 1.0]),
+            np.array([1.0, 1.0]),
+            np.array([1.0, 1.0]),
             np.array([1.0, 1.0]),
         )
         assert twist.scales == pytest.approx([1.2, 1.2])
@@ -109,8 +117,7 @@ class TestImportanceSamplingSpec:
 
 
 class TestNoiseTwistMath:
-    def _manual_log_lr(self, nominal_draws, twisted, std, scales, shifts,
-                       signs):
+    def _manual_log_lr(self, nominal_draws, twisted, std, scales, shifts, signs):
         """log p(x) - log q(x) from the two Gaussian densities, by hand."""
         n_cells = len(scales)
         rows = nominal_draws.shape[0] // n_cells
@@ -129,9 +136,7 @@ class TestNoiseTwistMath:
         rng = np.random.default_rng(5)
         n_cells, rounds, n_listeners, n_symbols = 2, 7, 2, 5
         std = 0.8
-        draws = rng.normal(
-            0.0, std, size=(n_cells * rounds, n_listeners, 2, n_symbols)
-        )
+        draws = rng.normal(0.0, std, size=(n_cells * rounds, n_listeners, 2, n_symbols))
         nominal = draws.copy()
         signs = np.where(
             rng.normal(size=(n_cells, rounds, n_listeners, n_symbols)) > 0,
@@ -146,9 +151,7 @@ class TestNoiseTwistMath:
         )
         twisted = twisted.reshape(n_cells * rounds, n_listeners, 2, n_symbols)
         # Quadrature components are never touched.
-        np.testing.assert_array_equal(
-            twisted[:, :, 1, :], nominal[:, :, 1, :]
-        )
+        np.testing.assert_array_equal(twisted[:, :, 1, :], nominal[:, :, 1, :])
         expected = self._manual_log_lr(
             nominal, twisted, std, (1.3, 1.0), (0.25, 0.4), signs
         )
@@ -203,9 +206,7 @@ class TestIdentityEndToEnd:
     def test_identity_proposal_is_bitwise_invisible(self, protocol):
         """scale 1, shift 0: same counters as vanilla, unit weights."""
         vanilla = run(protocol)
-        biased = run(
-            protocol, sampling=ImportanceSamplingSpec(noise_scale=1.0)
-        )
+        biased = run(protocol, sampling=ImportanceSamplingSpec(noise_scale=1.0))
         assert biased.a_to_b == vanilla.a_to_b
         assert biased.b_to_a == vanilla.b_to_a
         assert biased.throughput == vanilla.throughput
@@ -277,9 +278,7 @@ class TestUnbiasedness:
         """Moderate-FER cell: IS and vanilla agree within 3 pooled SE."""
         gains = LinkGains.from_db(-9.0, 0.0, 0.0)
         n_rounds = 4096
-        vanilla = run(
-            Protocol.DT, gains=gains, power=1.0, n_rounds=n_rounds, seed=21
-        )
+        vanilla = run(Protocol.DT, gains=gains, power=1.0, n_rounds=n_rounds, seed=21)
         biased = run(
             Protocol.DT,
             gains=gains,

@@ -24,9 +24,7 @@ class TestPoisson:
 
     def test_rate_sets_the_mean_count(self):
         rng = np.random.default_rng(11)
-        counts = [
-            len(arrival_times("poisson", 0.5, 200.0, rng)) for _ in range(20)
-        ]
+        counts = [len(arrival_times("poisson", 0.5, 200.0, rng)) for _ in range(20)]
         assert 80 <= np.mean(counts) <= 120
 
     def test_times_are_increasing_and_inside_the_horizon(self):
@@ -71,6 +69,4 @@ class TestValidation:
 
     def test_bad_burst_size_rejected(self):
         with pytest.raises(InvalidParameterError):
-            arrival_times(
-                "bursty", 1.0, 10.0, np.random.default_rng(0), burst_size=0
-            )
+            arrival_times("bursty", 1.0, 10.0, np.random.default_rng(0), burst_size=0)
