@@ -3,17 +3,23 @@
 Three executors share one numeric kernel
 (:func:`repro.campaign.kernel.batched_sum_rates`):
 
-* :class:`SerialExecutor` — one unit at a time, in process. The reference
-  path every other executor must reproduce bit for bit.
-* :class:`VectorizedExecutor` — stacks whole batches through the kernel's
-  batched linear algebra. The kernel is elementwise along the batch axis,
-  so this too is bitwise identical to serial (asserted in the tests).
+* :class:`SerialExecutor` — one unit at a time, in process: the only
+  batch-of-one loop, and the reference every other executor must
+  reproduce bit for bit.
+* :class:`VectorizedExecutor` — sends whole batches through the kernel,
+  one call per batch.
 * :class:`AsyncExecutor` — schedules *chunk futures* over a
   ``concurrent.futures`` process pool: work units are claimed by whichever
   worker frees up first (work-stealing) instead of being pre-split, and
   the engine checkpoints each chunk the moment its future lands. Each
-  future runs the serial per-unit arithmetic, so completion order, chunking
-  and process count can never change the numbers.
+  future makes the same one-call-per-batch evaluation as the vectorized
+  executor.
+
+The batched executors equal serial because the kernel is batch-invariant:
+it is elementwise along the batch axis, so a batch of ``n`` units is
+bitwise equal to ``n`` batches of one (asserted in the tests). Batch
+size, chunking, completion order and process count therefore never
+change the numbers.
 
 The registry knows one more name: ``"process"`` resolves to
 :class:`MultiprocessExecutor`, an :class:`AsyncExecutor` that only reports
@@ -195,31 +201,27 @@ def _evaluate_link_units(batch: UnitBatch) -> np.ndarray:
     )
 
 
-def _evaluate_units_one_by_one(batch: UnitBatch) -> np.ndarray:
-    """Evaluate every unit of a batch with batch-of-one kernel calls.
+def _evaluate_batch(batch: UnitBatch) -> np.ndarray:
+    """Evaluate one batch with one kernel call.
 
-    This is the shared reference arithmetic: the serial executor calls it
-    directly and pool workers call it on their chunks, which is what makes
-    serial and process-pool results bitwise identical by construction.
-    Operational units are independently seeded by flat grid index, so the
-    same argument covers them with no per-unit slicing needed.
+    A link batch goes to :func:`_evaluate_link_units`, an analytic batch to
+    one :func:`~repro.campaign.kernel.batched_sum_rates` call. Every
+    executor evaluates through here: serial on batches of one unit, the
+    vectorized executor and pool workers on whole batches.
     """
     if batch.link is not None:
         return _evaluate_link_units(batch)
-    values = np.empty(len(batch))
-    for i in range(len(batch)):
-        values[i] = batched_sum_rates(
-            batch.protocol,
-            batch.gab[i : i + 1],
-            batch.gar[i : i + 1],
-            batch.gbr[i : i + 1],
-            batch.power[i : i + 1],
-        )[0]
-    return values
+    return batched_sum_rates(
+        batch.protocol, batch.gab, batch.gar, batch.gbr, batch.power
+    )
 
 
 class SerialExecutor:
-    """Evaluate units one at a time in the calling process."""
+    """Evaluate units one at a time in the calling process.
+
+    The one batch-of-one loop: the independent oracle the batched
+    executors are compared against.
+    """
 
     name = "serial"
 
@@ -231,7 +233,7 @@ class SerialExecutor:
         for batch in batches:
             values = np.empty(len(batch))
             for i in range(len(batch)):
-                values[i] = _evaluate_units_one_by_one(batch.slice(i, i + 1))[0]
+                values[i] = _evaluate_batch(batch.slice(i, i + 1))[0]
                 done += 1
                 if progress is not None:
                     progress(done, total)
@@ -240,7 +242,7 @@ class SerialExecutor:
 
 
 class VectorizedExecutor:
-    """Evaluate whole batches through the kernel's batched linear algebra.
+    """Evaluate whole batches in process, one kernel call per batch.
 
     Parameters
     ----------
@@ -272,15 +274,7 @@ class VectorizedExecutor:
             pieces = []
             for start in range(0, len(batch), step):
                 piece = batch.slice(start, start + step)
-                if piece.link is not None:
-                    pieces.append(_evaluate_link_units(piece))
-                else:
-                    pieces.append(
-                        batched_sum_rates(
-                            piece.protocol, piece.gab, piece.gar, piece.gbr,
-                            piece.power,
-                        )
-                    )
+                pieces.append(_evaluate_batch(piece))
                 done += len(piece)
                 if progress is not None:
                     progress(done, total)
@@ -289,17 +283,17 @@ class VectorizedExecutor:
 
 
 def _evaluate_batch_list(batches, fault=None) -> np.ndarray:
-    """Worker entry of a chunk future: serial arithmetic, concatenated.
+    """Worker entry of a chunk future: one kernel call per batch, concatenated.
 
-    One pickled call evaluates a whole chunk's batches with exactly the
-    per-unit reference arithmetic, so a chunk future's values are bitwise
-    identical to the serial executor's regardless of which worker ran it
-    or when it completed.  ``fault`` (an optional
+    One pickled call evaluates a whole chunk's batches through
+    :func:`_evaluate_batch`. Kernel batch invariance makes the values
+    bitwise identical to the serial executor's, whichever worker ran the
+    chunk and whenever it completed.  ``fault`` (an optional
     :class:`repro.faults.FaultToken`) is applied before evaluation.
     """
     if fault is not None:
         fault.apply(in_worker=True)
-    return np.concatenate([_evaluate_units_one_by_one(batch) for batch in batches])
+    return np.concatenate([_evaluate_batch(batch) for batch in batches])
 
 
 class AsyncExecutor:
@@ -317,8 +311,9 @@ class AsyncExecutor:
     One reserved pool can be shared by many concurrent campaigns (the
     ``repro serve`` daemon holds one open for its lifetime), in which
     case chunks of all in-flight requests interleave across the workers.
-    Every future runs the serial per-unit arithmetic
-    (:func:`_evaluate_batch_list`), so scheduling, completion order and
+    Every future evaluates its chunk with one kernel call per batch
+    (:func:`_evaluate_batch_list`); kernel batch invariance keeps the
+    values bitwise equal to serial, so scheduling, completion order and
     pool size can never change the numbers.
 
     The pool is *self-healing*: a ``concurrent.futures`` pool whose worker

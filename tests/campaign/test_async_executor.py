@@ -5,6 +5,7 @@ checkpoint and resume exactly like the sequential loop."""
 import numpy as np
 import pytest
 
+from repro.campaign import executors
 from repro.campaign.cache import CampaignCache
 from repro.campaign.engine import gather_campaign, run_campaign
 from repro.campaign.executors import (
@@ -13,7 +14,7 @@ from repro.campaign.executors import (
     UnitBatch,
     get_executor,
 )
-from repro.campaign.spec import CampaignSpec, FadingSpec, LinkSimSpec
+from repro.campaign.spec import CampaignSpec, FadingSpec, GridAxis, LinkSimSpec
 from repro.core.protocols import Protocol
 from repro.exceptions import InvalidParameterError
 
@@ -67,8 +68,63 @@ class TestBitwiseEquivalence:
         futures = run_campaign(op_spec, executor=AsyncExecutor(processes=2))
         assert futures.values.tobytes() == serial.values.tobytes()
 
+    def test_all_protocols_and_node_powers_match_serial(self):
+        """Per-node ``(n, 3)`` power batches, chunks that split blocks."""
+        from repro.channels.gains import LinkGains
+
+        wide_spec = CampaignSpec(
+            protocols=tuple(Protocol),
+            powers_db=(0.0, 10.0),
+            gains=(LinkGains.from_db(-7.0, 0.0, 5.0),),
+            fading=FadingSpec(n_draws=9, seed=17),
+            extra_axes=(
+                GridAxis(
+                    name="power_allocation",
+                    values=(
+                        {"node_powers_db": (0.0, 0.0, 0.0)},
+                        {"node_powers_db": (-3.0, 2.0, 4.0)},
+                    ),
+                ),
+            ),
+        )
+        serial = run_campaign(wide_spec, executor="serial")
+        vectorized = run_campaign(wide_spec, executor="vectorized")
+        assert vectorized.values.tobytes() == serial.values.tobytes()
+        for name in ("async", "process"):
+            pooled = run_campaign(
+                wide_spec,
+                executor=get_executor(name, processes=2),
+                chunk_size=7,
+            )
+            assert pooled.values.tobytes() == serial.values.tobytes(), name
+
 
 class TestChunkFutureSeam:
+    def test_one_kernel_call_per_analytic_batch(self, spec, monkeypatch):
+        draws = spec.sample_gain_draws().reshape(-1, 3)
+        batches = [
+            UnitBatch(
+                protocol=protocol,
+                gab=draws[:, 0],
+                gar=draws[:, 1],
+                gbr=draws[:, 2],
+                power=np.full(draws.shape[0], 10.0),
+            )
+            for protocol in (Protocol.TDBC, Protocol.HBC)
+        ]
+        reference = np.concatenate(SerialExecutor().run(batches))
+        calls = []
+        kernel = executors.batched_sum_rates
+
+        def counting(*args):
+            calls.append(args[0])
+            return kernel(*args)
+
+        monkeypatch.setattr(executors, "batched_sum_rates", counting)
+        values = executors._evaluate_batch_list(batches)
+        assert calls == [Protocol.TDBC, Protocol.HBC]
+        assert values.tobytes() == reference.tobytes()
+
     def test_run_chunks_yields_every_tag(self, spec):
         draws = spec.sample_gain_draws().reshape(-1, 3)
         batch = UnitBatch(
