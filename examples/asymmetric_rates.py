@@ -5,34 +5,16 @@ Run with::
     python examples/asymmetric_rates.py
 
 Bidirectional traffic is rarely symmetric — a mobile uploads less than it
-downloads. This example works the asymmetric side of the paper's theory
-and of this library:
-
-1. **Weighted-rate operating points.** Sweeping the weight μ in
-   ``max μ·Ra + (1-μ)·Rb`` walks each protocol's Pareto frontier,
-   exposing how MABC/TDBC/HBC trade the two directions differently.
-2. **Operational asymmetric MABC.** Theorem 2's group has cardinality
-   ``L = max(⌊2^nRa⌋, ⌊2^nRb⌋)`` — the shorter message embeds into the
-   longer one. The link-level round in
-   :func:`repro.simulation.asymmetric.run_mabc_asymmetric_round` does
-   exactly that with zero-padded frames and shows a 48+16-bit exchange
-   over the air.
+downloads. Sweeping the weight μ in ``max μ·Ra + (1-μ)·Rb`` walks each
+protocol's Pareto frontier, exposing how MABC/TDBC/HBC trade the two
+directions differently.
 """
 
-import numpy as np
-
-from repro.channels.awgn import ComplexAwgn
 from repro.channels.gains import LinkGains
-from repro.channels.halfduplex import HalfDuplexMedium
 from repro.core.capacity import achievable_region
 from repro.core.gaussian import GaussianChannel
 from repro.core.protocols import Protocol
 from repro.experiments.tables import render_table
-from repro.simulation.asymmetric import run_mabc_asymmetric_round
-from repro.simulation.bits import random_bits
-from repro.simulation.convolutional import NASA_CODE
-from repro.simulation.crc import CRC16_CCITT
-from repro.simulation.linkcodec import LinkCodec
 
 GAINS = LinkGains.from_db(-7.0, 0.0, 10.0)
 POWER_DB = 12.0
@@ -56,30 +38,5 @@ def weighted_operating_points() -> None:
         print()
 
 
-def operational_asymmetric_exchange() -> None:
-    medium = HalfDuplexMedium(gains=GAINS, noise=ComplexAwgn(1.0))
-    long_codec = LinkCodec(payload_bits=48, code=NASA_CODE, crc=CRC16_CCITT)
-    short_codec = LinkCodec(payload_bits=16, code=NASA_CODE, crc=CRC16_CCITT)
-    rng = np.random.default_rng(42)
-    successes = 0
-    n_rounds = 25
-    for _ in range(n_rounds):
-        result = run_mabc_asymmetric_round(
-            medium, long_codec, short_codec, 10 ** (POWER_DB / 10),
-            random_bits(rng, 48), random_bits(rng, 16), rng,
-        )
-        if result.success_a_to_b and result.success_b_to_a:
-            successes += 1
-    print(f"asymmetric MABC over the air: 48 bits a->b + 16 bits b->a per "
-          f"round,\n{successes}/{n_rounds} rounds delivered both directions "
-          f"cleanly at P={POWER_DB:g} dB\n(the 16-bit frame rides inside the "
-          "48-bit group-L embedding, exactly as in Theorem 2).")
-
-
-def main() -> None:
-    weighted_operating_points()
-    operational_asymmetric_exchange()
-
-
 if __name__ == "__main__":
-    main()
+    weighted_operating_points()

@@ -15,27 +15,20 @@ checkpointing, sharding across machines) are inherited unchanged from
 :func:`repro.campaign.engine.run_campaign`; the facade adds scenario
 resolution and labeled :class:`~repro.scenarios.result.EvaluationResult`
 values on top. :func:`gather` is the matching facade over shard-artifact
-merging, and :func:`evaluate_realizations` covers callers that already
-hold concrete channel draws (the Monte-Carlo drivers).
+merging. Callers that already hold concrete channel draws (the
+Monte-Carlo drivers) evaluate them with
+:func:`repro.campaign.engine.evaluate_ensemble`.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .campaign.engine import (
-    CampaignResult,
-    evaluate_ensemble,
-    gather_campaign,
-    run_campaign,
-)
-from .core.protocols import Protocol
+from .campaign.engine import CampaignResult, gather_campaign, run_campaign
 from .exceptions import InvalidParameterError
 from .scenarios.base import Scenario
 from .scenarios.registry import get_scenario
 from .scenarios.result import EvaluationResult
 
-__all__ = ["evaluate", "gather", "evaluate_realizations"]
+__all__ = ["evaluate", "gather"]
 
 
 def _resolve_scenario(scenario_or_name) -> Scenario:
@@ -182,31 +175,3 @@ def gather(scenario_or_name, cache=True) -> EvaluationResult:
     campaign = gather_campaign(scenario.to_campaign_spec(), cache)
     return EvaluationResult(scenario=scenario, campaign=campaign)
 
-
-def evaluate_realizations(
-    protocol: Protocol,
-    gains_ensemble,
-    power,
-    *,
-    executor=None,
-    cache=None,
-    chunk_size=None,
-    progress=None,
-) -> np.ndarray:
-    """Optimal sum rates of one protocol over concrete channel draws.
-
-    The facade for callers that already hold realized channels (e.g. the
-    Monte-Carlo drivers, which own their RNG): a thin door onto
-    :func:`repro.campaign.engine.evaluate_ensemble`, which checkpoints
-    under a content hash of the realizations themselves when a cache is
-    configured. Returns one optimal sum rate per draw, in draw order.
-    """
-    return evaluate_ensemble(
-        protocol,
-        gains_ensemble,
-        power,
-        executor=executor,
-        cache=cache,
-        chunk_size=chunk_size,
-        progress=progress,
-    )

@@ -293,7 +293,7 @@ class CampaignResult:
                         float(power_db),
                         float(samples.mean()),
                         std_error,
-                        float(np.quantile(samples, epsilon)),
+                        self.outage_rate(protocol, power_db, epsilon),
                         float(np.quantile(samples, 0.5)),
                     ]
                 )

@@ -163,9 +163,9 @@ def _evaluate_link_units(batch: UnitBatch) -> np.ndarray:
     identical to the historical per-cell loop, benchmark-asserted. The
     campaign engine hands over one batch per protocol run (every power
     and extra-axis block of a protocol within the requested range), so
-    the fused width is that run as cut by the executor's batch slicing
-    (``VectorizedExecutor.max_batch``, pool chunks, the serial unit
-    loop).
+    the fused width is that run as cut by the engine's chunks (and the
+    serial unit loop); the fused driver itself caps rows per call at
+    :data:`repro.simulation.montecarlo.DEFAULT_FUSED_ROWS`.
 
     Cells whose link spec carries a ``TrafficSpec`` run the event-driven
     traffic simulation instead (:func:`repro.traffic.simulator
@@ -244,25 +244,12 @@ class SerialExecutor:
 class VectorizedExecutor:
     """Evaluate whole batches in process, one kernel call per batch.
 
-    Parameters
-    ----------
-    max_batch:
-        Optional upper bound on units per kernel call (memory control for
-        very large ensembles); ``None`` sends each batch in one call. The
-        bound applies to operational (link-level) batches too: a fused
-        link evaluation never sees more than ``max_batch`` cells per
-        kernel call, so the cap limits the fused decoder's working set
-        exactly as it limits the analytic kernel's (regression-tested).
+    Batch size is bounded upstream: the engine cuts batches at its
+    ``chunk_size``, the kernel walks its cells in fixed-size passes and
+    the fused link driver caps rows per call.
     """
 
     name = "vectorized"
-
-    def __init__(self, max_batch: int | None = None) -> None:
-        if max_batch is not None and max_batch < 1:
-            raise InvalidParameterError(
-                f"batch bound must be positive, got {max_batch}"
-            )
-        self.max_batch = max_batch
 
     def run(self, batches, progress=None) -> list:
         """Evaluate ``batches`` and return one value array per batch."""
@@ -270,15 +257,10 @@ class VectorizedExecutor:
         done = 0
         results = []
         for batch in batches:
-            step = self.max_batch or max(len(batch), 1)
-            pieces = []
-            for start in range(0, len(batch), step):
-                piece = batch.slice(start, start + step)
-                pieces.append(_evaluate_batch(piece))
-                done += len(piece)
-                if progress is not None:
-                    progress(done, total)
-            results.append(np.concatenate(pieces) if pieces else np.zeros(0))
+            results.append(_evaluate_batch(batch))
+            done += len(batch)
+            if progress is not None:
+                progress(done, total)
         return results
 
 
@@ -529,14 +511,13 @@ class MultiprocessExecutor(AsyncExecutor):
 EXECUTOR_NAMES = ("serial", "process", "vectorized", "async")
 
 
-def get_executor(executor, *, processes: int | None = None, **kwargs):
+def get_executor(executor, *, processes: int | None = None):
     """Resolve an executor name (or pass through an executor instance).
 
     ``processes`` sizes a pool executor (``"process"`` or ``"async"``;
     ``None`` = CPU count) and is ignored by the in-process ones, so the
     CLI and the serving daemon resolve ``--processes`` the same way for
-    every name.  Other ``kwargs`` are forwarded to the named executor's
-    constructor, e.g. ``get_executor("vectorized", max_batch=256)``.
+    every name.
     """
     if executor is None:
         executor = "vectorized"
@@ -553,5 +534,5 @@ def get_executor(executor, *, processes: int | None = None, **kwargs):
             f"unknown executor {executor!r}; available: {EXECUTOR_NAMES}"
         )
     if issubclass(registry[executor], AsyncExecutor):
-        kwargs["processes"] = processes
-    return registry[executor](**kwargs)
+        return registry[executor](processes=processes)
+    return registry[executor]()

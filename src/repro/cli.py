@@ -425,10 +425,10 @@ def _cmd_sweep(args) -> int:
         print("error: --max-db must be >= --min-db")
         return 2
     gains = LinkGains.from_db(args.gab_db, args.gar_db, args.gbr_db)
-    powers = [
-        args.min_db + i * args.step_db
-        for i in range(int((args.max_db - args.min_db) / args.step_db) + 1)
-    ]
+    # The tolerance keeps --max-db when the float quotient lands just
+    # below an integer (0.3 / 0.1 == 2.9999999999999996).
+    n_steps = int(np.floor((args.max_db - args.min_db) / args.step_db + 1e-9))
+    powers = [args.min_db + i * args.step_db for i in range(n_steps + 1)]
     sweep_rows = sweep_powers(gains, powers)
     # Columns derive from the sweep's own protocol axis, so subset sweeps
     # can never misalign with the header.

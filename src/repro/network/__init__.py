@@ -1,4 +1,4 @@
-"""Network model substrate: nodes, messages, cuts, Lemma-1 engine, groups."""
+"""Network model substrate: nodes, messages, cuts, Lemma-1 engine."""
 
 from .cuts import cuts_with_crossing_rate, enumerate_cuts
 from .cutset import (
@@ -9,7 +9,6 @@ from .cutset import (
     ProtocolSchedule,
     cutset_outer_bound,
 )
-from .groups import CyclicGroup, RandomBinning, XorGroup, relay_combine, relay_resolve
 from .model import Message, NetworkModel, bidirectional_relay_network
 
 __all__ = [
@@ -21,11 +20,6 @@ __all__ = [
     "PhaseSpec",
     "ProtocolSchedule",
     "cutset_outer_bound",
-    "CyclicGroup",
-    "RandomBinning",
-    "XorGroup",
-    "relay_combine",
-    "relay_resolve",
     "Message",
     "NetworkModel",
     "bidirectional_relay_network",

@@ -480,8 +480,8 @@ def finite_snr_dmt_scenario(
 
     Draws one paired quasi-static Rayleigh ensemble on the paper's
     geometry and evaluates every protocol at each SNR point — exactly
-    the outage raw material of :func:`repro.simulation.outage_capacity
-    .sample_outage_curve`, as a cacheable campaign grid. The
+    the per-draw samples of :func:`repro.simulation.montecarlo
+    .fading_sum_rate_statistics`, as a cacheable campaign grid. The
     finite-SNR diversity–multiplexing curves of arXiv:0810.2746 are
     post-processed from the result by
     :func:`repro.experiments.dmt.finite_snr_dmt`.

@@ -1,7 +1,6 @@
 """Operational link-level simulation of the decode-and-forward protocols."""
 
-from .asymmetric import AsymmetricRoundResult, run_mabc_asymmetric_round
-from .adaptive import AdaptiveReport, adaptive_sum_rate, selection_frequencies
+from .adaptive import AdaptiveReport, adaptive_sum_rate
 from .bits import (
     as_bits,
     bit_error_rate,
@@ -36,11 +35,6 @@ from .montecarlo import (
     simulate_protocol_cells,
     wave_bounds,
 )
-from .outage_capacity import (
-    OutageCurve,
-    outage_sum_rate,
-    sample_outage_curve,
-)
 from .random_coding import (
     MabcRandomCodingReport,
     RandomBinaryCodebook,
@@ -52,11 +46,8 @@ from .sampling import ImportanceSamplingSpec, NoiseTwist
 from .terminals import DecodePath, PartnerEstimate, arbitrate_paths, resolve_via_relay
 
 __all__ = [
-    "AsymmetricRoundResult",
-    "run_mabc_asymmetric_round",
     "AdaptiveReport",
     "adaptive_sum_rate",
-    "selection_frequencies",
     "as_bits",
     "bit_error_rate",
     "bits_to_int",
@@ -98,9 +89,6 @@ __all__ = [
     "simulate_protocol",
     "simulate_protocol_cells",
     "wave_bounds",
-    "OutageCurve",
-    "sample_outage_curve",
-    "outage_sum_rate",
     "MabcRandomCodingReport",
     "RandomBinaryCodebook",
     "mabc_rate_pair_feasible",

@@ -5,11 +5,13 @@ before each protocol execution, so nothing stops them from *choosing the
 protocol per realization* — the natural system-level use of the paper's
 comparison. This module quantifies that adaptivity gain:
 
-* :func:`adaptive_sum_rate` — the ergodic rate of the
-  pick-the-best-protocol-each-fade strategy, alongside each fixed
-  protocol's ergodic rate;
-* :func:`selection_frequencies` — how often each protocol wins, i.e. the
-  operating-regime mix a deployment would actually see.
+:func:`adaptive_sum_rate` reports the ergodic rate of the
+pick-the-best-protocol-each-fade strategy, each fixed protocol's ergodic
+rate, and how often each protocol wins
+(:meth:`AdaptiveReport.selection_frequency`) — the operating-regime mix
+a deployment would actually see. Every candidate is evaluated on the
+same drawn ensemble through :func:`repro.campaign.engine.evaluate_ensemble`,
+one batched kernel call per candidate.
 
 Since MABC and TDBC are special cases of HBC, the adaptive gain over
 *HBC alone* is zero by definition; the interesting quantity is the gain
@@ -23,14 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..campaign.engine import evaluate_ensemble
 from ..channels.fading import sample_gain_ensemble
 from ..channels.gains import LinkGains
-from ..core.capacity import optimal_sum_rate
-from ..core.gaussian import GaussianChannel
 from ..core.protocols import Protocol
 from ..exceptions import InvalidParameterError
 
-__all__ = ["AdaptiveReport", "adaptive_sum_rate", "selection_frequencies"]
+__all__ = ["AdaptiveReport", "adaptive_sum_rate"]
 
 
 @dataclass(frozen=True)
@@ -100,39 +101,17 @@ def adaptive_sum_rate(
     if not candidates:
         raise InvalidParameterError("at least one candidate protocol required")
     ensemble = sample_gain_ensemble(mean_gains, n_draws, rng, k_factor=k_factor)
-    totals = {protocol: 0.0 for protocol in candidates}
-    winner_counts = {protocol: 0 for protocol in candidates}
-    adaptive_total = 0.0
-    for draw in ensemble:
-        channel = GaussianChannel(gains=draw, power=power)
-        rates = {
-            protocol: optimal_sum_rate(protocol, channel).sum_rate
-            for protocol in candidates
-        }
-        for protocol, value in rates.items():
-            totals[protocol] += value
-        best = max(candidates, key=lambda p: rates[p])
-        winner_counts[best] += 1
-        adaptive_total += rates[best]
+    rates = np.array(
+        [evaluate_ensemble(protocol, ensemble, power) for protocol in candidates]
+    )
+    # argmax returns the first maximum: ties go to the earlier candidate.
+    winners = np.argmax(rates, axis=0)
+    winner_counts = dict.fromkeys(candidates, 0)
+    for protocol, count in zip(candidates, np.bincount(winners, minlength=len(rates))):
+        winner_counts[protocol] += int(count)
     return AdaptiveReport(
-        fixed_means={p: totals[p] / n_draws for p in candidates},
-        adaptive_mean=adaptive_total / n_draws,
+        fixed_means={p: float(r.mean()) for p, r in zip(candidates, rates)},
+        adaptive_mean=float(rates.max(axis=0).mean()),
         winner_counts=winner_counts,
         n_draws=n_draws,
     )
-
-
-def selection_frequencies(
-    mean_gains: LinkGains,
-    power: float,
-    n_draws: int,
-    rng: np.random.Generator,
-    *,
-    candidates=(Protocol.MABC, Protocol.TDBC),
-    k_factor: float = 0.0,
-) -> dict:
-    """Protocol -> win frequency over the fading ensemble."""
-    report = adaptive_sum_rate(
-        mean_gains, power, n_draws, rng, candidates=candidates, k_factor=k_factor
-    )
-    return {p: report.selection_frequency(p) for p in report.winner_counts}

@@ -29,14 +29,15 @@ gains, power, n_rounds, rng state, codec)`` — independent of
 ``batch_size``, chunking, or whether the batched or the per-round path
 ran.
 
-The analytic estimators route through the :mod:`repro.api` facade
-(:func:`repro.api.evaluate_realizations`): the ensemble is drawn here
-(callers own the RNG, as before) and the per-realization optima are
-evaluated by a pluggable campaign executor — the batched vectorized
-kernel by default, many times faster than the historical
-one-LP-per-draw loop and bit-for-bit identical to the serial executor.
-Scenario-first callers should evaluate a fading scenario through
-:func:`repro.api.evaluate` instead.
+The analytic estimators draw the ensemble here (callers own the RNG)
+and evaluate the per-realization optima through
+:func:`repro.campaign.engine.evaluate_ensemble`, the one engine door
+for concrete channel draws: a pluggable campaign executor runs the
+batched vectorized kernel by default, bit-for-bit identical to the
+serial executor. :class:`FadingStatistics` is the one result type: its
+ergodic mean, ε-outage quantile and outage-at-target probability cover
+Section IV's quasi-static fading view. Scenario-first callers should
+evaluate a fading scenario through :func:`repro.api.evaluate` instead.
 
 :func:`simulate_protocol_cells` is the **cells-fused** driver behind
 every batched link campaign: it runs every grid cell of a batch through
@@ -85,6 +86,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..campaign.engine import evaluate_ensemble
 from ..channels.fading import sample_gain_ensemble
 from ..channels.gains import LinkGains
 from ..channels.halfduplex import HalfDuplexMedium
@@ -777,10 +779,21 @@ class FadingStatistics:
     samples: np.ndarray
 
     def quantile(self, q: float) -> float:
-        """Ensemble quantile (e.g. ``q=0.05`` for 5%-outage capacity)."""
+        """Ensemble quantile (e.g. ``q=0.05`` for 5%-outage capacity).
+
+        The empirical ε-outage sum rate of the adaptive-duration scheme: a
+        target equal to the returned value fails in at most a ``q``
+        fraction of the observed fades.
+        """
         if not 0.0 <= q <= 1.0:
             raise InvalidParameterError(f"quantile must be in [0, 1], got {q}")
         return float(np.quantile(self.samples, q))
+
+    def outage_at(self, target: float) -> float:
+        """Fraction of realizations whose optimal sum rate is below ``target``."""
+        if target < 0:
+            raise InvalidParameterError(f"target must be non-negative, got {target}")
+        return float(np.mean(self.samples < target))
 
 
 def fading_sum_rate_statistics(
@@ -800,20 +813,19 @@ def fading_sum_rate_statistics(
     Each realization draws reciprocal Rayleigh/Rician gains around the
     path-loss means, re-optimizes the phase durations (full CSI, as the
     paper assumes), and records the optimal sum rate. The per-realization
-    optimizations run through :func:`repro.api.evaluate_realizations`
-    (``executor``: campaign executor name or instance, defaulting to the
-    vectorized fast path). With a ``cache``
+    optimizations run through
+    :func:`repro.campaign.engine.evaluate_ensemble` (``executor``:
+    campaign executor name or instance, defaulting to the vectorized fast
+    path). With a ``cache``
     (a :class:`~repro.campaign.cache.CampaignCache`, path or ``True``)
     the evaluation is chunk-checkpointed under a content hash of the
     drawn realizations, so a huge ensemble interrupted mid-run resumes
     from its checkpoints on the next call with the same RNG state.
     """
-    from ..api import evaluate_realizations
-
     if n_draws < 1:
         raise InvalidParameterError(f"need at least one draw, got {n_draws}")
     ensemble = sample_gain_ensemble(mean_gains, n_draws, rng, k_factor=k_factor)
-    values = evaluate_realizations(
+    values = evaluate_ensemble(
         protocol, ensemble, power, executor=executor, cache=cache, progress=progress
     )
     return FadingStatistics(
@@ -855,4 +867,4 @@ def outage_probability(
         executor=executor,
         cache=cache,
     )
-    return float(np.mean(stats.samples < target_sum_rate))
+    return stats.outage_at(target_sum_rate)

@@ -179,6 +179,12 @@ class TestResultAccessors:
         with pytest.raises(InvalidParameterError):
             result.outage_rate(Protocol.HBC, 10.0, 1.5)
 
+    @pytest.mark.parametrize("epsilon", [-0.1, 1.5])
+    def test_summary_rows_reject_outage_level_out_of_range(self, fading_spec, epsilon):
+        result = run_campaign(fading_spec)
+        with pytest.raises(InvalidParameterError):
+            result.summary_rows(epsilon=epsilon)
+
 
 class TestEvaluateEnsemble:
     def test_matches_per_draw_lp(self, paper_gains, rng):

@@ -19,18 +19,22 @@ from repro.exceptions import InvalidParameterError
 
 
 @pytest.fixture(scope="module")
-def seeded_batches():
-    """Per-protocol unit batches over one seeded Rayleigh ensemble."""
+def seeded_spec():
+    """Three protocols over one seeded Rayleigh ensemble at 10 dB."""
     from repro.channels.gains import LinkGains
 
-    paper_gains = LinkGains.from_db(-7.0, 0.0, 5.0)
-    spec = CampaignSpec(
+    return CampaignSpec(
         protocols=(Protocol.MABC, Protocol.TDBC, Protocol.HBC),
         powers_db=(10.0,),
-        gains=(paper_gains,),
+        gains=(LinkGains.from_db(-7.0, 0.0, 5.0),),
         fading=FadingSpec(n_draws=24, seed=99),
     )
-    draws = spec.sample_gain_draws().reshape(-1, 3)
+
+
+@pytest.fixture(scope="module")
+def seeded_batches(seeded_spec):
+    """Per-protocol unit batches over the seeded ensemble."""
+    draws = seeded_spec.sample_gain_draws().reshape(-1, 3)
     return [
         UnitBatch(
             protocol=protocol,
@@ -39,7 +43,7 @@ def seeded_batches():
             gbr=draws[:, 2],
             power=np.full(draws.shape[0], 10.0),
         )
-        for protocol in spec.protocols
+        for protocol in seeded_spec.protocols
     ]
 
 
@@ -54,10 +58,10 @@ class TestBitwiseEquivalence:
         for fast, reference in zip(vectorized, serial_results):
             assert np.array_equal(fast, reference)
 
-    def test_chunked_vectorized_matches_serial(self, seeded_batches, serial_results):
-        chunked = VectorizedExecutor(max_batch=7).run(seeded_batches)
-        for fast, reference in zip(chunked, serial_results):
-            assert np.array_equal(fast, reference)
+    def test_chunked_vectorized_matches_serial(self, seeded_spec, serial_results):
+        """Chunks of 7 cut the 24-cell protocol blocks mid-batch."""
+        chunked = run_campaign(seeded_spec, executor="vectorized", chunk_size=7)
+        assert np.array_equal(chunked.values.ravel(), np.concatenate(serial_results))
 
     def test_multiprocess_matches_serial(self, seeded_batches, serial_results):
         executor = MultiprocessExecutor(processes=2)
@@ -88,18 +92,19 @@ def link_batch():
     )
 
 
-class TestLinkBatchMemoryCap:
-    """`max_batch` must bound fused link-unit batches, not just analytic ones."""
+class TestLinkBatchWidth:
+    """Fused link width follows the engine's chunks, not a separate knob."""
 
-    def test_capped_vectorized_matches_serial(self, link_batch):
+    def test_vectorized_matches_serial(self, link_batch):
         reference = SerialExecutor().run([link_batch])[0]
-        for max_batch in (1, 2, 4, None):
-            capped = VectorizedExecutor(max_batch=max_batch).run([link_batch])[0]
-            assert np.array_equal(capped, reference)
+        fused = VectorizedExecutor().run([link_batch])[0]
+        assert np.array_equal(fused, reference)
 
-    def test_cap_bounds_cells_per_fused_call(self, link_batch, monkeypatch):
+    def test_chunk_size_bounds_cells_per_fused_call(self, monkeypatch):
         from repro.simulation import montecarlo
 
+        spec = _equivalence_spec("operational")
+        reference = run_campaign(spec, executor="serial")
         widths = []
         original = montecarlo.simulate_protocol_cells
 
@@ -108,9 +113,10 @@ class TestLinkBatchMemoryCap:
             return original(protocol, gains_cells, *args, **kwargs)
 
         monkeypatch.setattr(montecarlo, "simulate_protocol_cells", recording)
-        VectorizedExecutor(max_batch=2).run([link_batch])
+        chunked = run_campaign(spec, executor="vectorized", chunk_size=2)
         assert widths and max(widths) <= 2
-        assert sum(widths) == len(link_batch)
+        assert sum(widths) == spec.n_units
+        assert chunked.values.tobytes() == reference.values.tobytes()
 
 
 class TestProgress:
@@ -155,7 +161,7 @@ class TestRegistry:
         assert isinstance(get_executor("serial", processes=3), SerialExecutor)
 
     def test_instances_pass_through(self):
-        executor = VectorizedExecutor(max_batch=3)
+        executor = VectorizedExecutor()
         assert get_executor(executor) is executor
 
     def test_unknown_name_rejected(self):
@@ -165,8 +171,12 @@ class TestRegistry:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(InvalidParameterError):
             MultiprocessExecutor(processes=0)
-        with pytest.raises(InvalidParameterError):
-            VectorizedExecutor(max_batch=0)
+
+    def test_pool_size_is_the_only_option(self):
+        with pytest.raises(TypeError):
+            get_executor("vectorized", max_batch=1)
+        with pytest.raises(TypeError):
+            VectorizedExecutor(max_batch=1)
 
 
 def _equivalence_spec(kind):

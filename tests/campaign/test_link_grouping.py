@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.campaign.engine import _grid_batches, run_campaign
-from repro.campaign.executors import VectorizedExecutor
 from repro.campaign.spec import CampaignSpec, FadingSpec, GridAxis, LinkSimSpec
 from repro.channels.gains import LinkGains
 from repro.core.protocols import Protocol
@@ -108,7 +107,7 @@ class TestBitwiseAcrossLayouts:
         assert np.any(values > 0.0) and np.any(values == 0.0)
 
     def test_one_cell_batches_match(self, spec, grouped):
-        narrow = run_campaign(spec, executor=VectorizedExecutor(max_batch=1))
+        narrow = run_campaign(spec, executor="vectorized", chunk_size=1)
         assert narrow.values.tobytes() == grouped.values.tobytes()
 
     def test_serial_matches(self, spec, grouped):

@@ -99,6 +99,24 @@ class TestRateRegion:
         assert "Theorem 3" in region.label
 
 
+class TestWeightedOperatingPoints:
+    @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.name)
+    def test_weight_sweep_walks_the_pareto_frontier(self, channel_high, protocol):
+        """Raising μ in ``max μ·Ra + (1-μ)·Rb`` trades Rb for Ra, and each
+        support point beats every traced boundary point on its own weight
+        (up to the LP solver's 1e-7 precision)."""
+        region = achievable_region(protocol, channel_high)
+        weights = (0.1, 0.3, 0.5, 0.7, 0.9)
+        points = [region.support(mu, 1.0 - mu) for mu in weights]
+        assert np.all(np.diff([p.ra for p in points]) >= -1e-7)
+        assert np.all(np.diff([p.rb for p in points]) <= 1e-7)
+        boundary = region.boundary(17)
+        for mu, point in zip(weights, points):
+            best = mu * point.ra + (1.0 - mu) * point.rb
+            traced = mu * boundary[:, 0] + (1.0 - mu) * boundary[:, 1]
+            assert best >= traced.max() - 1e-7
+
+
 class TestRegionDominance:
     def test_inner_within_outer_tdbc(self, channel_high):
         inner = achievable_region(Protocol.TDBC, channel_high)

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulation.bits import bits_to_int, int_to_bits, pad_bits, xor_bits
+from repro.simulation.bits import (
+    bits_to_int,
+    hamming_distance,
+    hamming_distance_rows,
+    int_to_bits,
+    pad_bits,
+    xor_bits,
+)
 from repro.simulation.convolutional import TEST_CODE
 from repro.simulation.crc import CRC8, CRC16_CCITT
 from repro.simulation.interleaver import BlockInterleaver, RandomInterleaver
@@ -32,6 +39,65 @@ class TestBitUtilityProperties:
         padded = pad_bits(arr, arr.size + extra)
         np.testing.assert_array_equal(padded[: arr.size], arr)
         assert padded[arr.size:].sum() == 0
+
+
+def _equal_length_bit_arrays(count):
+    """``count`` bit arrays sharing one random length."""
+    return st.integers(min_value=1, max_value=64).flatmap(
+        lambda n: st.tuples(*[
+            st.lists(st.integers(min_value=0, max_value=1), min_size=n, max_size=n)
+            .map(lambda bits: np.array(bits, dtype=np.uint8))
+            for _ in range(count)
+        ])
+    )
+
+
+class TestXorCombineProperties:
+    """``xor_bits`` is the group operation of GF(2)^n, the relay's combine."""
+
+    @given(_equal_length_bit_arrays(2))
+    def test_commutativity(self, pair):
+        x, y = pair
+        np.testing.assert_array_equal(xor_bits(x, y), xor_bits(y, x))
+
+    @given(_equal_length_bit_arrays(3))
+    def test_associativity(self, triple):
+        x, y, z = triple
+        np.testing.assert_array_equal(
+            xor_bits(xor_bits(x, y), z), xor_bits(x, xor_bits(y, z))
+        )
+
+    @given(bit_lists)
+    def test_zeros_are_the_identity(self, bits):
+        arr = np.array(bits, dtype=np.uint8)
+        np.testing.assert_array_equal(xor_bits(arr, np.zeros_like(arr)), arr)
+
+    @given(bit_lists, bit_lists)
+    def test_relay_roundtrip_any_lengths(self, bits_a, bits_b):
+        wa, wb = np.array(bits_a, np.uint8), np.array(bits_b, np.uint8)
+        length = max(wa.size, wb.size)
+        broadcast = xor_bits(pad_bits(wa, length), pad_bits(wb, length))
+        np.testing.assert_array_equal(
+            xor_bits(broadcast, pad_bits(wa, length))[: wb.size], wb
+        )
+        np.testing.assert_array_equal(
+            xor_bits(broadcast, pad_bits(wb, length))[: wa.size], wa
+        )
+
+    @given(_equal_length_bit_arrays(3))
+    def test_hamming_is_a_metric(self, triple):
+        x, y, z = triple
+        assert hamming_distance(x, y) == hamming_distance(y, x)
+        assert (hamming_distance(x, y) == 0) == bool(np.array_equal(x, y))
+        assert hamming_distance(x, z) <= hamming_distance(x, y) + hamming_distance(y, z)
+
+    @given(_equal_length_bit_arrays(4))
+    def test_hamming_rows_match_scalar(self, arrays):
+        x_rows, y_rows = np.stack(arrays[:2]), np.stack(arrays[2:])
+        np.testing.assert_array_equal(
+            hamming_distance_rows(x_rows, y_rows),
+            [hamming_distance(a, b) for a, b in zip(x_rows, y_rows)],
+        )
 
 
 class TestCrcProperties:

@@ -8,7 +8,7 @@ a shared cache must be bitwise-identical to the unsharded run.
 import numpy as np
 import pytest
 
-from repro.api import evaluate, evaluate_realizations, gather
+from repro.api import evaluate, gather
 from repro.campaign.cache import CampaignCache
 from repro.campaign.spec import FadingSpec
 from repro.channels.gains import LinkGains
@@ -124,6 +124,14 @@ class TestEvaluationResult:
         assert reference.ergodic_mean(Protocol.HBC, 10.0) == pytest.approx(
             reference.values[1].mean()
         )
+        with pytest.raises(InvalidParameterError):
+            reference.summary_rows(epsilon=1.5)
+
+
+    @pytest.mark.parametrize("epsilon", [-0.1, 1.5])
+    def test_summary_rows_reject_outage_level_out_of_range(self, reference, epsilon):
+        with pytest.raises(InvalidParameterError):
+            reference.summary_rows(epsilon=epsilon)
 
 
 class TestFacadeInputs:
@@ -139,11 +147,3 @@ class TestFacadeInputs:
         assert isinstance(reference, EvaluationResult)
         assert reference.executor_name == "serial"
 
-    def test_evaluate_realizations_matches_engine(self, paper_gains, rng):
-        from repro.campaign.engine import evaluate_ensemble
-        from repro.channels.fading import sample_gain_ensemble
-
-        ensemble = sample_gain_ensemble(paper_gains, 5, rng)
-        facade = evaluate_realizations(Protocol.MABC, ensemble, 10.0)
-        engine = evaluate_ensemble(Protocol.MABC, ensemble, 10.0)
-        assert facade.tobytes() == engine.tobytes()

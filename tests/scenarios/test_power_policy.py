@@ -189,15 +189,15 @@ class TestPowerAllocationSweep:
 
 
 class TestFiniteSnrDmtScenario:
-    def test_symmetric_cell_reproduces_sample_outage_curve(self):
-        from repro.simulation.outage_capacity import sample_outage_curve
+    def test_symmetric_cell_reproduces_fading_statistics(self):
+        from repro.simulation.montecarlo import fading_sum_rate_statistics
 
         result = evaluate("finite-snr-dmt", cache=False)
         scenario = result.scenario
         gains = scenario.topology.gains[0]
         for pi, protocol in enumerate(scenario.protocols):
             for wi, power_db in enumerate(scenario.power.powers_db):
-                curve = sample_outage_curve(
+                stats = fading_sum_rate_statistics(
                     protocol,
                     gains,
                     db_to_linear(power_db),
@@ -205,7 +205,7 @@ class TestFiniteSnrDmtScenario:
                     np.random.default_rng(scenario.fading.seed),
                 )
                 cell = np.sort(result.values[pi, wi, 0, :])
-                assert np.array_equal(cell, curve.samples)
+                assert np.sort(stats.samples).tobytes() == cell.tobytes()
 
 
 class TestRegistryParams:

@@ -5,11 +5,7 @@ import pytest
 
 from repro.core.protocols import Protocol
 from repro.exceptions import InvalidParameterError
-from repro.simulation.adaptive import (
-    AdaptiveReport,
-    adaptive_sum_rate,
-    selection_frequencies,
-)
+from repro.simulation.adaptive import AdaptiveReport, adaptive_sum_rate
 
 
 class TestAdaptiveSumRate:
@@ -63,6 +59,8 @@ class TestAdaptiveSumRate:
         assert report.adaptive_mean == pytest.approx(
             report.fixed_means[Protocol.HBC], abs=1e-9
         )
+        # Ties go to the earlier candidate, so HBC (listed first) wins them all.
+        assert report.winner_counts[Protocol.HBC] == 25
 
     def test_validation(self, paper_gains, rng):
         with pytest.raises(InvalidParameterError):
@@ -80,16 +78,112 @@ class TestAdaptiveSumRate:
 
 class TestSelectionFrequencies:
     def test_frequencies_sum_to_one(self, paper_gains):
-        freqs = selection_frequencies(
+        report = adaptive_sum_rate(
             paper_gains, power=10.0, n_draws=30, rng=np.random.default_rng(7)
         )
-        assert sum(freqs.values()) == pytest.approx(1.0)
+        freqs = [report.selection_frequency(p) for p in report.winner_counts]
+        assert sum(freqs) == pytest.approx(1.0)
+
+    def test_non_candidate_never_selected(self, paper_gains):
+        report = adaptive_sum_rate(
+            paper_gains, power=10.0, n_draws=10, rng=np.random.default_rng(9)
+        )
+        assert report.selection_frequency(Protocol.HBC) == 0.0
+
+    def test_gain_is_adaptive_minus_best_fixed(self, paper_gains):
+        report = adaptive_sum_rate(
+            paper_gains, power=10.0, n_draws=30, rng=np.random.default_rng(10)
+        )
+        best_fixed = max(report.fixed_means.values())
+        assert report.adaptivity_gain == report.adaptive_mean - best_fixed
 
     def test_reproducible_with_seed(self, paper_gains):
-        a = selection_frequencies(
+        a = adaptive_sum_rate(
             paper_gains, power=10.0, n_draws=20, rng=np.random.default_rng(8)
         )
-        b = selection_frequencies(
+        b = adaptive_sum_rate(
             paper_gains, power=10.0, n_draws=20, rng=np.random.default_rng(8)
         )
         assert a == b
+
+
+class TestPerDrawOracle:
+    @pytest.mark.parametrize("power", [1.0, 100.0])
+    def test_winner_counts_match_per_draw_lp_loop_across_powers(
+        self, paper_gains, power
+    ):
+        from repro.channels.fading import sample_gain_ensemble
+        from repro.core.capacity import optimal_sum_rate
+        from repro.core.gaussian import GaussianChannel
+
+        candidates = (Protocol.MABC, Protocol.TDBC)
+        report = adaptive_sum_rate(
+            paper_gains, power=power, n_draws=40, rng=np.random.default_rng(37)
+        )
+        ensemble = sample_gain_ensemble(paper_gains, 40, np.random.default_rng(37))
+
+        def lp_rate(protocol, draw):
+            channel = GaussianChannel(gains=draw, power=power)
+            return optimal_sum_rate(protocol, channel).sum_rate
+
+        rates = np.array([[lp_rate(p, draw) for p in candidates] for draw in ensemble])
+        winners = [max(range(len(candidates)), key=row.__getitem__) for row in rates]
+        assert report.winner_counts == {
+            p: winners.count(j) for j, p in enumerate(candidates)
+        }
+        assert report.adaptive_mean == pytest.approx(rates.max(axis=1).mean(), abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "candidates",
+        [
+            (Protocol.MABC, Protocol.TDBC),
+            (Protocol.TDBC, Protocol.MABC, Protocol.NAIVE4, Protocol.DT),
+        ],
+        ids=["default", "four-candidates"],
+    )
+    def test_matches_per_draw_lp_loop(self, paper_gains, candidates):
+        """Fixed means within 1e-9 and equal winner counts against a per-draw
+        HiGHS loop that breaks ties toward the earlier candidate."""
+        from repro.channels.fading import sample_gain_ensemble
+        from repro.core.capacity import optimal_sum_rate
+        from repro.core.gaussian import GaussianChannel
+
+        report = adaptive_sum_rate(
+            paper_gains,
+            power=10.0,
+            n_draws=60,
+            rng=np.random.default_rng(31),
+            candidates=candidates,
+        )
+        ensemble = sample_gain_ensemble(paper_gains, 60, np.random.default_rng(31))
+
+        def lp_rate(protocol, draw):
+            channel = GaussianChannel(gains=draw, power=10.0)
+            return optimal_sum_rate(protocol, channel).sum_rate
+
+        rates = np.array([[lp_rate(p, draw) for p in candidates] for draw in ensemble])
+        for j, protocol in enumerate(candidates):
+            assert report.fixed_means[protocol] == pytest.approx(
+                rates[:, j].mean(), abs=1e-9
+            )
+        winners = [max(range(len(candidates)), key=row.__getitem__) for row in rates]
+        assert report.winner_counts == {
+            p: winners.count(j) for j, p in enumerate(candidates)
+        }
+        assert report.adaptive_mean == pytest.approx(rates.max(axis=1).mean(), abs=1e-9)
+
+
+class TestSharedEnsemble:
+    @pytest.mark.parametrize("protocol", [Protocol.MABC, Protocol.TDBC])
+    def test_fixed_mean_equals_fading_statistics(self, paper_gains, protocol):
+        """Adaptive selection and ``fading_sum_rate_statistics`` draw the same
+        ensemble from the same RNG state, so a fixed mean is bitwise equal."""
+        from repro.simulation.montecarlo import fading_sum_rate_statistics
+
+        report = adaptive_sum_rate(
+            paper_gains, power=10.0, n_draws=30, rng=np.random.default_rng(41)
+        )
+        stats = fading_sum_rate_statistics(
+            protocol, paper_gains, 10.0, 30, np.random.default_rng(41)
+        )
+        assert report.fixed_means[protocol] == stats.mean

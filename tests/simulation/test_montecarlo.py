@@ -13,6 +13,7 @@ from repro.simulation.convolutional import TEST_CODE
 from repro.simulation.crc import CRC8
 from repro.simulation.linkcodec import LinkCodec
 from repro.simulation.montecarlo import (
+    FadingStatistics,
     collect_adaptive_accounting,
     fading_sum_rate_statistics,
     fused_link_values,
@@ -128,6 +129,127 @@ class TestFadingStatistics:
         with pytest.raises(InvalidParameterError):
             fading_sum_rate_statistics(Protocol.DT, paper_gains, 1.0, 0, rng)
 
+    def test_sorted_samples_give_monotone_quantiles(self, mabc_stats):
+        curve = np.sort(mabc_stats.samples)
+        assert np.all(np.diff(curve) >= 0)
+        rates = [mabc_stats.quantile(eps) for eps in (0.05, 0.25, 0.5, 0.9)]
+        assert all(r1 <= r2 + 1e-12 for r1, r2 in zip(rates, rates[1:]))
+        assert mabc_stats.quantile(0.0) == curve[0]
+        assert mabc_stats.quantile(1.0) == curve[-1]
+
+    def test_outage_monotone_in_target(self, mabc_stats):
+        outages = [mabc_stats.outage_at(t) for t in (0.1, 1.0, 3.0, 10.0)]
+        assert all(o1 <= o2 + 1e-12 for o1, o2 in zip(outages, outages[1:]))
+
+    def test_quantile_outage_round_trip(self, mabc_stats):
+        """outage_at(quantile(eps)) <= eps up to the empirical grid."""
+        for eps in (0.1, 0.3, 0.7):
+            rate = mabc_stats.quantile(eps)
+            assert mabc_stats.outage_at(rate) <= eps + 1.0 / mabc_stats.samples.size
+
+    def test_extreme_targets(self, mabc_stats):
+        assert mabc_stats.outage_at(0.0) == 0.0
+        assert mabc_stats.outage_at(1e9) == 1.0
+
+    def test_domain_validation(self, mabc_stats):
+        with pytest.raises(InvalidParameterError):
+            mabc_stats.quantile(-0.1)
+        with pytest.raises(InvalidParameterError):
+            mabc_stats.outage_at(-1.0)
+
+    def test_outage_at_counts_draws_strictly_below_target(self):
+        stats = FadingStatistics(
+            mean=2.5, std_error=0.0, samples=np.array([1.0, 2.0, 3.0, 4.0])
+        )
+        assert stats.outage_at(2.0) == 0.25
+        assert stats.outage_at(2.5) == 0.5
+        assert stats.outage_at(4.0) == 0.75
+        assert stats.outage_at(4.5) == 1.0
+
+    def test_quantile_interpolates_between_draws(self):
+        stats = FadingStatistics(
+            mean=2.5, std_error=0.0, samples=np.array([4.0, 1.0, 3.0, 2.0])
+        )
+        assert stats.quantile(0.0) == 1.0
+        assert stats.quantile(0.5) == 2.5
+        assert stats.quantile(1.0) == 4.0
+
+    def test_single_draw_has_zero_standard_error(self, paper_gains):
+        stats = fading_sum_rate_statistics(
+            Protocol.TDBC, paper_gains, 10.0, 1, np.random.default_rng(17)
+        )
+        assert stats.std_error == 0.0
+        assert stats.mean == stats.samples[0]
+
+    def test_cached_run_matches_uncached(self, paper_gains, tmp_path):
+        def samples(cache):
+            return fading_sum_rate_statistics(
+                Protocol.HBC,
+                paper_gains,
+                10.0,
+                30,
+                np.random.default_rng(19),
+                cache=cache,
+            ).samples
+
+        reference = samples(None).tobytes()
+        assert samples(tmp_path).tobytes() == reference
+        assert any(tmp_path.iterdir())
+        assert samples(tmp_path).tobytes() == reference
+
+    def test_hbc_outage_rate_dominates(self, paper_gains):
+        """Pointwise HBC >= MABC implies quantile dominance (paired RNG)."""
+
+        def outage_rate(protocol):
+            stats = fading_sum_rate_statistics(
+                protocol, paper_gains, 10.0, 40, np.random.default_rng(13)
+            )
+            return stats.quantile(0.1)
+
+        assert outage_rate(Protocol.HBC) >= outage_rate(Protocol.MABC) - 1e-9
+
+    def test_kernel_matches_per_draw_lp_loop(self, paper_gains):
+        """The batched kernel and a per-draw HiGHS loop agree draw for draw."""
+        from repro.channels.fading import sample_gain_ensemble
+        from repro.core.capacity import optimal_sum_rate
+        from repro.core.gaussian import GaussianChannel
+
+        stats = fading_sum_rate_statistics(
+            Protocol.HBC, paper_gains, 10.0, 20, np.random.default_rng(21)
+        )
+        ensemble = sample_gain_ensemble(paper_gains, 20, np.random.default_rng(21))
+        oracle = [
+            optimal_sum_rate(Protocol.HBC, GaussianChannel(gains=draw, power=10.0))
+            for draw in ensemble
+        ]
+        np.testing.assert_allclose(
+            stats.samples, [point.sum_rate for point in oracle], atol=1e-7
+        )
+
+    def test_executor_none_is_the_vectorized_default(self, paper_gains):
+        def samples(executor):
+            return fading_sum_rate_statistics(
+                Protocol.HBC,
+                paper_gains,
+                10.0,
+                20,
+                np.random.default_rng(21),
+                executor=executor,
+            ).samples
+
+        assert samples(None).tobytes() == samples("vectorized").tobytes()
+
+
+@pytest.fixture(scope="module")
+def mabc_stats():
+    return fading_sum_rate_statistics(
+        Protocol.MABC,
+        LinkGains.from_db(-7.0, 0.0, 5.0),
+        power=10.0,
+        n_draws=80,
+        rng=np.random.default_rng(11),
+    )
+
 
 class TestOutage:
     def test_outage_monotone_in_target(self, paper_gains):
@@ -160,6 +282,17 @@ class TestOutage:
             rng=np.random.default_rng(9),
         )
         assert outage == 0.0
+
+    @pytest.mark.parametrize("target", [0.5, 2.0, 5.0])
+    def test_equals_fading_statistics_outage_at(self, paper_gains, target):
+        """``outage_probability`` reads the one ensemble result type."""
+        outage = outage_probability(
+            Protocol.HBC, paper_gains, 10.0, target, 50, np.random.default_rng(23)
+        )
+        stats = fading_sum_rate_statistics(
+            Protocol.HBC, paper_gains, 10.0, 50, np.random.default_rng(23)
+        )
+        assert outage == stats.outage_at(target)
 
     def test_negative_target_rejected(self, paper_gains, rng):
         with pytest.raises(InvalidParameterError):

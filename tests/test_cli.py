@@ -621,6 +621,38 @@ class TestSweepValidation:
                      "--step-db", "1"])
         assert code == 2
 
+    def test_max_db_endpoint_kept_under_float_rounding(self, capsys):
+        """0.3 / 0.1 is 2.9999999999999996 in floating point."""
+        code = main(["sweep", "--min-db", "0", "--max-db", "0.3",
+                     "--step-db", "0.1"])
+        out = capsys.readouterr().out
+        assert code == 0
+        powers = [line.split()[0] for line in out.splitlines()
+                  if line[:1].isdigit()]
+        assert powers == ["0.0000", "0.1000", "0.2000", "0.3000"]
+
+    @pytest.mark.parametrize(
+        ("min_db", "max_db", "step_db", "expected"),
+        [
+            ("0", "0.7", "0.1", ["0.0000", "0.1000", "0.2000", "0.3000",
+                                 "0.4000", "0.5000", "0.6000", "0.7000"]),
+            ("-1", "1", "0.5", ["-1.0000", "-0.5000", "0.0000", "0.5000",
+                                "1.0000"]),
+            ("5", "5", "1", ["5.0000"]),
+            ("0", "1", "0.3", ["0.0000", "0.3000", "0.6000", "0.9000"]),
+        ],
+        ids=["tenths", "negative-start", "single-point", "off-grid-max"],
+    )
+    def test_grid_ends_at_last_step_within_range(self, capsys, min_db, max_db,
+                                                 step_db, expected):
+        code = main(["sweep", "--min-db", min_db, "--max-db", max_db,
+                     "--step-db", step_db])
+        out = capsys.readouterr().out
+        assert code == 0
+        powers = [line.split()[0] for line in out.splitlines()
+                  if line.strip().lstrip("-")[:1].isdigit()]
+        assert powers == expected
+
 
 class TestClientCommand:
     def test_missing_daemon_exits_2_with_clear_message(self, capsys, tmp_path):
