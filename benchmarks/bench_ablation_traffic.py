@@ -3,9 +3,11 @@
 A traffic simulation consumes link-layer outcomes one served round at a
 time, which invites the naive implementation: run one
 :class:`~repro.simulation.engine.ProtocolEngine` round per frame as the
-scheduler asks for it. The production
-:class:`~repro.traffic.outcomes.FrameOutcomeStream` instead realizes
-outcomes in chunks, each a one-cell batch of the link kernel's
+scheduler asks for it. The production path instead parks a slot whose
+pair has no realized outcome left and realizes outcomes in chunks
+(:func:`~repro.traffic.outcomes.realize_chunks`): the pending chunks of
+every pair of the simulation (and, in a campaign batch, of every offered
+load and cell) run as one fused call of the link kernel's
 :class:`~repro.simulation.engine.BatchedProtocolEngine` — same pre-drawn
 payload block, same per-phase noise streams, so the event trace and
 every reported metric are bitwise identical; only the wall clock moves.

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -256,9 +257,9 @@ class TrafficSpec:
                     f"a pair needs one dB offset per link (ab, ar, br), "
                     f"got {triple!r}"
                 )
-        if not rates or any(r <= 0 for r in rates):
+        if not rates or not all(math.isfinite(r) and r > 0 for r in rates):
             raise InvalidParameterError(
-                f"arrival rates must be positive, got {rates!r}"
+                f"arrival rates must be positive and finite, got {rates!r}"
             )
         if len(rates) not in (1, len(offsets)):
             raise InvalidParameterError(
@@ -287,9 +288,11 @@ class TrafficSpec:
                 f"knee tolerance must be in [0, 1), got {self.knee_tolerance}"
             )
         if self.offered_loads is not None:
-            if not self.offered_loads or any(s <= 0 for s in self.offered_loads):
+            if not self.offered_loads or not all(
+                math.isfinite(s) and s > 0 for s in self.offered_loads
+            ):
                 raise InvalidParameterError(
-                    f"offered loads must be positive scale factors, "
+                    f"offered loads must be positive, finite scale factors, "
                     f"got {self.offered_loads!r}"
                 )
 

@@ -28,9 +28,15 @@ daemon — the same guarantee the analytic and operational kernels give.
 """
 
 from .arq import FlowTally, StopAndWaitArq
-from .events import ARRIVAL, SERVICE, EventLoop
+from .events import ARRIVAL, SERVICE, EventLoop, EventParked
 from .generators import ARRIVAL_KINDS, arrival_times
-from .outcomes import DEFAULT_OUTCOME_CHUNK, OUTCOME_METHODS, FrameOutcomeStream
+from .outcomes import (
+    DEFAULT_OUTCOME_CHUNK,
+    OUTCOME_METHODS,
+    FrameOutcomeStream,
+    OutcomesPending,
+    realize_chunks,
+)
 from .queues import FifoQueue, Frame
 from .schedulers import SCHEDULERS, get_scheduler
 from .simulator import (
@@ -46,6 +52,7 @@ __all__ = [
     "ARRIVAL",
     "SERVICE",
     "EventLoop",
+    "EventParked",
     "ARRIVAL_KINDS",
     "arrival_times",
     "FifoQueue",
@@ -55,6 +62,8 @@ __all__ = [
     "DEFAULT_OUTCOME_CHUNK",
     "OUTCOME_METHODS",
     "FrameOutcomeStream",
+    "OutcomesPending",
+    "realize_chunks",
     "SCHEDULERS",
     "get_scheduler",
     "FlowStats",

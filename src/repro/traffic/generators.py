@@ -10,6 +10,8 @@ simulation later interleaves flows.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..exceptions import InvalidParameterError
@@ -42,12 +44,18 @@ def arrival_times(
     that would arrive at or after ``horizon`` are not generated: the
     simulation ends at the horizon and they could never be served.
     Frames of one burst share an arrival time; the event loop's sequence
-    numbers keep them FIFO.
+    numbers keep them FIFO. ``rate`` and ``horizon`` must be finite: a NaN
+    rate would silently yield no arrivals, and an infinite one zero-length
+    gaps that never reach the horizon.
     """
-    if rate <= 0:
-        raise InvalidParameterError(f"arrival rate must be positive, got {rate}")
-    if horizon <= 0:
-        raise InvalidParameterError(f"horizon must be positive, got {horizon}")
+    if not (math.isfinite(rate) and rate > 0):
+        raise InvalidParameterError(
+            f"arrival rate must be positive and finite, got {rate}"
+        )
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise InvalidParameterError(
+            f"horizon must be positive and finite, got {horizon}"
+        )
     if burst_size < 1:
         raise InvalidParameterError(f"burst size must be positive, got {burst_size}")
     if kind == "periodic":

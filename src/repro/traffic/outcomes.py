@@ -17,13 +17,20 @@ exactly:
 
 Because each phase's noise is consumed as contiguous blocks of the same
 per-phase streams, *any* split of the rounds axis yields identical
-values (the engine-module guarantee). The ``"batched"`` method realizes
-``chunk`` rounds per call as a one-cell batch of the link kernel's
-:class:`~repro.simulation.engine.BatchedProtocolEngine` — the engine
-behind every batched campaign — and therefore produces outcomes
-bitwise-identical to the ``"per-frame"`` reference loop over the
-per-round :class:`~repro.simulation.engine.ProtocolEngine`; it just
-amortizes the encode/decode pipeline over a chunk instead of one round.
+values (the engine-module guarantee), and so does any grouping of
+streams into one engine call: a stream's rows draw only from its own
+phase streams. The ``"batched"`` method uses that: a batched stream
+never realizes outcomes itself. When its realized outcomes run out,
+:meth:`FrameOutcomeStream.peek` raises :class:`OutcomesPending` (an
+:class:`~repro.traffic.events.EventParked`, so the event loop parks the
+slot that asked), and :func:`realize_chunks` realizes the next ``chunk``
+rounds of every pending stream — every pair, offered load and cell of a
+traffic batch — in fused
+:class:`~repro.simulation.engine.BatchedProtocolEngine` calls, the
+engine behind every batched campaign. The ``"per-frame"`` method is the
+reference: it runs one per-round
+:class:`~repro.simulation.engine.ProtocolEngine` round per outcome, and
+the two produce bitwise-identical outcomes.
 ``benchmarks/bench_ablation_traffic.py`` asserts both the equality and
 the speedup.
 """
@@ -41,27 +48,51 @@ from ..simulation.engine import (
     spawn_cell_phase_streams,
     spawn_phase_streams,
 )
+from ..simulation.montecarlo import DEFAULT_FUSED_ROWS
+from .events import EventParked
 
-__all__ = ["DEFAULT_OUTCOME_CHUNK", "OUTCOME_METHODS", "FrameOutcomeStream"]
+__all__ = [
+    "DEFAULT_OUTCOME_CHUNK",
+    "OUTCOME_METHODS",
+    "FrameOutcomeStream",
+    "OutcomesPending",
+    "realize_chunks",
+]
 
-#: Rounds realized per batched engine call. Large enough to amortize the
-#: per-call pipeline setup, small enough that a lightly loaded pair does
-#: not simulate far past the outcomes it actually consumes.
-DEFAULT_OUTCOME_CHUNK = 64
+#: Rounds realized per stream and refill. Fusing every pending stream of
+#: a batch into one engine call keeps small chunks cheap, and a small
+#: chunk keeps a lightly loaded pair from simulating far past the
+#: outcomes it actually consumes.
+DEFAULT_OUTCOME_CHUNK = 32
 
 #: Outcome realization methods: the batched production path and the
 #: per-frame reference loop it must reproduce bitwise.
 OUTCOME_METHODS = ("batched", "per-frame")
 
 
+class OutcomesPending(EventParked):
+    """A batched stream has no realized outcome left.
+
+    ``stream`` is the stream to pass to :func:`realize_chunks` before the
+    parked event fires again.
+    """
+
+    def __init__(self, stream: FrameOutcomeStream) -> None:
+        super().__init__("outcome stream needs its next chunk realized")
+        self.stream = stream
+
+
 class FrameOutcomeStream:
     """Sequential per-round ``(success_ab, success_ba)`` outcomes of a pair.
 
-    ``peek`` realizes (if needed) and returns the next outcome without
-    consuming it — the opportunistic scheduler's channel oracle; ``take``
-    consumes it. Consumption order is one-dimensional and strictly
-    sequential, so which rounds a pair is served in never changes the
-    outcome values, only which of them are used.
+    ``peek`` returns the next outcome without consuming it — the
+    opportunistic scheduler's channel oracle; ``take`` consumes it.
+    Consumption order is one-dimensional and strictly sequential, so
+    which rounds a pair is served in never changes the outcome values,
+    only which of them are used. A ``"per-frame"`` stream realizes each
+    round as it is asked for; a ``"batched"`` one raises
+    :class:`OutcomesPending` instead, until :func:`realize_chunks` has
+    realized its next chunk.
     """
 
     def __init__(
@@ -89,18 +120,16 @@ class FrameOutcomeStream:
             0, 2, size=(n_slots, 2, codec.payload_bits), dtype=np.uint8
         )
         self._phase_streams = spawn_phase_streams(protocol, noise_rng)
+        self._engine = None
         if method == "per-frame":
             self._engine = ProtocolEngine(
                 medium=HalfDuplexMedium(gains=gains), codec=codec, power=power
             )
-            self._chunk = 1
-        else:
-            self._chunk = chunk or DEFAULT_OUTCOME_CHUNK
+        self._chunk = chunk or DEFAULT_OUTCOME_CHUNK
         self._gains = gains
         self._power = power
         self._codec = codec
         self._protocol = protocol
-        self._method = method
         self._n_slots = int(n_slots)
         self._success_ab: list = []
         self._success_ba: list = []
@@ -113,50 +142,89 @@ class FrameOutcomeStream:
 
     @property
     def realized(self) -> int:
-        """Rounds simulated so far (may exceed ``consumed`` by < chunk)."""
+        """Rounds simulated so far (may exceed ``consumed`` by up to a chunk)."""
         return len(self._success_ab)
-
-    def _refill(self) -> None:
-        start = self.realized
-        if start >= self._n_slots:
-            raise InvalidParameterError(
-                f"outcome stream exhausted after {self._n_slots} rounds"
-            )
-        stop = min(start + self._chunk, self._n_slots)
-        if self._method == "per-frame":
-            for i in range(start, stop):
-                result = self._engine.run_round(
-                    self._protocol,
-                    self._payloads[i, 0],
-                    self._payloads[i, 1],
-                    phase_streams=self._phase_streams,
-                )
-                self._success_ab.append(bool(result.success_a_to_b))
-                self._success_ba.append(bool(result.success_b_to_a))
-        else:
-            gains = self._gains
-            engine = BatchedProtocolEngine.for_cells(
-                self._codec, gains.gab, gains.gar, gains.gbr, self._power, stop - start
-            )
-            batch = engine.run_rounds(
-                self._protocol,
-                self._payloads[start:stop, 0],
-                self._payloads[start:stop, 1],
-                phase_streams=spawn_cell_phase_streams(
-                    self._protocol, (self._phase_streams,), stop - start
-                ),
-            )
-            self._success_ab.extend(bool(x) for x in batch.success_a_to_b)
-            self._success_ba.extend(bool(x) for x in batch.success_b_to_a)
 
     def peek(self) -> tuple:
         """The next outcome ``(success_ab, success_ba)``, unconsumed."""
-        while self._cursor >= self.realized:
-            self._refill()
-        return self._success_ab[self._cursor], self._success_ba[self._cursor]
+        cursor = self._cursor
+        if cursor >= self.realized:
+            if cursor >= self._n_slots:
+                raise InvalidParameterError(
+                    f"outcome stream exhausted after {self._n_slots} rounds"
+                )
+            if self._engine is None:
+                raise OutcomesPending(self)
+            result = self._engine.run_round(
+                self._protocol,
+                self._payloads[cursor, 0],
+                self._payloads[cursor, 1],
+                phase_streams=self._phase_streams,
+            )
+            self._success_ab.append(bool(result.success_a_to_b))
+            self._success_ba.append(bool(result.success_b_to_a))
+        return self._success_ab[cursor], self._success_ba[cursor]
 
     def take(self) -> tuple:
         """Consume and return the next outcome."""
         outcome = self.peek()
         self._cursor += 1
         return outcome
+
+
+def realize_chunks(streams) -> None:
+    """Realize the next chunk of every batched stream in fused engine calls.
+
+    Streams are grouped by protocol, codec and chunk length (a fused
+    batch shares one round count across its cells); each group runs as
+    :meth:`BatchedProtocolEngine.for_cells` calls of at most
+    :data:`~repro.simulation.montecarlo.DEFAULT_FUSED_ROWS` rows, one
+    cell per stream. Each stream draws its rows from its own payload
+    block and phase streams, so the outcomes do not depend on which
+    streams share a call. A stream listed twice is realized once.
+    """
+    groups: dict = {}
+    for stream in dict.fromkeys(streams):
+        if stream._engine is not None:
+            raise InvalidParameterError("per-frame streams realize their own rounds")
+        # The last chunk of a stream may be short.
+        length = min(stream._chunk, stream._n_slots - stream.realized)
+        if length < 1:
+            raise InvalidParameterError(
+                f"outcome stream exhausted after {stream._n_slots} rounds"
+            )
+        key = (stream._protocol, id(stream._codec), length)
+        groups.setdefault(key, []).append(stream)
+    for (protocol, _, length), group in groups.items():
+        per_call = max(1, DEFAULT_FUSED_ROWS // length)
+        for lo in range(0, len(group), per_call):
+            _realize_fused(protocol, group[lo : lo + per_call], length)
+
+
+def _realize_fused(protocol, streams: list, length: int) -> None:
+    """One fused engine call: the next ``length`` rounds of each stream."""
+    starts = [stream.realized for stream in streams]
+    payloads = np.concatenate(
+        [s._payloads[start : start + length] for s, start in zip(streams, starts)]
+    )
+    engine = BatchedProtocolEngine.for_cells(
+        streams[0]._codec,
+        [stream._gains.gab for stream in streams],
+        [stream._gains.gar for stream in streams],
+        [stream._gains.gbr for stream in streams],
+        [stream._power for stream in streams],
+        length,
+    )
+    batch = engine.run_rounds(
+        protocol,
+        payloads[:, 0],
+        payloads[:, 1],
+        phase_streams=spawn_cell_phase_streams(
+            protocol, [stream._phase_streams for stream in streams], length
+        ),
+    )
+    rows_ab = np.reshape(batch.success_a_to_b, (len(streams), length)).tolist()
+    rows_ba = np.reshape(batch.success_b_to_a, (len(streams), length)).tolist()
+    for stream, row_ab, row_ba in zip(streams, rows_ab, rows_ba):
+        stream._success_ab.extend(row_ab)
+        stream._success_ba.extend(row_ba)

@@ -21,10 +21,21 @@ Every stream is consumed in a fixed pattern, so event order and all
 reported metrics are a pure function of the spec — independent of the
 executor, chunking, sharding, and of whether outcomes were realized
 batched or per-frame.
+
+Every entry point runs its simulations through one driver,
+:func:`_run_simulations`: all simulations of a batch (each cell, and for
+``stable_throughput`` each offered load) are built and scheduled up
+front, each event loop runs until it drains or parks on a pair whose
+batched outcome stream has nothing realized left, and
+:func:`~repro.traffic.outcomes.realize_chunks` then realizes the next
+chunk of every parked stream in shared fused engine calls before the
+parked loops resume. A parked event keeps its ``(time, priority, seq)``
+key, so parking never changes the event order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +46,7 @@ from ..information.functions import db_to_linear
 from .arq import FlowTally, StopAndWaitArq
 from .events import ARRIVAL, SERVICE, EventLoop
 from .generators import arrival_times
-from .outcomes import FrameOutcomeStream
+from .outcomes import FrameOutcomeStream, realize_chunks
 from .queues import FifoQueue, Frame
 from .schedulers import get_scheduler
 
@@ -107,14 +118,22 @@ class TrafficReport:
 
 
 class _TrafficSim:
-    """One simulation run: wiring between the event loop and the parts."""
+    """One simulation run: wiring between the event loop and the parts.
 
-    def __init__(self, protocol, gains, power, *, link, rng, method, chunk):
+    Construction draws every arrival and schedules it, with every slot's
+    service event; :meth:`advance` then fires events until the loop
+    drains or parks.
+    """
+
+    def __init__(
+        self, protocol, gains, power, *, link, rng, codec, method, chunk, rate_scale
+    ):
         traffic = link.traffic
+        if traffic is None:
+            raise InvalidParameterError("link spec carries no traffic parameters")
         self.n_slots = int(link.n_rounds)
         offsets = traffic.pair_offsets_db
         self.n_pairs = len(offsets)
-        codec = link.codec()
         outcome_root, arrival_root = rng.spawn(2)
         pair_rngs = outcome_root.spawn(self.n_pairs)
         self.streams = []
@@ -137,7 +156,7 @@ class _TrafficSim:
                     chunk=chunk,
                 )
             )
-        self.arrival_rngs = arrival_root.spawn(2 * self.n_pairs)
+        arrival_rngs = arrival_root.spawn(2 * self.n_pairs)
         self.queues = [
             (FifoQueue(traffic.buffer_frames), FifoQueue(traffic.buffer_frames))
             for _ in range(self.n_pairs)
@@ -145,9 +164,24 @@ class _TrafficSim:
         self.flows = [FlowTally() for _ in range(2 * self.n_pairs)]
         self.arq = StopAndWaitArq(traffic.arq_limit)
         self.scheduler = get_scheduler(traffic.scheduler)
-        self.traffic = traffic
+        self.rate_scale = rate_scale
         self.served_rounds = 0
         self.idle_slots = 0
+        self.loop = EventLoop()
+        rates = traffic.pair_rates()
+        for pair in range(self.n_pairs):
+            for direction in range(2):
+                times = arrival_times(
+                    traffic.arrival,
+                    rates[pair] * rate_scale,
+                    self.n_slots,
+                    arrival_rngs[2 * pair + direction],
+                    burst_size=traffic.burst_size,
+                )
+                for t in times:
+                    self.loop.schedule(t, ARRIVAL, self._arrive, pair, direction, t)
+        for slot in range(self.n_slots):
+            self.loop.schedule(float(slot), SERVICE, self._serve, slot)
 
     def _arrive(self, pair: int, direction: int, time: float) -> None:
         tally = self.flows[2 * pair + direction]
@@ -159,12 +193,17 @@ class _TrafficSim:
         return self.streams[pair].peek()
 
     def _serve(self, slot: int) -> None:
+        # Nothing changes before the served pair's outcome is known to be
+        # realized, so a peek that parks leaves the slot as it found it; the
+        # explicit peek makes ``take`` run exactly once per served round.
         backlogs = [(len(qa), len(qb)) for qa, qb in self.queues]
         pair = self.scheduler.pick(slot, backlogs, self._peek)
         if pair is None or backlogs[pair] == (0, 0):
             self.idle_slots += 1
             return
-        success_ab, success_ba = self.streams[pair].take()
+        stream = self.streams[pair]
+        stream.peek()
+        success_ab, success_ba = stream.take()
         self.served_rounds += 1
         completion = float(slot + 1)
         for direction, success in ((0, success_ab), (1, success_ba)):
@@ -174,23 +213,17 @@ class _TrafficSim:
                     queue, self.flows[2 * pair + direction], success, completion
                 )
 
-    def run(self, rate_scale: float) -> TrafficReport:
-        rates = self.traffic.pair_rates()
-        loop = EventLoop()
-        for pair in range(self.n_pairs):
-            for direction in range(2):
-                times = arrival_times(
-                    self.traffic.arrival,
-                    rates[pair] * rate_scale,
-                    self.n_slots,
-                    self.arrival_rngs[2 * pair + direction],
-                    burst_size=self.traffic.burst_size,
-                )
-                for t in times:
-                    loop.schedule(t, ARRIVAL, self._arrive, pair, direction, t)
-        for slot in range(self.n_slots):
-            loop.schedule(float(slot), SERVICE, self._serve, slot)
-        loop.run()
+    def advance(self):
+        """Fire events until the loop drains (``None``) or parks.
+
+        A parked loop returns the outcome stream it waits on; the next
+        ``advance`` after that stream's chunk is realized resumes it.
+        """
+        self.loop.run()
+        parked = self.loop.parked
+        return None if parked is None else parked.stream
+
+    def report(self) -> TrafficReport:
         return TrafficReport(
             n_slots=self.n_slots,
             n_pairs=self.n_pairs,
@@ -208,6 +241,76 @@ class _TrafficSim:
             served_rounds=self.served_rounds,
             idle_slots=self.idle_slots,
         )
+
+
+def _run_simulations(sims) -> None:
+    """Run every simulation to its end, realizing outcomes fused.
+
+    Each round runs every waiting event loop until it drains or parks,
+    then realizes the next chunk of every parked stream in one
+    :func:`~repro.traffic.outcomes.realize_chunks` call and resumes the
+    parked loops. Per-frame streams realize their own rounds, so their
+    loops never park.
+    """
+    waiting = list(sims)
+    while waiting:
+        parked = []
+        for sim in waiting:
+            stream = sim.advance()
+            if stream is not None:
+                parked.append((sim, stream))
+        realize_chunks([stream for _, stream in parked])
+        waiting = [sim for sim, _ in parked]
+
+
+def _load_sims(protocol, gains, power, *, link, rng, **options) -> list:
+    """One simulation per offered load, each from its own spawned child.
+
+    ``options`` are :class:`_TrafficSim`'s ``codec``/``method``/``chunk``.
+    """
+    if link.traffic is None or link.traffic.offered_loads is None:
+        raise InvalidParameterError("a load sweep needs traffic offered_loads")
+    loads = link.traffic.offered_loads
+    return [
+        _TrafficSim(
+            protocol, gains, power, link=link, rng=load_rng, rate_scale=scale, **options
+        )
+        for scale, load_rng in zip(loads, rng.spawn(len(loads)))
+    ]
+
+
+def _knee(traffic, sims) -> float:
+    """The largest stable nominal offered rate of a finished load sweep."""
+    nominal = 2.0 * sum(traffic.pair_rates())
+    knee = 0.0
+    for sim in sims:
+        report = sim.report()
+        offered = report.offered
+        stable = (
+            offered == 0
+            or report.delivered >= (1.0 - traffic.knee_tolerance) * offered
+        )
+        if stable:
+            knee = max(knee, sim.rate_scale * nominal)
+    return knee
+
+
+def _cell_sims(protocol, gains, power, *, link, rng, **options) -> list:
+    """The simulations behind one grid cell's ``link.metric`` value."""
+    if link.metric == "stable_throughput":
+        return _load_sims(protocol, gains, power, link=link, rng=rng, **options)
+    return [
+        _TrafficSim(
+            protocol, gains, power, link=link, rng=rng, rate_scale=1.0, **options
+        )
+    ]
+
+
+def _cell_value(link, sims) -> float:
+    """A cell's metric from its finished :func:`_cell_sims`."""
+    if link.metric == "stable_throughput":
+        return _knee(link.traffic, sims)
+    return sims[0].report().latency_quantile(link.traffic.latency_quantile)
 
 
 def simulate_traffic(
@@ -229,14 +332,24 @@ def simulate_traffic(
     ``method``/``chunk`` select how link outcomes are realized — they can
     never change the report, only the wall clock (benchmark-asserted).
     """
-    if link.traffic is None:
-        raise InvalidParameterError("link spec carries no traffic parameters")
-    if rate_scale <= 0:
-        raise InvalidParameterError(f"rate scale must be positive, got {rate_scale}")
+    rate_scale = float(rate_scale)
+    if not (math.isfinite(rate_scale) and rate_scale > 0):
+        raise InvalidParameterError(
+            f"rate scale must be positive and finite, got {rate_scale}"
+        )
     sim = _TrafficSim(
-        protocol, gains, power, link=link, rng=rng, method=method, chunk=chunk
+        protocol,
+        gains,
+        power,
+        link=link,
+        rng=rng,
+        codec=link.codec(),
+        method=method,
+        chunk=chunk,
+        rate_scale=rate_scale,
     )
-    return sim.run(float(rate_scale))
+    _run_simulations([sim])
+    return sim.report()
 
 
 def stable_throughput_knee(
@@ -255,33 +368,23 @@ def stable_throughput_knee(
     *stable* when the system delivers at least
     ``1 - traffic.knee_tolerance`` of the frames it generated. Each load
     runs from its own spawned child stream, so the sweep is one more
-    spec-pure function. Returns the nominal offered rate
-    ``scale × Σ_flows rate`` of the largest stable load, or ``0.0`` when
-    none is stable.
+    spec-pure function, and all loads run through one driver, so their
+    outcome chunks share fused engine calls. Returns the nominal offered
+    rate ``scale × Σ_flows rate`` of the largest stable load, or ``0.0``
+    when none is stable.
     """
-    traffic = link.traffic
-    nominal = 2.0 * sum(traffic.pair_rates())
-    load_rngs = rng.spawn(len(traffic.offered_loads))
-    knee = 0.0
-    for scale, load_rng in zip(traffic.offered_loads, load_rngs):
-        report = simulate_traffic(
-            protocol,
-            gains,
-            power,
-            link=link,
-            rng=load_rng,
-            method=method,
-            chunk=chunk,
-            rate_scale=scale,
-        )
-        offered = report.offered
-        stable = (
-            offered == 0
-            or report.delivered >= (1.0 - traffic.knee_tolerance) * offered
-        )
-        if stable:
-            knee = max(knee, scale * nominal)
-    return knee
+    sims = _load_sims(
+        protocol,
+        gains,
+        power,
+        link=link,
+        rng=rng,
+        codec=link.codec(),
+        method=method,
+        chunk=chunk,
+    )
+    _run_simulations(sims)
+    return _knee(link.traffic, sims)
 
 
 def traffic_cell_value(
@@ -295,14 +398,18 @@ def traffic_cell_value(
     chunk: int | None = None,
 ) -> float:
     """One grid cell's traffic metric (``link.metric`` dispatch)."""
-    if link.metric == "stable_throughput":
-        return stable_throughput_knee(
-            protocol, gains, power, link=link, rng=rng, method=method, chunk=chunk
-        )
-    report = simulate_traffic(
-        protocol, gains, power, link=link, rng=rng, method=method, chunk=chunk
+    sims = _cell_sims(
+        protocol,
+        gains,
+        power,
+        link=link,
+        rng=rng,
+        codec=link.codec(),
+        method=method,
+        chunk=chunk,
     )
-    return report.latency_quantile(link.traffic.latency_quantile)
+    _run_simulations(sims)
+    return _cell_value(link, sims)
 
 
 def traffic_link_values(
@@ -322,7 +429,10 @@ def traffic_link_values(
     counterpart of :func:`repro.simulation.montecarlo.fused_link_values`,
     with the same seeding contract: cell ``i``'s generator is seeded from
     ``(link.seed, flat unit index)``, so values depend only on the spec,
-    never on executor choice, batch width, chunking or sharding.
+    never on executor choice, batch width, chunking or sharding. Every
+    simulation of the batch runs through one driver, so the outcome
+    chunks of all its cells, offered loads and pairs share fused engine
+    calls.
     """
     gab = np.asarray(gab, dtype=float)
     gar = np.asarray(gar, dtype=float)
@@ -331,15 +441,22 @@ def traffic_link_values(
     indices = np.asarray(indices)
     if not (gab.shape == gar.shape == gbr.shape == power.shape == indices.shape):
         raise InvalidParameterError("mismatched cell-batch shapes")
-    values = np.empty(gab.shape[0])
-    for i in range(gab.shape[0]):
-        rng = np.random.default_rng([int(link.seed), int(indices[i])])
-        values[i] = traffic_cell_value(
+    codec = link.codec()
+    cells = [
+        _cell_sims(
             protocol,
             LinkGains(gab[i], gar[i], gbr[i]),
             float(power[i]),
             link=link,
-            rng=rng,
+            rng=np.random.default_rng([int(link.seed), int(indices[i])]),
+            codec=codec,
             method=method,
+            chunk=None,
         )
+        for i in range(gab.shape[0])
+    ]
+    _run_simulations([sim for sims in cells for sim in sims])
+    values = np.empty(gab.shape[0])
+    for i, sims in enumerate(cells):
+        values[i] = _cell_value(link, sims)
     return values

@@ -95,10 +95,14 @@ class TestTrafficSpecValidation:
             {"arq_limit": 0},
             {"burst_size": 0},
             {"rates": (0.0,)},
+            {"rates": (float("inf"),)},
+            {"rates": (float("nan"),)},
             {"latency_quantile": 0.0},
             {"latency_quantile": 1.5},
             {"knee_tolerance": 1.0},
             {"offered_loads": (0.5, 0.0)},
+            {"offered_loads": (float("inf"),)},
+            {"offered_loads": (0.5, float("nan"))},
             {"pair_offsets_db": ()},
             {"pair_offsets_db": ((0.0, 1.0),)},
         ],

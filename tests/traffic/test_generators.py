@@ -63,6 +63,18 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             arrival_times("poisson", rate, 10.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("kind", ARRIVAL_KINDS)
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_nonfinite_rate_rejected(self, kind, rate):
+        """NaN would yield no arrivals; inf, zero gaps that never end."""
+        with pytest.raises(InvalidParameterError):
+            arrival_times(kind, rate, 10.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf")])
+    def test_nonfinite_horizon_rejected(self, horizon):
+        with pytest.raises(InvalidParameterError):
+            arrival_times("poisson", 1.0, horizon, np.random.default_rng(0))
+
     def test_nonpositive_horizon_rejected(self):
         with pytest.raises(InvalidParameterError):
             arrival_times("poisson", 1.0, 0.0, np.random.default_rng(0))

@@ -8,9 +8,14 @@ from repro.channels.gains import LinkGains
 from repro.core.protocols import Protocol
 from repro.exceptions import InvalidParameterError
 from repro.traffic import (
+    EventParked,
     FrameOutcomeStream,
+    OutcomesPending,
+    SCHEDULERS,
+    realize_chunks,
     simulate_traffic,
     stable_throughput_knee,
+    traffic_cell_value,
     traffic_link_values,
 )
 
@@ -45,82 +50,103 @@ def two_pair_link(scheduler, *, seed=5, offered_loads=(0.4, 0.8, 1.2)):
     )
 
 
+def realize(stream, n):
+    """Realize a batched stream's first ``n`` outcomes, chunk by chunk."""
+    while stream.realized < n:
+        realize_chunks([stream])
+    return stream
+
+
+def stream_of(protocol=Protocol.MABC, n_slots=8, seed=1, **kwargs):
+    return FrameOutcomeStream(
+        protocol,
+        kwargs.pop("gains", PAPER_GAINS),
+        kwargs.pop("power", 10.0),
+        n_slots,
+        np.random.default_rng(seed),
+        codec=latency_link().codec(),
+        **kwargs,
+    )
+
+
 class TestOutcomeStream:
     @pytest.mark.parametrize("protocol", list(Protocol))
     def test_batched_matches_per_frame_bitwise(self, protocol):
-        link = latency_link()
-        codec = link.codec()
         outcomes = {}
         for method in ("batched", "per-frame"):
-            stream = FrameOutcomeStream(
-                protocol,
-                PAPER_GAINS,
-                10.0,
-                32,
-                np.random.default_rng(7),
-                codec=codec,
-                method=method,
-            )
+            stream = stream_of(protocol, 32, 7, method=method)
+            if method == "batched":
+                realize(stream, 32)
             outcomes[method] = [stream.take() for _ in range(32)]
         assert outcomes["batched"] == outcomes["per-frame"]
 
     def test_chunk_size_never_changes_outcomes(self):
-        link = latency_link()
-        codec = link.codec()
         reference = None
         for chunk in (1, 5, 64):
-            stream = FrameOutcomeStream(
-                Protocol.MABC,
-                PAPER_GAINS,
-                10.0,
-                24,
-                np.random.default_rng(3),
-                codec=codec,
-                chunk=chunk,
-            )
+            stream = realize(stream_of(n_slots=24, seed=3, chunk=chunk), 24)
             outcomes = [stream.take() for _ in range(24)]
             if reference is None:
                 reference = outcomes
             assert outcomes == reference
 
+    def test_fused_streams_match_solo_streams(self):
+        """Sharing an engine call never changes a stream's outcomes."""
+        cases = [
+            dict(seed=1, chunk=4),
+            dict(seed=2, chunk=4, gains=LinkGains.from_db(-4.0, 2.0, 2.0)),
+            dict(seed=3, chunk=4, power=3.0),
+            dict(seed=4, chunk=5),
+        ]
+        solo = []
+        for case in cases:
+            stream = realize(stream_of(n_slots=14, **case), 14)
+            solo.append([stream.take() for _ in range(14)])
+        fused = [stream_of(n_slots=14, **case) for case in cases]
+        while any(stream.realized < 14 for stream in fused):
+            realize_chunks([s for s in fused if s.realized < 14])
+        assert [[s.take() for _ in range(14)] for s in fused] == solo
+
+    def test_batched_stream_parks_until_realized(self):
+        stream = stream_of(n_slots=40, chunk=16)
+        with pytest.raises(OutcomesPending) as pending:
+            stream.peek()
+        assert isinstance(pending.value, EventParked)
+        assert pending.value.stream is stream
+        assert stream.consumed == 0 and stream.realized == 0
+        realize_chunks([stream])
+        assert stream.realized == 16
+        for _ in range(16):
+            stream.take()
+        with pytest.raises(OutcomesPending):
+            stream.take()
+        assert stream.consumed == 16
+        realize_chunks([stream, stream])
+        assert stream.realized == 32
+        realize_chunks([stream])
+        assert stream.realized == 40
+
     def test_peek_does_not_consume(self):
-        stream = FrameOutcomeStream(
-            Protocol.MABC,
-            PAPER_GAINS,
-            10.0,
-            8,
-            np.random.default_rng(1),
-            codec=latency_link().codec(),
-        )
+        stream = realize(stream_of(), 1)
         assert stream.peek() == stream.peek()
         assert stream.consumed == 0
         assert stream.peek() == stream.take()
         assert stream.consumed == 1
 
     def test_exhaustion_raises(self):
-        stream = FrameOutcomeStream(
-            Protocol.MABC,
-            PAPER_GAINS,
-            10.0,
-            2,
-            np.random.default_rng(1),
-            codec=latency_link().codec(),
-        )
+        stream = realize(stream_of(n_slots=2), 2)
         stream.take(), stream.take()
         with pytest.raises(InvalidParameterError):
             stream.take()
+        with pytest.raises(InvalidParameterError):
+            realize_chunks([stream])
+
+    def test_per_frame_streams_are_not_chunk_realized(self):
+        with pytest.raises(InvalidParameterError):
+            realize_chunks([stream_of(method="per-frame")])
 
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidParameterError):
-            FrameOutcomeStream(
-                Protocol.MABC,
-                PAPER_GAINS,
-                10.0,
-                4,
-                np.random.default_rng(1),
-                codec=latency_link().codec(),
-                method="magic",
-            )
+            stream_of(n_slots=4, method="magic")
 
 
 class TestSimulateTraffic:
@@ -228,6 +254,11 @@ class TestSimulateTraffic:
         with pytest.raises(InvalidParameterError):
             self._run(latency_link(), rate_scale=0.0)
 
+    @pytest.mark.parametrize("rate_scale", [float("nan"), float("inf")])
+    def test_nonfinite_rate_scale_rejected(self, rate_scale):
+        with pytest.raises(InvalidParameterError):
+            self._run(latency_link(), rate_scale=rate_scale)
+
 
 class TestStableThroughput:
     def _knee(self, link, seed=0):
@@ -244,6 +275,12 @@ class TestStableThroughput:
         nominal = 2.0 * sum(link.traffic.pair_rates())
         candidates = {0.0} | {s * nominal for s in link.traffic.offered_loads}
         assert self._knee(link) in candidates
+
+    def test_sweep_without_offered_loads_rejected(self):
+        with pytest.raises(InvalidParameterError, match="offered_loads"):
+            self._knee(latency_link())
+        with pytest.raises(InvalidParameterError, match="offered_loads"):
+            self._knee(LinkSimSpec(n_rounds=8, payload_bits=32, seed=0))
 
     def test_work_conserving_weakly_dominates_round_robin(self):
         """The acceptance claim, at the registered scenario's asymmetry."""
@@ -279,6 +316,18 @@ class TestTrafficLinkValues:
         ]
         assert np.array_equal(batch, np.array(singles))
 
+    def test_trafficless_link_rejected(self):
+        with pytest.raises(InvalidParameterError, match="traffic"):
+            traffic_link_values(
+                Protocol.MABC,
+                [0.2],
+                [1.0],
+                [3.16],
+                [10.0],
+                link=LinkSimSpec(n_rounds=8, payload_bits=32, seed=0),
+                indices=[0],
+            )
+
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(InvalidParameterError):
             traffic_link_values(
@@ -290,3 +339,91 @@ class TestTrafficLinkValues:
                 link=latency_link(),
                 indices=[0],
             )
+
+
+#: Three cells with mixed geometries and powers, in non-sorted flat order.
+MIXED_GAINS = (
+    PAPER_GAINS,
+    LinkGains.from_db(-4.0, 2.0, 2.0),
+    LinkGains.from_db(-12.0, -3.0, 1.0),
+)
+MIXED_POWERS = (10.0, 4.0, 16.0)
+MIXED_INDICES = (4, 0, 9)
+
+
+def driver_link(metric, scheduler):
+    """Two pairs, 40 slots: one full outcome chunk and a short tail."""
+    return LinkSimSpec(
+        n_rounds=40,
+        payload_bits=32,
+        seed=11,
+        metric=metric,
+        traffic=TrafficSpec(
+            rates=(0.5, 0.25),
+            scheduler=scheduler,
+            buffer_frames=6,
+            arq_limit=3,
+            pair_offsets_db=((0.0, 0.0, 0.0), (-2.0, 3.0, -3.0)),
+            offered_loads=(0.5, 1.0, 1.5) if metric == "stable_throughput" else None,
+        ),
+    )
+
+
+def mixed_values(link, *, method="batched", cells=slice(None)):
+    return traffic_link_values(
+        Protocol.TDBC,
+        [g.gab for g in MIXED_GAINS][cells],
+        [g.gar for g in MIXED_GAINS][cells],
+        [g.gbr for g in MIXED_GAINS][cells],
+        list(MIXED_POWERS)[cells],
+        link=link,
+        indices=list(MIXED_INDICES)[cells],
+        method=method,
+    )
+
+
+class TestFusedDriver:
+    """Every pair, load and cell of a batch realizes through shared calls."""
+
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    @pytest.mark.parametrize("metric", ["latency", "stable_throughput"])
+    def test_fused_batch_matches_per_frame_bitwise(self, metric, scheduler):
+        link = driver_link(metric, scheduler)
+        batched = mixed_values(link)
+        assert batched.tobytes() == mixed_values(link, method="per-frame").tobytes()
+
+    @pytest.mark.parametrize("metric", ["latency", "stable_throughput"])
+    def test_one_cell_calls_match_the_fused_batch(self, metric):
+        link = driver_link(metric, "opportunistic")
+        singles = np.concatenate(
+            [mixed_values(link, cells=slice(i, i + 1)) for i in range(3)]
+        )
+        assert mixed_values(link).tobytes() == singles.tobytes()
+
+    def test_cells_and_loads_share_engine_calls(self, monkeypatch):
+        from repro.traffic import outcomes
+
+        widths = []
+        fused = outcomes._realize_fused
+
+        def recording(protocol, streams, length):
+            widths.append(len(streams))
+            return fused(protocol, streams, length)
+
+        monkeypatch.setattr(outcomes, "_realize_fused", recording)
+        mixed_values(driver_link("stable_throughput", "longest-queue"))
+        # Every one of the 3 cells x 3 loads parks on its first served
+        # slot, so the first refill realizes all nine in one call.
+        assert widths[0] == 9
+        assert sum(widths) > len(widths)
+
+    def test_cell_value_runs_the_same_driver(self):
+        link = driver_link("stable_throughput", "round-robin")
+        value = traffic_cell_value(
+            Protocol.TDBC,
+            MIXED_GAINS[1],
+            MIXED_POWERS[1],
+            link=link,
+            rng=np.random.default_rng([link.seed, MIXED_INDICES[1]]),
+        )
+        assert np.float64(value).tobytes() == mixed_values(link)[1].tobytes()
