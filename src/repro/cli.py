@@ -722,10 +722,11 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_client(args) -> int:
+    from .exceptions import InvalidParameterError
     from .serve import ServeClient, ServeError
 
-    client = ServeClient(args.socket, timeout=args.timeout, retries=args.retries)
     try:
+        client = ServeClient(args.socket, timeout=args.timeout, retries=args.retries)
         if args.action == "ping":
             pong = client.ping()
             draining = " (draining)" if pong.get("draining") else ""
@@ -769,6 +770,9 @@ def _cmd_client(args) -> int:
             if args.dump:
                 np.save(args.dump, served.values)
                 print(f"wrote {args.dump}")
+    except InvalidParameterError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     except ServeError as error:
         if error.code == "unreachable":
             # No daemon is listening: an operator problem, not a request

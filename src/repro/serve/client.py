@@ -5,8 +5,8 @@ Unix socket, write the request frame, consume the event stream, return
 the terminal event's contents. Progress events are surfaced through an
 optional callback, terminal ``error`` events raise :class:`ServeError`
 carrying the daemon's error code, and result grids are reassembled into
-arrays bitwise-identical to a local evaluation (see
-:mod:`repro.serve.protocol` on why JSON is an exact float transport).
+arrays bitwise-identical to a local evaluation (the protocol ships each
+double's bytes; see :mod:`repro.serve.protocol`).
 
 With ``retries > 0`` the client transparently reconnects and re-sends
 after *retryable* failures — a connection that died mid-stream, a torn
@@ -22,12 +22,13 @@ patience.
 from __future__ import annotations
 
 import itertools
+import math
 import socket as socket_module
 import time
 
 import numpy as np
 
-from ..exceptions import ReproError
+from ..exceptions import InvalidParameterError, ReproError
 from ..scenarios.wire import scenario_to_request
 from .protocol import ProtocolError, decode_frame, encode_frame, values_from_payload
 
@@ -41,6 +42,18 @@ _TIMEOUT_GRACE_SECONDS = 5.0
 #: Client-side codes whose failures default to retryable.  ``unreachable``
 #: (connection refused — no daemon) is deliberately NOT here.
 _RETRYABLE_CLIENT_CODES = frozenset({"disconnected", "busy"})
+
+
+def _check_timeout(timeout: float | None, what: str) -> float | None:
+    """``timeout`` as float seconds: ``None`` or finite and > 0, else an error."""
+    if timeout is None:
+        return None
+    seconds = float(timeout)
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise InvalidParameterError(
+            f"{what} must be finite and > 0 seconds (or None), got {timeout!r}"
+        )
+    return seconds
 
 
 class ServeError(ReproError):
@@ -114,7 +127,8 @@ class ServeClient:
     socket_path:
         The daemon's Unix-domain socket.
     timeout:
-        Client-side socket timeout in seconds (``None`` = block).
+        Client-side socket timeout in seconds, finite and positive
+        (``None`` = block).
     retries:
         How many times a *retryable* failure is retried by reconnecting
         and re-sending the identical request (safe — see the module
@@ -136,9 +150,9 @@ class ServeClient:
         backoff_cap: float = 2.0,
     ) -> None:
         if retries < 0:
-            raise ReproError(f"retries must be >= 0, got {retries}")
+            raise InvalidParameterError(f"retries must be >= 0, got {retries}")
         self.socket_path = socket_path
-        self.timeout = timeout
+        self.timeout = _check_timeout(timeout, "client timeout")
         self.retries = int(retries)
         self.backoff_base = float(backoff_base)
         self.backoff_cap = float(backoff_cap)
@@ -159,17 +173,19 @@ class ServeClient:
 
         ``scenario_or_name`` is a registered name or a
         :class:`~repro.scenarios.base.Scenario` (shipped inline).
-        ``timeout`` is enforced server-side; ``progress`` receives the
-        daemon's per-chunk ``(done, total)`` ticks. Raises
-        :class:`ServeError` on any terminal error event.
+        ``timeout`` (finite seconds > 0, or ``None``) is enforced
+        server-side; ``progress`` receives the daemon's per-chunk
+        ``(done, total)`` ticks. Raises :class:`ServeError` on any
+        terminal error event.
         """
+        timeout = _check_timeout(timeout, "request timeout")
         options = {}
         if executor is not None:
             options["executor"] = executor
         if chunk_size is not None:
             options["chunk_size"] = chunk_size
         if timeout is not None:
-            options["timeout"] = float(timeout)
+            options["timeout"] = timeout
         frame = {
             "op": "evaluate",
             "id": self._next_id(),
@@ -179,7 +195,7 @@ class ServeClient:
             frame["options"] = options
         socket_timeout = self.timeout
         if timeout is not None:
-            socket_timeout = float(timeout) + _TIMEOUT_GRACE_SECONDS
+            socket_timeout = timeout + _TIMEOUT_GRACE_SECONDS
         event = self._roundtrip(frame, progress=progress, timeout=socket_timeout)
         return ServedResult(event["result"])
 

@@ -28,7 +28,7 @@ requests over a Unix-domain socket speaking the JSON-lines protocol of
 
 Determinism is inherited, not re-proven: jobs run through
 :func:`repro.campaign.engine.run_campaign` with a bitwise-trusted
-executor, and the wire protocol transports doubles exactly, so a served
+executor, and the wire protocol ships each double's exact bytes, so a served
 result is byte-identical to a local ``evaluate()`` of the same scenario.
 """
 
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import math
 import os
 import socket as socket_module
 import time
@@ -111,13 +112,19 @@ class ServeConfig:
             raise InvalidParameterError(
                 f"need room for at least one pending job, got {self.max_pending}"
             )
-        if self.request_timeout is not None and self.request_timeout <= 0:
+        if self.request_timeout is not None and not (
+            math.isfinite(self.request_timeout) and self.request_timeout > 0
+        ):
             raise InvalidParameterError(
-                f"request timeout must be positive, got {self.request_timeout}"
+                f"request timeout must be finite and > 0, got {self.request_timeout}"
             )
-        if self.drain_timeout < 0:
+        if not (math.isfinite(self.drain_timeout) and self.drain_timeout >= 0):
             raise InvalidParameterError(
-                f"drain timeout must be non-negative, got {self.drain_timeout}"
+                f"drain timeout must be finite and >= 0, got {self.drain_timeout}"
+            )
+        if self.chunk_size is not None and self.chunk_size < 1:
+            raise InvalidParameterError(
+                f"chunk size must be positive, got {self.chunk_size}"
             )
 
 
@@ -403,9 +410,11 @@ class CampaignServer:
         key = _cache_key(spec)
 
         # Hot path: the full grid is already in the store — answer from
-        # disk without occupying a job slot.
+        # disk without occupying a job slot.  The read runs inline: it is
+        # one small file whose parse holds the GIL, so a worker thread
+        # would add its hop without letting anything else run meanwhile.
         if self._store is not None:
-            cached = await asyncio.to_thread(self._store.load, key)
+            cached = self._store.load(key)
             if cached is not None and cached.shape == spec.grid_shape:
                 self.stats["served_from_cache"] += 1
                 await self._send(

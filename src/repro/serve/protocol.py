@@ -36,17 +36,22 @@ divergently). ``ping`` answers ``pong``, ``stats`` answers ``stats``,
 ``health`` answers ``health`` (a liveness/fault-counter snapshot) and
 ``shutdown`` answers ``bye``.
 
-Result payloads ship the grid as a flat ``values`` list plus its
-``shape``. JSON is an *exact* transport for IEEE-754 doubles here:
-Python serializes floats via ``repr`` (shortest round-trip form) and
-parses them back to the identical bits, with ``NaN``/``Infinity`` tokens
-for the non-finite values — so a served grid is bitwise-identical to the
-locally computed one, the same guarantee the executors give each other.
+Result payloads ship the grid as ``values`` — the base64 text of its
+C-order little-endian IEEE-754 float64 bytes — next to its ``shape``.
+The transport is exact at the byte level: every value, NaN sign and
+payload bits included, reaches the client as the same eight bytes the
+daemon held, so a served grid is bitwise-identical to the locally
+computed one, the same guarantee the executors give each other.  JSON
+floats could not promise that: JSON has a single ``NaN`` token, which
+drops a NaN's sign and payload (``inf - inf`` is the sign-set NaN on
+x86).
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,7 +78,7 @@ __all__ = [
 ]
 
 #: Version stamped into ``ping`` responses; bumped on breaking changes.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Upper bound on one frame's encoded size (a line, including newline).
 MAX_FRAME_BYTES = 64 * 1024 * 1024
@@ -191,8 +196,14 @@ def parse_request(frame: dict) -> Request:
     if timeout is not None:
         if isinstance(timeout, bool) or not isinstance(timeout, (int, float)):
             raise ProtocolError(f"option 'timeout' must be a number, got {timeout!r}")
-        if timeout <= 0:
-            raise ProtocolError(f"option 'timeout' must be positive, got {timeout}")
+        try:
+            finite = math.isfinite(timeout)
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite or timeout <= 0:
+            raise ProtocolError(
+                f"option 'timeout' must be a positive finite number, got {timeout}"
+            )
     return Request(op=op, id=request_id, scenario=scenario, options=dict(options))
 
 
@@ -272,12 +283,13 @@ def result_payload(
     joined serves — recovery happened, if at all, on the computing side).
     """
     array = np.asarray(values, dtype=float)
+    encoded = np.ascontiguousarray(array, dtype="<f8").tobytes()
     return {
         "scenario": scenario_name,
         "objective": objective,
         "spec_hash": spec_hash,
         "shape": list(array.shape),
-        "values": array.ravel().tolist(),
+        "values": base64.b64encode(encoded).decode("ascii"),
         "served_from": served_from,
         "executor": executor_name,
         "cells_from_cache": int(cells_from_cache),
@@ -289,16 +301,33 @@ def result_payload(
 
 
 def values_from_payload(payload: dict) -> np.ndarray:
-    """Reassemble a payload's flat value list into its grid array."""
+    """Decode a payload's base64 ``values`` into its grid array.
+
+    The result is a fresh, writable, native-order, C-contiguous float64
+    array.  Anything but a v2 encoding of exactly ``prod(shape)``
+    doubles — a v1 float list, text that is not strict base64, a byte
+    count that is not a whole number of doubles — raises
+    :class:`ProtocolError`.
+    """
     try:
         shape = tuple(int(n) for n in payload["shape"])
-        flat = payload["values"]
+        encoded = payload["values"]
     except (KeyError, TypeError, ValueError) as error:
         raise ProtocolError(f"malformed result payload: {error}") from error
-    array = np.asarray(flat, dtype=float)
-    expected = int(np.prod(shape)) if shape else 1
-    if array.size != expected:
+    if any(n < 0 for n in shape):
+        raise ProtocolError(f"payload shape {shape} has a negative extent")
+    if not isinstance(encoded, str):
         raise ProtocolError(
-            f"payload carries {array.size} values but shape {shape} needs {expected}"
+            "payload values must be base64 float64 bytes (protocol "
+            f"v{PROTOCOL_VERSION}), got {type(encoded).__name__}"
         )
-    return array.reshape(shape)
+    try:
+        raw = base64.b64decode(encoded, validate=True)
+    except ValueError as error:  # binascii.Error, or non-ASCII text
+        raise ProtocolError(f"payload values are not valid base64: {error}") from error
+    expected = 8 * math.prod(shape)
+    if len(raw) != expected:
+        raise ProtocolError(
+            f"payload carries {len(raw)} value bytes but shape {shape} needs {expected}"
+        )
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)

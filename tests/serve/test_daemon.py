@@ -3,7 +3,10 @@ identical in-flight requests deduplicate onto one job, hot requests come
 straight from the cache, and overload/timeout/shutdown degrade cleanly."""
 
 import asyncio
+import math
 import os
+import shutil
+import socket
 import threading
 import time
 
@@ -11,13 +14,14 @@ import numpy as np
 import pytest
 
 from repro.api import evaluate
-from repro.campaign.engine import run_campaign
+from repro.campaign.engine import _cache_key, run_campaign
 from repro.campaign.spec import CampaignSpec, FadingSpec
 from repro.channels.gains import LinkGains
 from repro.core.protocols import Protocol
 from repro.exceptions import InvalidParameterError
-from repro.scenarios import Scenario
+from repro.scenarios import Scenario, get_scenario
 from repro.serve import CampaignServer, ServeClient, ServeConfig, ServeError
+from repro.serve.protocol import decode_frame
 
 
 @pytest.fixture()
@@ -87,6 +91,22 @@ def _in_flight(client) -> int:
     return client.stats()["in_flight"]
 
 
+def _raw_exchange(socket_path: str, line: bytes) -> list[dict]:
+    """Send one raw request line; return every frame the daemon answers."""
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        sock.settimeout(30)
+        sock.connect(socket_path)
+        sock.sendall(line)
+        with sock.makefile("rb") as stream:
+            return [decode_frame(frame) for frame in stream]
+
+
+def _assert_wire_exact(served, local_values) -> None:
+    """The payload carried base64 bytes that decode to the local grid."""
+    assert isinstance(served.payload["values"], str)
+    assert served.values.tobytes() == local_values.tobytes()
+
+
 class TestServedResults:
     def test_bitwise_identical_to_local(self, start_server):
         _, client = start_server()
@@ -101,10 +121,52 @@ class TestServedResults:
         second = client.evaluate("fig4-operating-points")
         assert first.served_from == "computed"
         assert second.served_from == "cache"
-        assert second.values.tobytes() == first.values.tobytes()
+        local = evaluate("fig4-operating-points").values
+        _assert_wire_exact(first, local)
+        _assert_wire_exact(second, local)
         stats = client.stats()["stats"]
         assert stats["served_from_cache"] == 1
         assert stats["computed"] == 1
+
+    def test_cached_sign_set_nan_is_served_byte_for_byte(self, start_server):
+        server, client = start_server()
+        spec = get_scenario("fig4-operating-points").to_campaign_spec()
+        grid = evaluate("fig4-operating-points").values.copy()
+        # The NaN x86 makes of inf - inf, whose sign bit a JSON float drops.
+        grid.flat[0] = np.array(0xFFF8000000000000, dtype="<u8").view("<f8")
+        grid.flat[1] = -0.0
+        server._store.store(_cache_key(spec), grid, spec.to_dict())
+        served = client.evaluate("fig4-operating-points")
+        assert served.served_from == "cache"
+        _assert_wire_exact(served, grid)
+
+    def test_corrupt_cache_entry_is_discarded_and_recomputed(self, start_server):
+        server, client = start_server()
+        first = client.evaluate("fig4-operating-points")
+        key = _cache_key(get_scenario("fig4-operating-points").to_campaign_spec())
+        entry = server._store.path_for(key)
+        entry.write_bytes(b"not an npz archive")
+        # Drop the chunk checkpoints too, so the grid must be recomputed
+        # rather than reassembled.
+        shutil.rmtree(server._store.chunk_dir_for(key))
+        second = client.evaluate("fig4-operating-points")
+        assert second.served_from == "computed"
+        assert second.values.tobytes() == first.values.tobytes()
+        assert server._store.load(key).tobytes() == first.values.tobytes()
+        assert client.stats()["stats"]["computed"] == 2
+
+    def test_non_finite_timeout_is_invalid_and_daemon_survives(self, start_server):
+        server, client = start_server()
+        line = (
+            b'{"op":"evaluate","id":"r-nan","scenario":'
+            b'{"name":"fig4-operating-points"},"options":{"timeout":NaN}}\n'
+        )
+        frames = _raw_exchange(server.config.socket_path, line)
+        assert [frame["event"] for frame in frames] == ["error"]
+        assert frames[0]["code"] == "invalid"
+        assert frames[0]["retryable"] is False
+        assert client.ping()["protocol_version"] == 2
+        assert _in_flight(client) == 0
 
     def test_inline_scenario_with_fading(self, start_server):
         _, client = start_server()
@@ -168,7 +230,9 @@ class TestDeduplication:
         second.join(timeout=30)
         served = {results["first"].served_from, results["second"].served_from}
         assert served == {"computed", "joined"}
-        assert results["first"].values.tobytes() == results["second"].values.tobytes()
+        local = evaluate("fig4-operating-points").values
+        _assert_wire_exact(results["first"], local)
+        _assert_wire_exact(results["second"], local)
         assert client.stats()["stats"]["computed"] == 1
 
     def test_request_after_completion_starts_fresh(self, start_server):
@@ -242,6 +306,29 @@ class TestDegradation:
         )
         with pytest.raises(Exception, match="already listening"):
             asyncio.run(clash.start())
+
+
+class TestServeConfig:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"request_timeout": math.nan},
+            {"request_timeout": math.inf},
+            {"drain_timeout": math.nan},
+            {"drain_timeout": math.inf},
+            {"chunk_size": 0},
+        ],
+        ids=[
+            "nan-request-timeout",
+            "inf-request-timeout",
+            "nan-drain-timeout",
+            "inf-drain-timeout",
+            "zero-chunk-size",
+        ],
+    )
+    def test_rejects_at_construction(self, tmp_path, overrides):
+        with pytest.raises(InvalidParameterError):
+            ServeConfig(socket_path=str(tmp_path / "s.sock"), **overrides)
 
 
 class TestFacadeRoute:

@@ -1,5 +1,6 @@
 """Wire protocol invariants: framing, request validation, exact floats."""
 
+import base64
 import math
 
 import numpy as np
@@ -73,6 +74,10 @@ class TestParseRequest:
             {"timeout": 0},
             {"timeout": -1.0},
             {"timeout": True},
+            {"timeout": math.nan},
+            {"timeout": math.inf},
+            {"timeout": -math.inf},
+            {"timeout": 10**400},
             {"executor": 3},
         ],
     )
@@ -109,31 +114,106 @@ class TestErrorEvents:
             assert error_event("r", code, "boom")["code"] == code
 
 
+def _payload(values, overrides=()):
+    payload = result_payload(
+        scenario_name="s",
+        objective="sum_rate",
+        spec_hash="h",
+        values=values,
+        served_from="computed",
+        executor_name="serial",
+        cells_from_cache=0,
+        cells_computed=np.size(values),
+        elapsed_seconds=0.1,
+    )
+    payload.update(overrides)
+    return payload
+
+
+def _b64(data: bytes) -> str:
+    return base64.b64encode(data).decode("ascii")
+
+
+#: Four float64 zeros: what a (2, 2) payload needs, so only the base64
+#: strictness can reject the variants built from it.
+_FOUR_ZEROS = _b64(bytes(32))
+
+
+def _bits(*patterns: int) -> np.ndarray:
+    return np.array(patterns, dtype="<u8").view("<f8")
+
+
 class TestPayloadTransport:
     def test_values_round_trip_bitwise(self):
-        values = np.array(
-            [0.1, 1 / 3, math.pi, 1e-308, 2.5, np.nan, np.inf, -np.inf, 0.0]
-        ).reshape(3, 3)
-        payload = result_payload(
-            scenario_name="s",
-            objective="sum_rate",
-            spec_hash="h",
-            values=values,
-            served_from="computed",
-            executor_name="serial",
-            cells_from_cache=0,
-            cells_computed=9,
-            elapsed_seconds=0.1,
+        with np.errstate(invalid="ignore"):
+            inf_minus_inf = np.float64(np.inf) - np.float64(np.inf)
+        special = np.concatenate(
+            [
+                [inf_minus_inf, -0.0, np.inf, -np.inf, 5e-324, np.finfo(float).max],
+                # The x86 default NaN, a quiet NaN with a payload and a
+                # signalling one: a NaN's sign and payload bits must
+                # survive, not only its NaN-ness.
+                _bits(0xFFF8000000000000, 0x7FF8DEADBEEF0001, 0x7FF0000000000001),
+                [0.1, 1 / 3, math.pi, 1e-308, 2.5, 0.0],
+            ]
         )
+        values = special.reshape(3, 5)
         # Through the actual wire encoding, not just the dict.
-        restored = values_from_payload(decode_frame(encode_frame(payload)))
+        restored = values_from_payload(decode_frame(encode_frame(_payload(values))))
         assert restored.shape == values.shape
         assert restored.tobytes() == values.tobytes()
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ProtocolError):
-            values_from_payload({"shape": [2, 2], "values": [1.0, 2.0, 3.0]})
+    def test_values_are_base64_of_c_order_little_endian_doubles(self):
+        values = np.arange(6.0).reshape(2, 3)
+        for layout in (values, np.asfortranarray(values), values.astype(">f8")):
+            payload = _payload(layout)
+            assert payload["shape"] == [2, 3]
+            assert payload["values"] == _b64(values.astype("<f8").tobytes())
 
-    def test_malformed_payload_rejected(self):
+    def test_decoded_array_is_writable_native_and_contiguous(self):
+        restored = values_from_payload(_payload(np.arange(6.0).reshape(3, 2)))
+        assert restored.dtype == np.float64 and restored.dtype.isnative
+        assert restored.flags.c_contiguous
+        assert restored.flags.writeable
+        restored[0, 0] = 7.0  # a fresh array, not a view of the frame
+
+    def test_scalar_grid(self):
+        restored = values_from_payload(_payload(np.float64(-0.0)))
+        assert restored.shape == ()
+        assert restored.tobytes() == np.float64(-0.0).tobytes()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"values": [1.0, 2.0, 3.0, 4.0]},
+            {"values": _FOUR_ZEROS[:8] + "*" + _FOUR_ZEROS[8:]},
+            {"values": _FOUR_ZEROS[:8] + "\n" + _FOUR_ZEROS[8:]},
+            {"values": "AAAAAAAAAA"},
+            {"values": "\u00e9t\u00e9"},
+            {"values": _b64(bytes(7))},
+            {"values": _b64(bytes(24))},
+            {"shape": [-2, -2]},
+            {"shape": "2x2"},
+        ],
+        ids=[
+            "v1-list",
+            "bad-alphabet",
+            "whitespace",
+            "bad-padding",
+            "non-ascii",
+            "ragged-bytes",
+            "three-doubles-for-four",
+            "negative-shape",
+            "non-numeric-shape",
+        ],
+    )
+    def test_malformed_values_rejected(self, overrides):
+        payload = _payload(np.zeros((2, 2)), overrides)
         with pytest.raises(ProtocolError):
-            values_from_payload({"values": [1.0]})
+            values_from_payload(payload)
+
+    def test_missing_keys_rejected(self):
+        with pytest.raises(ProtocolError):
+            values_from_payload({"values": _b64(bytes(8))})
+        with pytest.raises(ProtocolError):
+            values_from_payload({"shape": [1]})

@@ -663,6 +663,32 @@ class TestClientCommand:
         assert f"daemon not running at {socket_path}" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--timeout", "nan", "ping"],
+            ["--timeout", "-1", "ping"],
+            ["--timeout", "inf", "stats"],
+            ["run", "fig4-operating-points", "--quiet", "--request-timeout", "nan"],
+            ["--retries", "-1", "ping"],
+        ],
+        ids=[
+            "nan-timeout",
+            "negative-timeout",
+            "inf-timeout",
+            "nan-request-timeout",
+            "negative-retries",
+        ],
+    )
+    def test_bad_client_option_exits_2_with_one_line(self, capsys, tmp_path, argv):
+        socket_path = str(tmp_path / "nobody-home.sock")
+        code = main(["client", "--socket", socket_path, *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
     def test_run_against_missing_daemon_exits_2(self, capsys, tmp_path):
         socket_path = str(tmp_path / "stale.sock")
         code = main(["client", "--socket", socket_path, "run",
