@@ -2,47 +2,66 @@
 
 Results are keyed by the campaign spec's content hash (plus the kernel
 version), so a repeated benchmark or CI run of the same grid is a cache
-hit and costs one ``np.load``. Because every executor produces bitwise
+hit and costs one flat file read. Because every executor produces bitwise
 identical values (see :mod:`repro.campaign.executors`), the key does not —
 and must not — include the executor.
 
-Layout: one ``<key>.npz`` per full campaign under the cache directory,
-containing the result array and the spec's canonical JSON for post-hoc
-inspection — plus, for sharded/resumable execution, a ``<key>.chunks/``
-directory of per-chunk entries (``units-<start>-<stop>.npz``) covering
-flat unit ranges of the grid. Independent shard processes coordinate only
-through this directory: each writes the chunks it computed, and a gather
+Layout: one ``<key>.f64`` per full campaign under the cache directory —
+plus, for sharded/resumable execution, a ``<key>.chunks/`` directory of
+per-chunk entries (``units-<start>-<stop>.f64``) covering flat unit
+ranges of the grid. Independent shard processes coordinate only through
+this directory: each writes the chunks it computed, and a gather
 reassembles them.
 
-Every entry carries a SHA-256 digest of its value bytes. Entries whose
-digest (or declared unit range) does not verify — bit rot, truncation,
-torn concurrent copies — are *discarded and recomputed*, never served.
-Writes are atomic (temp file + rename) so concurrent runs and interrupted
-processes can never publish a torn entry.
+Every entry is one flat file, in this order:
+
+1. the magic line ``repro-campaign-entry 1``;
+2. one JSON header line: the value ``shape``, the SHA-256 ``digest`` of
+   the value bytes, the spec's canonical JSON as ``spec`` (so entries
+   stay self-describing) and, for a chunk, its unit range
+   ``start``/``stop``;
+3. the values as C-order little-endian float64 bytes.
+
+A read is one ``read_bytes``, a parse of the short header, one SHA-256
+and one copy into a writable array. Entries whose digest (or declared
+shape or unit range) does not verify — bit rot, truncation, torn
+concurrent copies, a header without a digest — are *discarded and
+recomputed*, never served. Writes are atomic (temp file + rename) so
+concurrent runs and interrupted processes can never publish a torn entry.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import tempfile
 from pathlib import Path
-from zipfile import BadZipFile
 
 import numpy as np
 
-__all__ = ["CampaignCache", "default_cache_dir"]
+__all__ = ["ENTRY_SUFFIX", "CampaignCache", "default_cache_dir"]
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "REPRO_CAMPAIGN_CACHE"
 
+#: File extension of every entry, full campaigns and chunks alike.
+ENTRY_SUFFIX = ".f64"
+
+#: Extension of entries written by older releases in the ``.npz`` zip
+#: container: never read, only reclaimed by :meth:`CampaignCache.clear`.
+_LEGACY_SUFFIX = ".npz"
+
+#: First line of every entry file.
+_MAGIC = b"repro-campaign-entry 1\n"
+
 #: Chunk entry file names inside a ``<key>.chunks/`` directory.
-_CHUNK_NAME_RE = re.compile(r"^units-(\d+)-(\d+)\.npz$")
+_CHUNK_NAME_RE = re.compile(rf"^units-(\d+)-(\d+){re.escape(ENTRY_SUFFIX)}$")
 
 #: Errors that mean "this entry is unreadable", not "the caller misused us".
-_ENTRY_ERRORS = (OSError, ValueError, KeyError, BadZipFile)
+_ENTRY_ERRORS = (OSError, ValueError, KeyError, TypeError)
 
 
 def default_cache_dir() -> Path:
@@ -57,10 +76,37 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro" / "campaigns"
 
 
-def _digest(values: np.ndarray) -> str:
-    """Hex SHA-256 of an array's raw little-endian float bytes."""
-    contiguous = np.ascontiguousarray(values)
-    return hashlib.sha256(contiguous.tobytes()).hexdigest()
+def _encode_entry(values: np.ndarray, **fields) -> bytes:
+    """One entry file's bytes: magic line, JSON header line, float64 bytes."""
+    payload = np.ascontiguousarray(values, dtype="<f8").tobytes()
+    header = {
+        "shape": list(np.shape(values)),
+        "digest": hashlib.sha256(payload).hexdigest(),
+        **fields,
+    }
+    return b"".join(
+        (_MAGIC, json.dumps(header, sort_keys=True).encode("utf-8"), b"\n", payload)
+    )
+
+
+def _decode_entry(data: bytes) -> tuple[dict, np.ndarray]:
+    """Parse and verify one entry file; raise on any defect.
+
+    The values come back as a fresh, writable, native-order, C-contiguous
+    float64 array of the header's shape.
+    """
+    if not data.startswith(_MAGIC):
+        raise ValueError("not a campaign store entry")
+    end = data.index(b"\n", len(_MAGIC))
+    header = json.loads(data[len(_MAGIC) : end])
+    shape = tuple(int(n) for n in header["shape"])
+    payload = memoryview(data)[end + 1 :]
+    if len(payload) != 8 * math.prod(shape):
+        raise ValueError("value byte count does not match the shape")
+    if hashlib.sha256(payload).hexdigest() != header["digest"]:
+        raise ValueError("digest mismatch")
+    values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    return header, values.reshape(shape)
 
 
 class CampaignCache:
@@ -84,7 +130,7 @@ class CampaignCache:
 
     def path_for(self, key: str) -> Path:
         """The full-campaign entry file for a content key."""
-        return self.directory / f"{key}.npz"
+        return self.directory / f"{key}{ENTRY_SUFFIX}"
 
     def chunk_dir_for(self, key: str) -> Path:
         """The per-chunk entry directory for a content key."""
@@ -92,10 +138,10 @@ class CampaignCache:
 
     def chunk_path_for(self, key: str, start: int, stop: int) -> Path:
         """The chunk entry file covering flat units ``[start, stop)``."""
-        return self.chunk_dir_for(key) / f"units-{start:010d}-{stop:010d}.npz"
+        return self.chunk_dir_for(key) / f"units-{start:010d}-{stop:010d}{ENTRY_SUFFIX}"
 
-    def _write_entry(self, path: Path, arrays: dict) -> Path:
-        """Atomically write an ``.npz`` entry (temp file + rename).
+    def _write_entry(self, path: Path, data: bytes) -> Path:
+        """Atomically write one entry's bytes (temp file + rename).
 
         The entry only ever becomes visible through ``os.replace`` of a
         fully-written temp file, so no reader — concurrent or subsequent —
@@ -112,7 +158,7 @@ class CampaignCache:
         )
         try:
             with os.fdopen(fd, "wb") as handle:
-                np.savez(handle, **arrays)
+                handle.write(data)
             fault = (
                 self._fault_injector.cache_write(path.name)
                 if self._fault_injector is not None
@@ -124,10 +170,9 @@ class CampaignCache:
             os.replace(tmp_name, path)
             if fault is not None:
                 try:
-                    data = path.read_bytes()
                     path.write_bytes(data[: max(1, len(data) // 2)])
                 except OSError:
-                    pass  # a concurrent reader already discarded the entry
+                    pass  # the directory was cleared meanwhile
         except BaseException:
             try:
                 os.unlink(tmp_name)
@@ -144,58 +189,46 @@ class CampaignCache:
         except OSError:
             pass
 
+    def _read_entry(
+        self, path: Path, start: int | None = None, stop: int | None = None
+    ) -> np.ndarray | None:
+        """Load and verify one entry; ``None`` if it is missing or bad.
+
+        A chunk read passes its unit range, which the header and the
+        value count must both match.  Any defect discards the entry.
+        """
+        try:
+            header, values = _decode_entry(path.read_bytes())
+            if start is not None:
+                if (header["start"], header["stop"]) != (start, stop):
+                    raise ValueError("unit range mismatch")
+                if values.shape != (stop - start,):
+                    raise ValueError("chunk length mismatch")
+            return values
+        except FileNotFoundError:
+            return None
+        except _ENTRY_ERRORS:
+            self._discard(path)
+            return None
+
     def load(self, key: str) -> np.ndarray | None:
         """The cached full-campaign array for ``key``, or ``None`` on a miss.
 
         Corrupt or truncated entries are discarded and count as misses:
         the caller recomputes and overwrites them.
         """
-        path = self.path_for(key)
-        if not path.exists():
-            return None
-        try:
-            # np.load leaks the handle it opened when the archive does not
-            # parse, so the file is opened (and always closed) here.
-            with open(path, "rb") as handle, np.load(handle) as entry:
-                values = np.asarray(entry["values"])
-                if "digest" in entry and str(entry["digest"]) != _digest(values):
-                    raise ValueError("digest mismatch")
-                return values
-        except _ENTRY_ERRORS:
-            self._discard(path)
-            return None
+        return self._read_entry(self.path_for(key))
 
     def store(self, key: str, values: np.ndarray, spec_dict: dict) -> Path:
         """Atomically persist a full-campaign array under ``key``.
 
-        The spec's canonical JSON rides along inside the archive so cache
+        The spec's canonical JSON rides along in the header so cache
         entries remain self-describing; a digest of the value bytes makes
         corruption detectable on load.
         """
         return self._write_entry(
-            self.path_for(key),
-            {
-                "values": values,
-                "digest": np.array(_digest(values)),
-                "spec_json": np.array(json.dumps(spec_dict, sort_keys=True)),
-            },
+            self.path_for(key), _encode_entry(values, spec=spec_dict)
         )
-
-    def _read_chunk(self, path: Path, start: int, stop: int) -> np.ndarray | None:
-        """Load and verify one chunk entry; discard it on any mismatch."""
-        try:
-            with open(path, "rb") as handle, np.load(handle) as entry:
-                values = np.asarray(entry["values"])
-                if int(entry["start"]) != start or int(entry["stop"]) != stop:
-                    raise ValueError("unit range mismatch")
-                if values.shape != (stop - start,):
-                    raise ValueError("chunk length mismatch")
-                if str(entry["digest"]) != _digest(values):
-                    raise ValueError("digest mismatch")
-                return values
-        except _ENTRY_ERRORS:
-            self._discard(path)
-            return None
 
     def load_chunk(self, key: str, start: int, stop: int) -> np.ndarray | None:
         """The cached values of flat units ``[start, stop)``, or ``None``.
@@ -204,10 +237,7 @@ class CampaignCache:
         deleted and reported as a miss, so a corrupted checkpoint is
         recomputed — never silently returned.
         """
-        path = self.chunk_path_for(key, start, stop)
-        if not path.exists():
-            return None
-        return self._read_chunk(path, start, stop)
+        return self._read_entry(self.chunk_path_for(key, start, stop), start, stop)
 
     def store_chunk(
         self, key: str, start: int, stop: int, values: np.ndarray, spec_dict: dict
@@ -215,13 +245,7 @@ class CampaignCache:
         """Atomically persist the values of flat units ``[start, stop)``."""
         return self._write_entry(
             self.chunk_path_for(key, start, stop),
-            {
-                "values": values,
-                "digest": np.array(_digest(values)),
-                "start": np.array(int(start)),
-                "stop": np.array(int(stop)),
-                "spec_json": np.array(json.dumps(spec_dict, sort_keys=True)),
-            },
+            _encode_entry(values, start=int(start), stop=int(stop), spec=spec_dict),
         )
 
     def iter_chunks(self, key: str):
@@ -238,22 +262,26 @@ class CampaignCache:
             if match is None:
                 continue
             start, stop = int(match.group(1)), int(match.group(2))
-            values = self._read_chunk(path, start, stop)
+            values = self._read_entry(path, start, stop)
             if values is not None:
                 yield start, stop, values
 
     def clear(self) -> int:
-        """Delete every entry; returns the number of files removed."""
+        """Delete every entry; returns the number of files removed.
+
+        Legacy ``.npz`` entries are removed too, so a store written by
+        an older release can be reclaimed.
+        """
         if not self.directory.exists():
             return 0
+        chunk_dirs = list(self.directory.glob("*.chunks"))
         removed = 0
-        for entry in self.directory.glob("*.npz"):
-            entry.unlink()
-            removed += 1
-        for chunk_dir in self.directory.glob("*.chunks"):
-            for entry in chunk_dir.glob("*.npz"):
-                entry.unlink()
-                removed += 1
+        for directory in (self.directory, *chunk_dirs):
+            for suffix in (ENTRY_SUFFIX, _LEGACY_SUFFIX):
+                for entry in directory.glob(f"*{suffix}"):
+                    entry.unlink()
+                    removed += 1
+        for chunk_dir in chunk_dirs:
             try:
                 chunk_dir.rmdir()
             except OSError:

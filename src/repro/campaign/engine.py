@@ -329,7 +329,12 @@ def _unresolved_count(tally, cells_computed: int) -> int | None:
 
 
 def _cache_key(spec: CampaignSpec) -> str:
-    return f"v{KERNEL_VERSION}-{spec.spec_hash()}"
+    return _hash_key(spec.spec_hash())
+
+
+def _hash_key(spec_hash: str) -> str:
+    """The store key of the spec whose content hash is ``spec_hash``."""
+    return f"v{KERNEL_VERSION}-{spec_hash}"
 
 
 def _ensemble_key(protocol: Protocol, gains: np.ndarray, power: np.ndarray) -> str:

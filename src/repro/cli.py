@@ -795,6 +795,7 @@ def _gather_store_or_error(args):
     the generic "missing N of N cells" incompleteness report.
     """
     from .campaign import CampaignCache
+    from .campaign.cache import ENTRY_SUFFIX
 
     cache = CampaignCache(args.cache_dir)
     directory = cache.directory
@@ -807,7 +808,9 @@ def _gather_store_or_error(args):
     if not directory.is_dir():
         print(f"error: {directory} is not a directory")
         return None
-    if not any(directory.glob("*.npz")) and not any(directory.glob("*.chunks")):
+    if not any(directory.glob(f"*{ENTRY_SUFFIX}")) and not any(
+        directory.glob("*.chunks")
+    ):
         print(
             f"error: cache directory {directory} holds no campaign "
             "artifacts; run the shards first or point --cache-dir at "

@@ -42,7 +42,7 @@ import socket as socket_module
 import time
 from dataclasses import dataclass
 
-from ..campaign.engine import _cache_key, _resolve_cache, run_campaign
+from ..campaign.engine import _hash_key, _resolve_cache, run_campaign
 from ..campaign.executors import get_executor
 from ..exceptions import CampaignTimeoutError, InvalidParameterError, ReproError
 from ..faults import FaultInjector, FaultPlan
@@ -131,10 +131,11 @@ class ServeConfig:
 class _Job:
     """One in-flight evaluation, shared by every request that joins it."""
 
-    def __init__(self, key: str, scenario, spec) -> None:
+    def __init__(self, key: str, scenario, spec, spec_hash: str) -> None:
         self.key = key
         self.scenario = scenario
         self.spec = spec
+        self.spec_hash = spec_hash
         self.subscribers: list[asyncio.Queue] = []
         self.task: asyncio.Task | None = None
 
@@ -298,10 +299,16 @@ class CampaignServer:
                 return
             if not line:
                 return  # client closed the connection
+        frame = None
         try:
-            request = parse_request(decode_frame(line))
+            frame = decode_frame(line)
+            request = parse_request(frame)
         except ProtocolError as error:
-            await self._send(writer, error_event("", "invalid", str(error)))
+            # Echo a well-formed id so the client can tie the error to
+            # its request even when another field was refused.
+            rid = frame.get("id") if frame is not None else None
+            rid = rid if isinstance(rid, str) else ""
+            await self._send(writer, error_event(rid, "invalid", str(error)))
             return
         self.stats["requests"] += 1
         if request.op == "ping":
@@ -407,11 +414,14 @@ class CampaignServer:
             await self._send(writer, error_event(rid, "invalid", str(error)))
             return
         spec = scenario.to_campaign_spec()
-        key = _cache_key(spec)
+        # spec_hash() is not memoized and costs tens of microseconds:
+        # compute it once for the key and both frames.
+        spec_hash = spec.spec_hash()
+        key = _hash_key(spec_hash)
 
         # Hot path: the full grid is already in the store — answer from
         # disk without occupying a job slot.  The read runs inline: it is
-        # one small file whose parse holds the GIL, so a worker thread
+        # one small flat file plus a digest check, so a worker thread
         # would add its hop without letting anything else run meanwhile.
         if self._store is not None:
             cached = self._store.load(key)
@@ -421,7 +431,7 @@ class CampaignServer:
                     writer,
                     accepted_event(
                         rid,
-                        spec_hash=spec.spec_hash(),
+                        spec_hash=spec_hash,
                         n_units=spec.n_units,
                         deduplicated=False,
                     ),
@@ -429,7 +439,7 @@ class CampaignServer:
                 payload = result_payload(
                     scenario_name=scenario.name,
                     objective=scenario.objective,
-                    spec_hash=spec.spec_hash(),
+                    spec_hash=spec_hash,
                     values=cached,
                     served_from="cache",
                     executor_name="cache",
@@ -455,7 +465,7 @@ class CampaignServer:
                     ),
                 )
                 return
-            job = _Job(key, scenario, spec)
+            job = _Job(key, scenario, spec, spec_hash)
             self._jobs[key] = job
             job.task = asyncio.create_task(self._run_job(job, request.options))
         else:
@@ -466,7 +476,7 @@ class CampaignServer:
             writer,
             accepted_event(
                 rid,
-                spec_hash=spec.spec_hash(),
+                spec_hash=spec_hash,
                 n_units=spec.n_units,
                 deduplicated=deduplicated,
             ),
@@ -548,7 +558,7 @@ class CampaignServer:
                 result_payload(
                     scenario_name=job.scenario.name,
                     objective=job.scenario.objective,
-                    spec_hash=job.spec.spec_hash(),
+                    spec_hash=job.spec_hash,
                     values=result.values,
                     served_from=served_from,
                     executor_name=result.executor_name,

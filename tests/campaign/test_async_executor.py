@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.campaign import executors
-from repro.campaign.cache import CampaignCache
+from repro.campaign.cache import ENTRY_SUFFIX, CampaignCache
 from repro.campaign.engine import gather_campaign, run_campaign
 from repro.campaign.executors import (
     AsyncExecutor,
@@ -150,7 +150,8 @@ class TestChunkFutureSeam:
         )
         key_dirs = list(tmp_path.glob("*.chunks"))
         assert len(key_dirs) == 1
-        assert len(list(key_dirs[0].glob("units-*.npz"))) == spec.n_units // 6
+        entries = list(key_dirs[0].glob(f"units-*{ENTRY_SUFFIX}"))
+        assert len(entries) == spec.n_units // 6
 
     def test_resumes_from_partial_checkpoints(self, spec, reference, tmp_path):
         cache = CampaignCache(tmp_path)

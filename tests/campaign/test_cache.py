@@ -1,15 +1,17 @@
 """Unit tests for the content-addressed campaign result cache."""
 
 import gc
+import hashlib
+import json
 import warnings
 
 import numpy as np
 import pytest
 
 from repro.campaign.cache import (
+    _MAGIC,
     CACHE_DIR_ENV,
     CampaignCache,
-    _digest,
     default_cache_dir,
 )
 
@@ -17,6 +19,32 @@ from repro.campaign.cache import (
 @pytest.fixture
 def cache(tmp_path):
     return CampaignCache(tmp_path / "store")
+
+
+def write_entry(path, values, **header):
+    """Write a well-formed entry whose header fields the test controls.
+
+    The shape and digest default to the true ones; a field set to
+    ``None`` is left out of the header.
+    """
+    payload = np.ascontiguousarray(values, dtype="<f8").tobytes()
+    fields = {
+        "shape": list(np.shape(values)),
+        "digest": hashlib.sha256(payload).hexdigest(),
+        "spec": {},
+        **header,
+    }
+    fields = {name: value for name, value in fields.items() if value is not None}
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(_MAGIC + json.dumps(fields).encode() + b"\n" + payload)
+    return path
+
+
+def read_header(path):
+    """The JSON header line of an entry file."""
+    magic, header, _ = path.read_bytes().split(b"\n", 2)
+    assert magic + b"\n" == _MAGIC
+    return json.loads(header)
 
 
 class TestRoundTrip:
@@ -41,14 +69,26 @@ class TestRoundTrip:
 
     def test_spec_json_rides_along(self, cache):
         path = cache.store("k", np.ones(2), {"n_draws": 5})
-        with np.load(path) as entry:
-            assert "n_draws" in str(entry["spec_json"])
+        assert "n_draws" in json.dumps(read_header(path)["spec"])
+
+    def test_loaded_array_is_writable_native_and_bit_exact(self, cache):
+        values = np.arange(6.0).reshape(2, 3)
+        # The NaN x86 makes of inf - inf, and a negative zero.
+        values.flat[0] = np.array(0xFFF8000000000000, dtype="<u8").view("<f8")
+        values.flat[1] = -0.0
+        cache.store("k", values, {})
+        cache.store_chunk("k", 0, 6, values.ravel(), {})
+        for loaded in (cache.load("k"), cache.load_chunk("k", 0, 6)):
+            assert loaded.dtype == np.float64 and loaded.dtype.isnative
+            assert loaded.flags.writeable and loaded.flags.c_contiguous
+            assert loaded.tobytes() == values.tobytes()
+        assert cache.load("k").shape == (2, 3)
 
 
 class TestRobustness:
     def test_corrupt_entry_is_a_miss(self, cache):
         cache.store("k", np.ones(2), {})
-        cache.path_for("k").write_bytes(b"not a zip archive")
+        cache.path_for("k").write_bytes(b"not a store entry")
         assert cache.load("k") is None
 
     def test_truncated_entry_is_a_miss(self, cache):
@@ -58,21 +98,32 @@ class TestRobustness:
         assert cache.load("k") is None
 
     def test_digest_mismatch_is_a_miss_and_discarded(self, cache):
-        path = cache.path_for("k")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        np.savez(
-            path,
-            values=np.ones(2),
-            digest=np.array("0" * 64),
-            spec_json=np.array("{}"),
-        )
+        path = write_entry(cache.path_for("k"), np.ones(2), digest="0" * 64)
         assert cache.load("k") is None
         assert not path.exists()
+
+    def test_entry_without_digest_is_a_miss_and_discarded(self, cache):
+        path = write_entry(cache.path_for("k"), np.ones(2), digest=None)
+        assert "digest" not in read_header(path)
+        assert cache.load("k") is None
+        assert not path.exists()
+
+    def test_legacy_npz_entry_is_ignored(self, cache):
+        legacy = cache.directory / "k.npz"
+        legacy_chunk = cache.chunk_dir_for("k") / "units-0000000000-0000000002.npz"
+        legacy_chunk.parent.mkdir(parents=True)
+        for path in (legacy, legacy_chunk):
+            np.savez(path, values=np.ones(2), spec_json=np.array("{}"))
+        assert cache.load("k") is None
+        assert cache.load_chunk("k", 0, 2) is None
+        assert list(cache.iter_chunks("k")) == []
+        # Never read, so never judged corrupt and discarded either.
+        assert legacy.exists() and legacy_chunk.exists()
 
     def test_bad_entries_close_their_file(self, cache):
         """A corrupt or truncated entry must not leak its file handle."""
         cache.store("k", np.ones(2), {})
-        cache.path_for("k").write_bytes(b"not a zip archive")
+        cache.path_for("k").write_bytes(b"not a store entry")
         chunk = cache.store_chunk("k", 0, 4, np.ones(4), {})
         chunk.write_bytes(chunk.read_bytes()[: chunk.stat().st_size // 2])
         with warnings.catch_warnings(record=True) as caught:
@@ -95,6 +146,15 @@ class TestRobustness:
         assert cache.load("k1") is None
         assert CampaignCache(cache.directory / "missing").clear() == 0
 
+    def test_clear_reclaims_legacy_npz_entries(self, cache):
+        cache.store("k1", np.ones(2), {})
+        (cache.directory / "k0.npz").write_bytes(b"legacy entry")
+        chunk_dir = cache.chunk_dir_for("k0")
+        chunk_dir.mkdir()
+        (chunk_dir / "units-0000000000-0000000002.npz").write_bytes(b"legacy")
+        assert cache.clear() == 3
+        assert list(cache.directory.iterdir()) == []
+
 
 class TestChunkEntries:
     def test_store_then_load_chunk(self, cache):
@@ -106,15 +166,12 @@ class TestChunkEntries:
         assert cache.load("k") is None
 
     def test_chunk_digest_mismatch_is_discarded_not_served(self, cache):
-        path = cache.chunk_path_for("k", 0, 4)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        np.savez(
-            path,
-            values=np.ones(4),
-            digest=np.array("0" * 64),
-            start=np.array(0),
-            stop=np.array(4),
-            spec_json=np.array("{}"),
+        path = write_entry(
+            cache.chunk_path_for("k", 0, 4),
+            np.ones(4),
+            digest="0" * 64,
+            start=0,
+            stop=4,
         )
         assert cache.load_chunk("k", 0, 4) is None
         assert not path.exists()
@@ -134,18 +191,16 @@ class TestChunkEntries:
         assert not path.exists()
 
     def test_wrong_length_chunk_is_discarded(self, cache):
-        # An entry whose payload does not match its declared unit range.
-        path = cache.chunk_path_for("k", 0, 4)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        values = np.ones(3)
-        np.savez(
-            path,
-            values=values,
-            digest=np.array(_digest(values)),
-            start=np.array(0),
-            stop=np.array(4),
-            spec_json=np.array("{}"),
-        )
+        # An entry whose payload does not match its declared unit range;
+        # the digest itself verifies.
+        path = write_entry(cache.chunk_path_for("k", 0, 4), np.ones(3), start=0, stop=4)
+        assert cache.load_chunk("k", 0, 4) is None
+        assert not path.exists()
+
+    def test_chunk_header_range_mismatch_is_discarded(self, cache):
+        # A verified entry whose header names another unit range than
+        # its file name.
+        path = write_entry(cache.chunk_path_for("k", 0, 4), np.ones(4), start=4, stop=8)
         assert cache.load_chunk("k", 0, 4) is None
         assert not path.exists()
 

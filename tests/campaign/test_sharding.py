@@ -187,11 +187,12 @@ class TestResumption:
         cache.path_for(key).unlink()
         chunk_path = cache.chunk_path_for(key, 16, 32)
         # Silent payload corruption: perturb the stored values but keep the
-        # original digest — only the digest check can catch this.
-        with np.load(chunk_path) as entry:
-            tampered = {name: np.asarray(entry[name]) for name in entry.files}
-        tampered["values"] = tampered["values"] + 1e-3
-        np.savez(chunk_path, **tampered)
+        # original header and its digest — only the digest check can
+        # catch this.
+        raw = chunk_path.read_bytes()
+        header_end = raw.index(b"\n", raw.index(b"\n") + 1) + 1
+        tampered = np.frombuffer(raw[header_end:], dtype="<f8") + 1e-3
+        chunk_path.write_bytes(raw[:header_end] + tampered.astype("<f8").tobytes())
         counting = CountingExecutor()
         result = run_campaign(spec, executor=counting, cache=cache, chunk_size=16)
         # Exactly the poisoned chunk was recomputed — and never served.

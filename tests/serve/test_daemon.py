@@ -140,12 +140,28 @@ class TestServedResults:
         assert served.served_from == "cache"
         _assert_wire_exact(served, grid)
 
+    def test_cache_hit_hashes_the_spec_once(self, start_server, monkeypatch):
+        _, client = start_server()
+        client.evaluate("fig4-operating-points")
+        calls = []
+        spec_hash = CampaignSpec.spec_hash
+
+        def counting_spec_hash(spec):
+            calls.append(spec)
+            return spec_hash(spec)
+
+        monkeypatch.setattr(CampaignSpec, "spec_hash", counting_spec_hash)
+        served = client.evaluate("fig4-operating-points")
+        assert served.served_from == "cache"
+        assert served.spec_hash == spec_hash(calls[0])
+        assert len(calls) == 1
+
     def test_corrupt_cache_entry_is_discarded_and_recomputed(self, start_server):
         server, client = start_server()
         first = client.evaluate("fig4-operating-points")
         key = _cache_key(get_scenario("fig4-operating-points").to_campaign_spec())
         entry = server._store.path_for(key)
-        entry.write_bytes(b"not an npz archive")
+        entry.write_bytes(b"not a store entry")
         # Drop the chunk checkpoints too, so the grid must be recomputed
         # rather than reassembled.
         shutil.rmtree(server._store.chunk_dir_for(key))
@@ -165,6 +181,7 @@ class TestServedResults:
         assert [frame["event"] for frame in frames] == ["error"]
         assert frames[0]["code"] == "invalid"
         assert frames[0]["retryable"] is False
+        assert frames[0]["id"] == "r-nan"
         assert client.ping()["protocol_version"] == 2
         assert _in_flight(client) == 0
 

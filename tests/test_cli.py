@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -323,6 +325,23 @@ class TestGridShardGather:
         out = capsys.readouterr().out
         assert code == 1
         assert "missing" in out
+
+    def test_gather_serves_a_lone_full_entry(self, capsys, tmp_path):
+        cached = [*self.GRID, "--cache-dir", str(tmp_path)]
+        reference_path = str(tmp_path / "reference.npy")
+        assert main(["scenarios", "run", "grid", *cached, "--quiet",
+                     "--dump", reference_path]) == 0
+        for chunk_dir in tmp_path.glob("*.chunks"):
+            shutil.rmtree(chunk_dir)
+        capsys.readouterr()
+        gathered_path = str(tmp_path / "gathered.npy")
+        code = main(["scenarios", "gather", "grid", *cached,
+                     "--dump", gathered_path])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "no campaign artifacts" not in out
+        gathered = np.load(gathered_path)
+        assert gathered.tobytes() == np.load(reference_path).tobytes()
 
     def test_gather_missing_cache_directory_fails(self, capsys, tmp_path):
         code = main(["scenarios", "gather", "grid", *self.GRID,
