@@ -156,9 +156,9 @@ class FadingSpec:
     def __post_init__(self) -> None:
         if self.n_draws < 1:
             raise InvalidParameterError(f"need at least one draw, got {self.n_draws}")
-        if self.k_factor < 0:
+        if not 0 <= self.k_factor < math.inf:
             raise InvalidParameterError(
-                f"K-factor must be non-negative, got {self.k_factor}"
+                f"K-factor must be finite and non-negative, got {self.k_factor}"
             )
 
     def to_dict(self) -> dict:
@@ -527,6 +527,11 @@ class LinkSimSpec:
         return data
 
 
+def _all_finite(values) -> bool:
+    """Whether every entry is a finite real number (no NaN, no infinity)."""
+    return all(isinstance(v, (int, float)) and math.isfinite(v) for v in values)
+
+
 def _jsonable(value):
     """Canonical plain-data form of an axis value (stable across runs)."""
     if isinstance(value, dict):
@@ -710,6 +715,8 @@ class CampaignSpec:
             raise InvalidParameterError(f"duplicate protocols in {protocols}")
         if not powers_db:
             raise InvalidParameterError("at least one power point required")
+        if not _all_finite(powers_db):
+            raise InvalidParameterError(f"powers_db must be finite, got {powers_db}")
         if not gains:
             raise InvalidParameterError("at least one channel geometry required")
         for g in gains:
@@ -761,6 +768,12 @@ class CampaignSpec:
                         f"axis {axis.name!r} node_powers_db must have one "
                         f"offset per node (a, b, r), got {node_offsets!r}"
                     )
+                for key, entry in value.items():
+                    if not _all_finite(entry if isinstance(entry, list) else [entry]):
+                        raise InvalidParameterError(
+                            f"axis {axis.name!r} {key} must be finite numbers, "
+                            f"got {entry!r}"
+                        )
 
     @classmethod
     def from_placements(

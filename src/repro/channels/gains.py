@@ -15,6 +15,7 @@ arbitrary positive gains.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..exceptions import InvalidParameterError
@@ -27,8 +28,9 @@ __all__ = ["LinkGains"]
 class LinkGains:
     """Received-power gains ``G_ab``, ``G_ar``, ``G_br`` of the three links.
 
-    All gains are linear (not dB) and must be strictly positive. Reciprocity
-    is built in: the gain of ``a -> r`` equals that of ``r -> a``, etc.
+    All gains are linear (not dB) and must be finite and strictly positive.
+    Reciprocity is built in: the gain of ``a -> r`` equals that of
+    ``r -> a``, etc.
 
     Attributes
     ----------
@@ -46,9 +48,10 @@ class LinkGains:
 
     def __post_init__(self) -> None:
         for name, value in (("gab", self.gab), ("gar", self.gar), ("gbr", self.gbr)):
-            if not value > 0:
+            if not 0 < value < math.inf:
                 raise InvalidParameterError(
-                    f"link gain {name} must be strictly positive, got {value!r}"
+                    f"link gain {name} must be finite and strictly positive, "
+                    f"got {value!r}"
                 )
 
     @classmethod

@@ -53,9 +53,10 @@ class NodePowers:
         for name, value in (("pa", self.pa), ("pb", self.pb), ("pr", self.pr)):
             object.__setattr__(self, name, float(value))
         for name, value in (("pa", self.pa), ("pb", self.pb), ("pr", self.pr)):
-            if not value >= 0:
+            if not 0 <= value < np.inf:
                 raise InvalidParameterError(
-                    f"node power {name} must be non-negative, got {value!r}"
+                    f"node power {name} must be finite and non-negative, "
+                    f"got {value!r}"
                 )
 
     @classmethod

@@ -27,8 +27,9 @@ Subcommands
   ``client health`` / ``client shutdown`` probe and administer it.
   When no daemon is listening at ``--socket`` the client exits with
   status 2 and a clear "daemon not running" message.
-* ``region`` — trace any protocol's rate region on any channel.
-* ``sumrate`` — LP-optimal sum rates of all protocols on one channel.
+* ``region`` — trace any protocol's rate region (or, with ``--outer``,
+  its outer bound) on any channel. Sum rates of every protocol across a
+  power or placement grid are ``scenarios run grid --param draws=0``.
 * ``simulate`` — run the operational link-level simulator (the batched
   link engine by default; ``--reference`` runs the per-round loop,
   which produces the identical report; ``--target-rel-error`` +
@@ -47,9 +48,10 @@ import sys
 import numpy as np
 
 from .channels.gains import LinkGains
-from .core.capacity import achievable_region, compare_protocols, outer_bound_region
+from .core.capacity import achievable_region, outer_bound_region
 from .core.gaussian import GaussianChannel
 from .core.protocols import Protocol
+from .exceptions import InvalidParameterError
 from .experiments.config import FIG4_P0, FIG4_P10, Fig4Config
 from .experiments.diagrams import all_protocol_diagrams
 from .experiments.runner import fig3_report, fig4_report, run_experiment
@@ -117,7 +119,11 @@ def _cmd_fig4(args) -> int:
     experiment_id = "fig4a" if args.power_db < 5 else "fig4b"
     if config.power_db not in (FIG4_P0.power_db, FIG4_P10.power_db):
         experiment_id = f"fig4(P={args.power_db:g}dB)"
-    report = fig4_report(config, experiment_id)
+    try:
+        report = fig4_report(config, experiment_id)
+    except InvalidParameterError as error:
+        print(f"error: {error}")
+        return 2
     print(report.render())
     if args.csv_dir:
         for path in report.write_csvs(args.csv_dir):
@@ -126,14 +132,18 @@ def _cmd_fig4(args) -> int:
 
 
 def _cmd_region(args) -> int:
-    channel = _channel_from_args(args)
     protocol = Protocol.from_name(args.protocol)
-    region = (
-        outer_bound_region(protocol, channel)
-        if args.outer
-        else achievable_region(protocol, channel)
-    )
-    boundary = region.boundary(args.points)
+    try:
+        channel = _channel_from_args(args)
+        region = (
+            outer_bound_region(protocol, channel)
+            if args.outer
+            else achievable_region(protocol, channel)
+        )
+        boundary = region.boundary(args.points)
+    except InvalidParameterError as error:
+        print(f"error: {error}")
+        return 2
     rows = [[float(ra), float(rb)] for ra, rb in boundary]
     title = (
         f"{protocol.name} {'outer bound' if args.outer else 'achievable'} "
@@ -146,31 +156,6 @@ def _cmd_region(args) -> int:
         f"Ra={best.ra:.4f}, Rb={best.rb:.4f}, "
         f"durations={tuple(round(d, 4) for d in best.durations)}"
     )
-    return 0
-
-
-def _cmd_sumrate(args) -> int:
-    channel = _channel_from_args(args)
-    comparison = compare_protocols(channel)
-    rows = []
-    for protocol, point in comparison.sum_rates.items():
-        rows.append(
-            [
-                protocol.name,
-                point.sum_rate,
-                point.ra,
-                point.rb,
-                str(tuple(round(d, 4) for d in point.durations)),
-            ]
-        )
-    print(
-        render_table(
-            ["protocol", "sum rate", "Ra", "Rb", "durations"],
-            rows,
-            title=f"LP-optimal sum rates — {channel.describe()}",
-        )
-    )
-    print(f"\nbest protocol: {comparison.best_protocol().name}")
     return 0
 
 
@@ -284,12 +269,6 @@ def _cmd_diagrams(_args) -> int:
     return 0
 
 
-def _cmd_fading(args) -> int:
-    report = run_experiment("fading", executor=args.executor)
-    print(report.render())
-    return 0 if report.all_checks_pass() else 1
-
-
 def _stderr_progress(label: str):
     """A ``progress(done, total)`` callback drawing a one-line meter."""
     state = {"last_percent": -1}
@@ -382,119 +361,6 @@ def _shard_from_args(args, spec):
 def _dump_values(result, path) -> None:
     np.save(path, result.values)
     print(f"wrote {path}")
-
-
-def _cmd_fairness(args) -> int:
-    from .core.fairness import fairness_report
-
-    channel = _channel_from_args(args)
-    rows = []
-    for row in fairness_report(channel):
-        rows.append(
-            [
-                row.protocol.name,
-                row.sum_optimal.sum_rate,
-                row.sum_point_fairness,
-                row.equal_rate.ra,
-                row.fairness_cost,
-            ]
-        )
-    print(
-        render_table(
-            [
-                "protocol",
-                "max sum rate",
-                "Jain idx @ optimum",
-                "max equal rate",
-                "cost of symmetry",
-            ],
-            rows,
-            title=f"fairness analysis — {channel.describe()}",
-        )
-    )
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    from .experiments.sweeps import protocol_crossover_power, sweep_powers
-
-    if args.step_db <= 0:
-        print("error: --step-db must be positive")
-        return 2
-    if args.max_db < args.min_db:
-        print("error: --max-db must be >= --min-db")
-        return 2
-    gains = LinkGains.from_db(args.gab_db, args.gar_db, args.gbr_db)
-    # The tolerance keeps --max-db when the float quotient lands just
-    # below an integer (0.3 / 0.1 == 2.9999999999999996).
-    n_steps = int(np.floor((args.max_db - args.min_db) / args.step_db + 1e-9))
-    powers = [args.min_db + i * args.step_db for i in range(n_steps + 1)]
-    sweep_rows = sweep_powers(gains, powers)
-    # Columns derive from the sweep's own protocol axis, so subset sweeps
-    # can never misalign with the header.
-    protocols = list(sweep_rows[0].sum_rates)
-    rows = []
-    for row in sweep_rows:
-        ordered = (
-            [row.power_db]
-            + [row.sum_rates[p] for p in protocols]
-            + [row.winner().name]
-        )
-        rows.append(ordered)
-    print(
-        render_table(
-            ["P [dB]"] + [p.name for p in protocols] + ["best"],
-            rows,
-            title=(
-                f"power sweep — G_ab={args.gab_db:g}, G_ar={args.gar_db:g}, "
-                f"G_br={args.gbr_db:g} dB"
-            ),
-        )
-    )
-    crossover = protocol_crossover_power(
-        gains,
-        Protocol.MABC,
-        Protocol.TDBC,
-        low_db=args.min_db,
-        high_db=args.max_db,
-    )
-    if crossover is None:
-        print("\nno MABC/TDBC sum-rate crossover on this range")
-    else:
-        print(f"\nMABC/TDBC sum-rate crossover at P = {crossover:.3f} dB")
-    return 0
-
-
-def _cmd_adaptive(args) -> int:
-    from .simulation.adaptive import adaptive_sum_rate
-
-    gains = LinkGains.from_db(args.gab_db, args.gar_db, args.gbr_db)
-    report = adaptive_sum_rate(
-        gains,
-        db_to_linear(args.power_db),
-        args.draws,
-        np.random.default_rng(args.seed),
-    )
-    rows = [
-        [p.name, mean, report.selection_frequency(p)]
-        for p, mean in report.fixed_means.items()
-    ]
-    rows.append(["ADAPTIVE", report.adaptive_mean, 1.0])
-    print(
-        render_table(
-            ["strategy", "ergodic sum rate", "selection freq"],
-            rows,
-            title=(
-                f"per-fade protocol selection — P={args.power_db:g} dB, "
-                f"{args.draws} Rayleigh draws"
-            ),
-        )
-    )
-    print(
-        f"\nadaptivity gain over best fixed protocol: "
-        f"{report.adaptivity_gain:.4f} bits/use"
-    )
-    return 0
 
 
 def _cmd_scenarios_list(args) -> int:
@@ -722,7 +588,6 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_client(args) -> int:
-    from .exceptions import InvalidParameterError
     from .serve import ServeClient, ServeError
 
     try:
@@ -893,10 +758,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_channel_arguments(p_region)
     p_region.set_defaults(func=_cmd_region)
 
-    p_sumrate = sub.add_parser("sumrate", help="optimal sum rate of every protocol")
-    _add_channel_arguments(p_sumrate)
-    p_sumrate.set_defaults(func=_cmd_sumrate)
-
     p_sim = sub.add_parser("simulate", help="run the link-level simulator")
     p_sim.add_argument(
         "--protocol",
@@ -965,18 +826,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_diag = sub.add_parser("diagrams", help="print the protocol timelines")
     p_diag.set_defaults(func=_cmd_diagrams)
-
-    p_fading = sub.add_parser(
-        "fading",
-        help="regenerate the Section IV fading ensemble statistics",
-    )
-    p_fading.add_argument(
-        "--executor",
-        default=None,
-        choices=["serial", "process", "vectorized", "async"],
-        help="campaign executor (default vectorized)",
-    )
-    p_fading.set_defaults(func=_cmd_fading)
 
     p_scenarios = sub.add_parser(
         "scenarios",
@@ -1184,29 +1033,6 @@ def build_parser() -> argparse.ArgumentParser:
     client_sub.add_parser("health", help="pool, queue and fault-injection counters")
     client_sub.add_parser("shutdown", help="ask the daemon to drain and exit")
     p_client.set_defaults(func=_cmd_client)
-
-    p_sweep = sub.add_parser("sweep", help="sum rates across a power sweep")
-    p_sweep.add_argument("--min-db", type=float, default=-5.0)
-    p_sweep.add_argument("--max-db", type=float, default=20.0)
-    p_sweep.add_argument("--step-db", type=float, default=2.5)
-    p_sweep.add_argument("--gab-db", type=float, default=-7.0)
-    p_sweep.add_argument("--gar-db", type=float, default=0.0)
-    p_sweep.add_argument("--gbr-db", type=float, default=5.0)
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_adaptive = sub.add_parser(
-        "adaptive", help="per-fade protocol selection under Rayleigh fading"
-    )
-    p_adaptive.add_argument("--draws", type=int, default=100)
-    p_adaptive.add_argument("--seed", type=int, default=0)
-    _add_channel_arguments(p_adaptive)
-    p_adaptive.set_defaults(func=_cmd_adaptive)
-
-    p_fair = sub.add_parser(
-        "fairness", help="symmetric-rate points and fairness indices"
-    )
-    _add_channel_arguments(p_fair)
-    p_fair.set_defaults(func=_cmd_fairness)
 
     return parser
 

@@ -13,7 +13,6 @@ from .bounds import (
     tdbc_inner,
     tdbc_outer,
 )
-from .fairness import FairnessRow, fairness_report, jain_index, max_equal_rate
 from .cutset_lp import cutset_boundary, cutset_max_sum_rate, cutset_support_point
 from .hbc_correlated import (
     evaluate_hbc_outer_correlated,
@@ -52,10 +51,6 @@ __all__ = [
     "mabc_outer",
     "tdbc_inner",
     "tdbc_outer",
-    "FairnessRow",
-    "fairness_report",
-    "jain_index",
-    "max_equal_rate",
     "cutset_boundary",
     "cutset_max_sum_rate",
     "cutset_support_point",

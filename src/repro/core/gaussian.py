@@ -123,9 +123,11 @@ class GaussianChannel:
             power = NodePowers.from_mapping(power)
             object.__setattr__(self, "power", power)
         if isinstance(power, NodePowers):
-            return  # NodePowers validates non-negativity itself
-        if power < 0:
-            raise InvalidParameterError(f"power must be non-negative, got {power}")
+            return  # NodePowers validates each node's power itself
+        if not 0 <= power < np.inf:
+            raise InvalidParameterError(
+                f"power must be finite and non-negative, got {power}"
+            )
 
     @classmethod
     def from_db(

@@ -20,7 +20,13 @@ from ..information.mac import MacPentagon
 from .gaussian import EvaluatedBound
 from .optimize import RatePoint, feasible_rate_pair, max_sum_rate, support_point
 
-__all__ = ["RateRegion", "fixed_duration_polygon", "polygon_area", "region_dominates"]
+__all__ = [
+    "RateRegion",
+    "fixed_duration_polygon",
+    "frontier_polygon",
+    "polygon_area",
+    "region_dominates",
+]
 
 
 def fixed_duration_polygon(evaluated: EvaluatedBound, durations) -> list[tuple]:
@@ -45,6 +51,25 @@ def polygon_area(vertices) -> float:
         return 0.0
     x, y = pts[:, 0], pts[:, 1]
     return float(0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y)))
+
+
+def frontier_polygon(frontier) -> np.ndarray:
+    """Close a traced Pareto frontier into a polygon including the axes.
+
+    ``frontier`` is a :meth:`RateRegion.boundary` array (ordered by
+    increasing ``Ra``); the polygon runs ``(0, 0) -> (0, Rb_max) ->``
+    the frontier ``-> (Ra_max, 0)``, with consecutive repeats dropped.
+    """
+    ra_max = frontier[-1, 0]
+    rb_max = frontier[0, 1]
+    pts = [(0.0, 0.0), (0.0, rb_max)]
+    pts.extend((float(ra), float(rb)) for ra, rb in frontier)
+    pts.append((ra_max, 0.0))
+    dedup = [pts[0]]
+    for p in pts[1:]:
+        if abs(p[0] - dedup[-1][0]) > 1e-12 or abs(p[1] - dedup[-1][1]) > 1e-12:
+            dedup.append(p)
+    return np.asarray(dedup, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -122,18 +147,7 @@ class RateRegion:
 
     def closed_polygon(self, n_points: int = 33) -> np.ndarray:
         """The region as a closed polygon including the axes."""
-        frontier = self.boundary(n_points)
-        ra_max = frontier[-1, 0]
-        rb_max = frontier[0, 1]
-        pts = [(0.0, 0.0), (0.0, rb_max)]
-        pts.extend((float(ra), float(rb)) for ra, rb in frontier)
-        pts.append((ra_max, 0.0))
-        # Deduplicate consecutive repeats.
-        dedup = [pts[0]]
-        for p in pts[1:]:
-            if abs(p[0] - dedup[-1][0]) > 1e-12 or abs(p[1] - dedup[-1][1]) > 1e-12:
-                dedup.append(p)
-        return np.asarray(dedup, dtype=float)
+        return frontier_polygon(self.boundary(n_points))
 
     def area(self, n_points: int = 65) -> float:
         """Area of the region (shoelace over the closed polygon)."""

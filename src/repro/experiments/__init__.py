@@ -7,19 +7,11 @@ from .dmt import DEFAULT_MULTIPLEXING_GAINS, DmtCurve, finite_snr_dmt
 from .fig3 import Fig3Result, Fig3Row, fig3_result, fig3_shape_checks
 from .fig4 import Fig4Result, RegionTrace, fig4_shape_checks, run_fig4
 from .runner import (
-    DEFAULT_FADING_SPEC,
     EXPERIMENT_IDS,
     ExperimentReport,
-    fading_report,
     fig3_report,
     fig4_report,
     run_experiment,
-)
-from .sweeps import (
-    PowerSweepRow,
-    protocol_crossover_power,
-    sweep_powers,
-    winner_table,
 )
 from .tables import render_table, write_csv
 
@@ -43,17 +35,11 @@ __all__ = [
     "RegionTrace",
     "fig4_shape_checks",
     "run_fig4",
-    "DEFAULT_FADING_SPEC",
     "EXPERIMENT_IDS",
     "ExperimentReport",
-    "fading_report",
     "fig3_report",
     "fig4_report",
     "run_experiment",
-    "PowerSweepRow",
-    "protocol_crossover_power",
-    "sweep_powers",
-    "winner_table",
     "render_table",
     "write_csv",
 ]

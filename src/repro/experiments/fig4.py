@@ -20,7 +20,7 @@ import numpy as np
 
 from ..core.capacity import achievable_region, outer_bound_region
 from ..core.protocols import Protocol
-from ..core.regions import RateRegion, region_dominates
+from ..core.regions import RateRegion, frontier_polygon, polygon_area, region_dominates
 from .config import Fig4Config
 
 __all__ = ["RegionTrace", "Fig4Result", "run_fig4", "fig4_shape_checks"]
@@ -65,7 +65,7 @@ def _trace(label: str, region: RateRegion, n_points: int) -> RegionTrace:
         max_sum_rate=best.sum_rate,
         max_ra=float(boundary[-1, 0]),
         max_rb=float(boundary[0, 1]),
-        area=region.area(n_points),
+        area=polygon_area(frontier_polygon(boundary)),
     )
 
 

@@ -1,10 +1,11 @@
-"""Experiment registry: one entry per paper artifact (and ablations).
+"""Experiment registry: one entry per paper artifact.
 
 Each runner returns an :class:`ExperimentReport` — printable tables plus
 the series needed for plotting — so the CLI, the benchmarks and the tests
-all consume the same code path. Grid-style experiments (Fig. 3, the
-fading ensemble) evaluate their scenarios through the :mod:`repro.api`
-facade.
+all consume the same code path. Fig. 3 evaluates its scenarios through
+the :mod:`repro.api` facade; Fig. 4 traces its regions with the
+weighted-sum LP. The Section IV fading ensemble is the registered
+``fading-ensemble`` scenario (``repro scenarios run fading-ensemble``).
 """
 
 from __future__ import annotations
@@ -12,9 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..campaign.spec import CampaignSpec, FadingSpec
-from ..channels.gains import LinkGains
-from ..core.protocols import Protocol
 from ..exceptions import InvalidParameterError
 from .ascii_plot import ascii_plot
 from .config import FIG3_DEFAULT, FIG4_P0, FIG4_P10, Fig4Config
@@ -28,8 +26,6 @@ __all__ = [
     "EXPERIMENT_IDS",
     "fig3_report",
     "fig4_report",
-    "fading_report",
-    "DEFAULT_FADING_SPEC",
 ]
 
 
@@ -191,83 +187,12 @@ def fig4_report(
     )
 
 
-#: The Section IV fading ensemble regenerated by the ``fading`` experiment:
-#: the Fig. 4 geometry at both panel powers under Rayleigh fading. This is
-#: exactly the grid the registered ``fading-ensemble`` scenario lowers to
-#: (same content hash; asserted in the tests).
-DEFAULT_FADING_SPEC = CampaignSpec(
-    protocols=(Protocol.DT, Protocol.MABC, Protocol.TDBC, Protocol.HBC),
-    powers_db=(0.0, 10.0),
-    gains=(LinkGains.from_db(-7.0, 0.0, 5.0),),
-    fading=FadingSpec(n_draws=200, seed=17),
-)
-
-
-def fading_report(
-    spec: CampaignSpec = DEFAULT_FADING_SPEC, *, executor=None, cache=None
-) -> ExperimentReport:
-    """Ergodic/outage statistics of a fading campaign as a report.
-
-    The spec is wrapped as a scenario and evaluated through
-    :func:`repro.api.evaluate` (the default spec *is* the registered
-    ``fading-ensemble`` scenario); ``executor`` and ``cache`` are
-    forwarded to the campaign engine underneath.
-    """
-    from ..api import evaluate
-    from ..scenarios.base import Scenario
-    from ..scenarios.registry import get_scenario
-
-    if spec == DEFAULT_FADING_SPEC:
-        scenario = get_scenario("fading-ensemble")
-    else:
-        scenario = Scenario.from_campaign_spec(
-            spec,
-            name="fading-ensemble-custom",
-            description="caller-supplied fading campaign grid",
-        )
-    result = evaluate(scenario, executor=executor, cache=cache)
-    spec = result.spec
-    table = (
-        f"fading campaign ({spec.n_draws} draws/geometry, "
-        f"seed {spec.fading.seed if spec.fading else 'n/a'}, "
-        f"executor {result.executor_name}"
-        f"{', cached' if result.from_cache else ''}) — sum rates [bits/use]",
-        ["protocol", "P [dB]", "ergodic mean", "std err", "10%-outage", "median"],
-        result.summary_rows(epsilon=0.1),
-    )
-    checks = {}
-    protocols = set(spec.protocols)
-    if {Protocol.HBC, Protocol.MABC, Protocol.TDBC} <= protocols:
-
-        def hbc_dominates_at(power_db: float) -> bool:
-            hbc = result.ergodic_mean(Protocol.HBC, power_db)
-            mabc = result.ergodic_mean(Protocol.MABC, power_db)
-            tdbc = result.ergodic_mean(Protocol.TDBC, power_db)
-            return hbc >= max(mabc, tdbc) - 1e-9
-
-        checks["hbc_dominates_ergodically"] = all(
-            hbc_dominates_at(power_db) for power_db in spec.powers_db
-        )
-    return ExperimentReport(
-        experiment_id="fading",
-        description="ergodic and outage sum rates under quasi-static fading",
-        tables=(table,),
-        checks=checks,
-    )
-
-
-def run_experiment(experiment_id: str, *, executor=None) -> ExperimentReport:
-    """Run one registered experiment end to end.
-
-    ``executor`` (campaign executor name or instance) is forwarded to the
-    experiments that evaluate through the facade; ``None`` keeps each
-    experiment's default.
-    """
+def run_experiment(experiment_id: str) -> ExperimentReport:
+    """Run one registered experiment end to end."""
     registry = {
-        "fig3": lambda: fig3_report(fig3_result(executor=executor)),
+        "fig3": fig3_report,
         "fig4a": lambda: fig4_report(FIG4_P0, "fig4a"),
         "fig4b": lambda: fig4_report(FIG4_P10, "fig4b"),
-        "fading": lambda: fading_report(executor=executor),
     }
     if experiment_id not in registry:
         raise InvalidParameterError(
@@ -276,5 +201,5 @@ def run_experiment(experiment_id: str, *, executor=None) -> ExperimentReport:
     return registry[experiment_id]()
 
 
-#: Registered experiment ids (paper artifacts plus the fading campaign).
-EXPERIMENT_IDS = ("fig3", "fig4a", "fig4b", "fading")
+#: Registered experiment ids: the paper's evaluation figures.
+EXPERIMENT_IDS = ("fig3", "fig4a", "fig4b")

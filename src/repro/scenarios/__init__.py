@@ -29,7 +29,6 @@ from .builtin import (
     fig3_symmetric_scenario,
     fig4_operating_points_scenario,
     operational_goodput_scenario,
-    power_sweep_scenario,
     two_pair_round_robin_scenario,
 )
 from .registry import (
@@ -58,7 +57,6 @@ __all__ = [
     "fig3_symmetric_scenario",
     "fig4_operating_points_scenario",
     "operational_goodput_scenario",
-    "power_sweep_scenario",
     "two_pair_round_robin_scenario",
     "get_scenario",
     "list_scenarios",

@@ -65,7 +65,6 @@ __all__ = [
     "fig4_operating_points_scenario",
     "fading_ensemble_scenario",
     "grid_scenario",
-    "power_sweep_scenario",
     "two_pair_round_robin_scenario",
     "operational_goodput_scenario",
     "operational_fading_fer_scenario",
@@ -145,8 +144,9 @@ def fig4_operating_points_scenario() -> Scenario:
 def fading_ensemble_scenario() -> Scenario:
     """The Section IV Rayleigh ensemble on the Fig. 4 geometry.
 
-    Lowers to exactly the campaign spec the ``fading`` experiment has
-    always evaluated (same content hash), so cached results carry over.
+    Lowers to the same campaign spec (same content hash) the ensemble
+    has always had, so cached results carry over; ``repro scenarios run
+    fading-ensemble`` prints its ergodic and outage sum rates.
     """
     return Scenario(
         name="fading-ensemble",
@@ -261,20 +261,6 @@ def grid_scenario(
         description="protocols x powers x geometries x fading draws, "
         "every axis a parameter",
         grounding="Kim, Mitran & Tarokh, ICDCS Workshops 2007, Fig. 3 and Sec. IV",
-    )
-
-
-def power_sweep_scenario(
-    gains: LinkGains, powers_db, protocols=PAPER_PROTOCOLS
-) -> Scenario:
-    """A transmit-power sweep on one channel geometry as a scenario."""
-    return Scenario(
-        name="power-sweep",
-        description="protocol sum rates across a transmit-power sweep",
-        grounding="Kim, Mitran & Tarokh, ICDCS Workshops 2007, Sec. III",
-        protocols=tuple(protocols),
-        topology=Topology(gains=(gains,)),
-        power=PowerPolicy.uniform(powers_db=tuple(powers_db)),
     )
 
 

@@ -613,6 +613,10 @@ def simulate_protocol(
         raise InvalidParameterError(
             f"method must be 'batched' or 'reference', got {method!r}"
         )
+    if not 0 <= power < np.inf:
+        raise InvalidParameterError(
+            f"power must be finite and non-negative, got {power}"
+        )
     if method == "batched":
         return simulate_protocol_cells(
             protocol,

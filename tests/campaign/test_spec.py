@@ -7,6 +7,7 @@ from repro.campaign.spec import (
     CampaignShard,
     CampaignSpec,
     FadingSpec,
+    GridAxis,
     WorkUnit,
     chunk_ranges,
 )
@@ -41,6 +42,35 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             CampaignSpec(protocols=(Protocol.MABC,), powers_db=(), gains=(paper_gains,))
 
+    @pytest.mark.parametrize("power_db", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_powers_rejected(self, paper_gains, power_db):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            CampaignSpec(
+                protocols=(Protocol.MABC,),
+                powers_db=(10.0, power_db),
+                gains=(paper_gains,),
+            )
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"power_db_offset": float("nan")},
+            {"power_db_offset": float("inf")},
+            {"gain_offsets_db": (0.0, float("nan"), 0.0)},
+            {"node_powers_db": (0.0, 0.0, float("inf"))},
+        ],
+        ids=["nan-offset", "inf-offset", "nan-gain-offset", "inf-node-power"],
+    )
+    def test_non_finite_axis_overrides_rejected(self, paper_gains, override):
+        axis = GridAxis(name="variant", values=({"power_db_offset": 0.0}, override))
+        with pytest.raises(InvalidParameterError, match="finite"):
+            CampaignSpec(
+                protocols=(Protocol.MABC,),
+                powers_db=(10.0,),
+                gains=(paper_gains,),
+                extra_axes=(axis,),
+            )
+
     def test_empty_gains_rejected(self):
         with pytest.raises(InvalidParameterError):
             CampaignSpec(protocols=(Protocol.MABC,), powers_db=(10.0,), gains=())
@@ -58,6 +88,9 @@ class TestValidation:
             FadingSpec(n_draws=0)
         with pytest.raises(InvalidParameterError):
             FadingSpec(n_draws=5, k_factor=-1.0)
+        for k_factor in (float("nan"), float("inf")):
+            with pytest.raises(InvalidParameterError, match="finite"):
+                FadingSpec(n_draws=5, k_factor=k_factor)
 
 
 class TestExpansion:

@@ -21,7 +21,7 @@ PAPER_PROTOCOLS = (Protocol.DT, Protocol.MABC, Protocol.TDBC, Protocol.HBC)
 
 
 def fading_ensemble_spec():
-    """The `fading` experiment's default grid (DEFAULT_FADING_SPEC)."""
+    """The `fading-ensemble` scenario's grid (`scenarios run fading-ensemble`)."""
     return CampaignSpec(
         protocols=PAPER_PROTOCOLS,
         powers_db=(0.0, 10.0),

@@ -19,6 +19,13 @@ class TestConstruction:
         with pytest.raises(InvalidParameterError):
             LinkGains(gab=1.0, gar=-1.0, gbr=1.0)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_gain_rejected(self, value):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            LinkGains(gab=value, gar=1.0, gbr=1.0)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            LinkGains.from_db(-7.0, 0.0, value)
+
     def test_from_db_roundtrip(self):
         gains = LinkGains.from_db(-7.0, 0.0, 5.0)
         gab_db, gar_db, gbr_db = gains.to_db()

@@ -36,6 +36,10 @@ class TestConstruction:
         with pytest.raises(InvalidParameterError):
             NodePowers(pa=1.0, pb=-0.5, pr=1.0)
 
+    def test_infinite_power_rejected(self):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            NodePowers(pa=1.0, pb=float("inf"), pr=1.0)
+
     def test_values_coerced_to_float(self):
         p = NodePowers(pa=1, pb=2, pr=3)
         assert isinstance(p.pa, float)

@@ -61,6 +61,13 @@ class TestConstruction:
         with pytest.raises(InvalidParameterError):
             GaussianChannel(gains=paper_gains, power=-1.0)
 
+    @pytest.mark.parametrize("power", [float("nan"), float("inf")])
+    def test_non_finite_power_rejected(self, paper_gains, power):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            GaussianChannel(gains=paper_gains, power=power)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            GaussianChannel(gains=paper_gains, power={"a": 1.0, "b": 1.0, "r": power})
+
     def test_with_power(self, channel_high):
         scaled = channel_high.with_power(2.0)
         assert scaled.power == 2.0

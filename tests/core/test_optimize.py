@@ -111,6 +111,32 @@ class TestEqualRatePoint:
         best = max_sum_rate(evaluated)
         assert eq.sum_rate <= best.sum_rate + 1e-9
 
+    def test_hbc_dominates_special_cases(self, channel_high):
+        hbc, mabc, tdbc = (
+            equal_rate_point(channel_high.evaluate(builder())).ra
+            for builder in (hbc_inner, mabc_inner, tdbc_inner)
+        )
+        assert hbc >= mabc - 1e-8
+        assert hbc >= tdbc - 1e-8
+
+    def test_dt_symmetric_point_loses_nothing(self, channel_high):
+        """DT's region is a simplex: the equal-rate point is sum-optimal."""
+        evaluated = channel_high.evaluate(dt_capacity())
+        eq = equal_rate_point(evaluated)
+        assert eq.sum_rate == pytest.approx(max_sum_rate(evaluated).sum_rate, abs=1e-9)
+
+    def test_asymmetric_channel_costs_fairness(self, channel_high):
+        """On the Fig. 4 channel (G_ar != G_br) at least one relaying
+        protocol pays a real sum-rate price for equal rates."""
+        costs = []
+        for builder in (mabc_inner, tdbc_inner, hbc_inner):
+            evaluated = channel_high.evaluate(builder())
+            costs.append(
+                max_sum_rate(evaluated).sum_rate - equal_rate_point(evaluated).sum_rate
+            )
+        assert min(costs) >= -1e-9
+        assert max(costs) > 1e-3
+
 
 class TestFeasibility:
     def test_origin_always_feasible(self, channel_high):

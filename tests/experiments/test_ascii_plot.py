@@ -16,7 +16,8 @@ class TestAsciiPlot:
     def test_multiple_series_distinct_markers(self):
         text = ascii_plot(
             {"first": [(0, 0), (1, 1)], "second": [(0, 1), (1, 0)]},
-            width=20, height=8,
+            width=20,
+            height=8,
         )
         assert "o = first" in text
         assert "x = second" in text

@@ -11,7 +11,7 @@ class TestFig3Config:
         assert FIG3_DEFAULT.gab_db == 0.0
 
     def test_power_linear(self):
-        assert FIG3_DEFAULT.power == pytest.approx(10 ** 1.5)
+        assert FIG3_DEFAULT.power == pytest.approx(10**1.5)
 
     def test_sweeps_nonempty(self):
         assert len(FIG3_DEFAULT.relay_fractions) > 5
@@ -41,5 +41,5 @@ class TestFig4Config:
 
     def test_custom_panel(self):
         config = Fig4Config(power_db=5.0, boundary_points=9)
-        assert config.channel().power == pytest.approx(10 ** 0.5)
+        assert config.channel().power == pytest.approx(10**0.5)
         assert config.boundary_points == 9

@@ -31,8 +31,7 @@ class TestPhaseTimeline:
             n_phases = text.splitlines()[1].count("phase")
             for phase in range(n_phases):
                 transmitters = sum(
-                    1 for line in node_lines
-                    if line[6:].split()[phase] == "TX"
+                    1 for line in node_lines if line[6:].split()[phase] == "TX"
                 )
                 assert transmitters >= 1
 

@@ -46,9 +46,7 @@ class TestValidation:
         with pytest.raises(InvalidParameterError, match="multiplexing"):
             finite_snr_dmt(result, Protocol.MABC, 10.0, multiplexing_gains=())
         with pytest.raises(InvalidParameterError, match="multiplexing"):
-            finite_snr_dmt(
-                result, Protocol.MABC, 10.0, multiplexing_gains=(0.5, -0.1)
-            )
+            finite_snr_dmt(result, Protocol.MABC, 10.0, multiplexing_gains=(0.5, -0.1))
 
 
 class TestCurve:
@@ -79,9 +77,7 @@ class TestCurve:
                 assert not (d == 0.0 and np.signbit(d))
 
     def test_no_outage_gives_infinite_diversity(self, result):
-        curve = finite_snr_dmt(
-            result, Protocol.MABC, 10.0, multiplexing_gains=(1e-6,)
-        )
+        curve = finite_snr_dmt(result, Protocol.MABC, 10.0, multiplexing_gains=(1e-6,))
         assert curve.outage_probabilities == (0.0,)
         assert curve.diversity_gains == (float("inf"),)
 

@@ -82,9 +82,7 @@ class TestProtocolSubsets:
 
     @pytest.fixture(scope="class")
     def subset_result(self, small_config):
-        return fig3_result(
-            small_config, protocols=(Protocol.MABC, Protocol.HBC)
-        )
+        return fig3_result(small_config, protocols=(Protocol.MABC, Protocol.HBC))
 
     def test_headers_follow_the_subset(self, subset_result):
         assert subset_result.headers("x") == ["x", "MABC", "HBC"]
@@ -105,12 +103,8 @@ class TestProtocolSubsets:
             assert table_row[1] == pytest.approx(
                 row.sum_rates[Protocol.MABC], abs=1e-12
             )
-            assert table_row[2] == pytest.approx(
-                row.sum_rates[Protocol.HBC], abs=1e-12
-            )
-        full = {
-            row.sweep_value: row.sum_rates for row in small_result.placement_rows
-        }
+            assert table_row[2] == pytest.approx(row.sum_rates[Protocol.HBC], abs=1e-12)
+        full = {row.sweep_value: row.sum_rates for row in small_result.placement_rows}
         for row in subset_result.placement_rows:
             assert row.sum_rates[Protocol.HBC] == pytest.approx(
                 full[row.sweep_value][Protocol.HBC], abs=1e-9
@@ -136,8 +130,9 @@ class TestPaperClaims:
         assert not failing, f"failed shape checks: {failing}"
 
     def test_hbc_ge_components_pointwise(self, small_result):
-        for row in (list(small_result.placement_rows)
-                    + list(small_result.symmetric_rows)):
+        for row in (
+            list(small_result.placement_rows) + list(small_result.symmetric_rows)
+        ):
             hbc = row.sum_rates[Protocol.HBC]
             assert hbc >= row.sum_rates[Protocol.MABC] - 1e-7
             assert hbc >= row.sum_rates[Protocol.TDBC] - 1e-7

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.core import optimize
+from repro.core.capacity import achievable_region, outer_bound_region
+from repro.core.protocols import Protocol
 from repro.experiments.config import Fig4Config
 from repro.experiments.fig4 import TRACE_KEYS, fig4_shape_checks, run_fig4
 
@@ -38,8 +41,49 @@ class TestTraces:
             assert hbc_area >= high_snr.traces[key].area - 1e-9
 
     def test_tdbc_outer_contains_inner_area(self, high_snr):
-        assert high_snr.traces["TDBC outer"].area >= \
-            high_snr.traces["TDBC inner"].area - 1e-9
+        assert (
+            high_snr.traces["TDBC outer"].area
+            >= high_snr.traces["TDBC inner"].area - 1e-9
+        )
+
+    def test_area_is_the_region_area(self):
+        config = Fig4Config(power_db=10.0, boundary_points=5)
+        trace = run_fig4(config).trace("HBC")
+        region = achievable_region(Protocol.HBC, config.channel())
+        assert trace.area == region.area(config.boundary_points)
+
+
+class TestLpBudget:
+    def test_each_boundary_is_traced_once(self, monkeypatch):
+        """The area comes from the traced boundary, not from a second sweep:
+        a panel costs one trace and one max-sum LP per curve, plus at most
+        two membership LPs per HBC boundary point."""
+        calls = []
+        solve_lp = optimize.solve_lp
+
+        def counting_solve_lp(problem):
+            calls.append(problem)
+            return solve_lp(problem)
+
+        monkeypatch.setattr(optimize, "solve_lp", counting_solve_lp)
+        config = Fig4Config(power_db=10.0, boundary_points=5)
+        result = run_fig4(config)
+        panel_calls = len(calls)
+
+        calls.clear()
+        channel = config.channel()
+        for region in (
+            achievable_region(Protocol.DT, channel),
+            achievable_region(Protocol.MABC, channel),
+            achievable_region(Protocol.TDBC, channel),
+            outer_bound_region(Protocol.TDBC, channel),
+            achievable_region(Protocol.HBC, channel),
+        ):
+            region.boundary(config.boundary_points)
+        one_trace_each = len(calls)
+
+        hbc_points = len(result.trace("HBC").boundary)
+        assert panel_calls <= one_trace_each + len(TRACE_KEYS) + 2 * hbc_points
 
 
 class TestHeadlineResult:

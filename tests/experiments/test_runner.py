@@ -17,8 +17,9 @@ from repro.experiments.runner import (
 
 @pytest.fixture(scope="module")
 def small_fig3_report():
-    config = Fig3Config(relay_fractions=(0.3, 0.55, 0.8),
-                        symmetric_gains_db=(0.0, 10.0, 20.0))
+    config = Fig3Config(
+        relay_fractions=(0.3, 0.55, 0.8), symmetric_gains_db=(0.0, 10.0, 20.0)
+    )
     return fig3_report(fig3_result(config))
 
 
@@ -26,10 +27,15 @@ def small_fig3_report():
 def small_fig4_reports():
     low = run_fig4(Fig4Config(power_db=0.0, boundary_points=9))
     high = run_fig4(Fig4Config(power_db=10.0, boundary_points=9))
-    report_low = fig4_report(Fig4Config(power_db=0.0, boundary_points=9),
-                             "fig4a", result=low, companion=high)
-    report_high = fig4_report(Fig4Config(power_db=10.0, boundary_points=9),
-                              "fig4b", result=high, companion=low)
+    report_low = fig4_report(
+        Fig4Config(power_db=0.0, boundary_points=9), "fig4a", result=low, companion=high
+    )
+    report_high = fig4_report(
+        Fig4Config(power_db=10.0, boundary_points=9),
+        "fig4b",
+        result=high,
+        companion=low,
+    )
     return report_low, report_high
 
 
@@ -68,7 +74,7 @@ class TestFig4Report:
 
 class TestRegistry:
     def test_experiment_ids(self):
-        assert set(EXPERIMENT_IDS) == {"fig3", "fig4a", "fig4b", "fading"}
+        assert set(EXPERIMENT_IDS) == {"fig3", "fig4a", "fig4b"}
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(InvalidParameterError):

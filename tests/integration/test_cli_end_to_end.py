@@ -1,7 +1,5 @@
 """Integration: CLI entry points against the real experiment harness."""
 
-import pytest
-
 from repro.cli import main
 
 
@@ -29,16 +27,20 @@ class TestFigureCommands:
 
 
 class TestAnalysisCommands:
-    def test_region_matches_sumrate(self, capsys):
-        args = ["--power-db", "10", "--gab-db", "-7", "--gar-db", "0",
-                "--gbr-db", "5"]
-        assert main(["region", "--protocol", "hbc", "--points", "9"] + args) == 0
+    def test_region_matches_grid_scenario(self, capsys):
+        """The per-point LP (`region`) and the campaign kernel (`scenarios
+        run grid`) report the same HBC optimum, 3.3313 at P=10 dB."""
+        assert main(["region", "--protocol", "hbc"]) == 0
         region_out = capsys.readouterr().out
-        assert main(["sumrate"] + args) == 0
-        sumrate_out = capsys.readouterr().out
-        # Both views must report the same HBC optimum (3.3313 at P=10 dB).
-        assert "3.3313" in region_out
-        assert "3.3313" in sumrate_out
+        assert main(["scenarios", "run", "grid", "--param", "protocols=hbc",
+                     "--param", "draws=0", "--param", "powers-db=10",
+                     "--no-cache", "--quiet"]) == 0
+        grid_out = capsys.readouterr().out
+        assert "max sum rate 3.3313 bits/use" in region_out
+        hbc_rows = [line.split() for line in grid_out.splitlines()
+                    if line.split()[:1] == ["HBC"]]
+        assert len(hbc_rows) == 1
+        assert hbc_rows[0][2] == "3.3313"
 
     def test_simulate_protocols(self, capsys):
         for protocol in ("dt", "mabc", "tdbc", "hbc"):

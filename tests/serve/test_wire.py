@@ -1,5 +1,7 @@
 """Scenario reference format: name and inline-spec forms round-trip."""
 
+import json
+
 import pytest
 
 from repro.campaign.spec import CampaignSpec, FadingSpec
@@ -93,6 +95,17 @@ class TestValidation:
     def test_rejects_malformed_spec(self):
         with pytest.raises(InvalidParameterError):
             request_to_scenario({"spec": {"protocols": ["nope"]}})
+
+    @pytest.mark.parametrize("field", ["powers_db", "gains"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_numbers(self, scenario, field, value):
+        reference = json.loads(json.dumps(scenario_to_request(scenario)))
+        if field == "powers_db":
+            reference["spec"]["powers_db"] = [10.0, value]
+        else:
+            reference["spec"]["gains"][0][1] = value
+        with pytest.raises(InvalidParameterError, match="finite"):
+            request_to_scenario(reference)
 
     def test_rejects_non_scenario_object(self):
         with pytest.raises(InvalidParameterError):

@@ -71,6 +71,20 @@ class TestSimulateProtocol:
                 codec=fast_codec,
             )
 
+    @pytest.mark.parametrize("method", ["batched", "reference"])
+    @pytest.mark.parametrize("power", [float("nan"), float("inf"), -1.0])
+    def test_bad_power_rejected(self, fast_codec, paper_gains, rng, method, power):
+        with pytest.raises(InvalidParameterError, match="finite and non-negative"):
+            simulate_protocol(
+                Protocol.DT,
+                paper_gains,
+                power=power,
+                n_rounds=2,
+                rng=rng,
+                codec=fast_codec,
+                method=method,
+            )
+
     def test_goodput_below_analytic_bound(self, fast_codec, paper_gains):
         """Operational goodput can never exceed the capacity bound."""
         from repro.core.capacity import optimal_sum_rate

@@ -1,6 +1,8 @@
 """Unit tests for the command-line interface."""
 
+import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +18,25 @@ class TestParser:
         }
         subparsers = actions["command"]
         assert set(subparsers.choices) == {
-            "fig3", "fig4", "region", "sumrate", "simulate", "diagrams",
-            "sweep", "adaptive", "fairness", "fading", "scenarios", "serve",
-            "client",
+            "fig3", "fig4", "region", "simulate", "diagrams", "scenarios",
+            "serve", "client",
         }
+
+    def test_every_subcommand_has_a_documented_user(self):
+        """Each top-level subcommand appears as ``repro <name>`` in the
+        README or a docs page; an undocumented one has no user."""
+        root = Path(__file__).resolve().parent.parent
+        pages = [root / "README.md", *sorted((root / "docs").glob("*.md"))]
+        text = "\n".join(page.read_text() for page in pages)
+        subparsers = next(
+            action for action in build_parser()._actions
+            if action.dest == "command"
+        )
+        undocumented = [
+            name for name in subparsers.choices
+            if not re.search(rf"\brepro {name}\b", text)
+        ]
+        assert not undocumented
 
     def test_region_requires_protocol(self):
         with pytest.raises(SystemExit):
@@ -36,13 +53,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "MABC" in out and "HBC" in out
 
-    def test_sumrate(self, capsys):
-        code = main(["sumrate", "--power-db", "10"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "best protocol" in out
-        assert "MABC" in out
-
     def test_region(self, capsys):
         code = main(["region", "--protocol", "mabc", "--points", "5"])
         out = capsys.readouterr().out
@@ -54,6 +64,35 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "outer bound" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["region", "--protocol", "mabc", "--points", "1"],
+            ["region", "--protocol", "hbc", "--power-db", "nan"],
+            ["region", "--protocol", "tdbc", "--outer", "--power-db", "inf"],
+            ["region", "--protocol", "hbc", "--gbr-db", "inf"],
+            ["fig4", "--power-db", "nan"],
+            ["fig4", "--power-db", "inf"],
+            ["simulate", "--protocol", "hbc", "--rounds", "2", "--power-db", "nan"],
+        ],
+        ids=[
+            "region-one-point",
+            "region-nan-power",
+            "region-outer-inf-power",
+            "region-inf-gain",
+            "fig4-nan-power",
+            "fig4-inf-power",
+            "simulate-nan-power",
+        ],
+    )
+    def test_usage_error_exits_2_with_one_line(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert len(captured.out.splitlines()) == 1
+        assert captured.out.startswith("error: ")
+        assert "Traceback" not in captured.err
 
     def test_simulate(self, capsys):
         code = main([
@@ -148,35 +187,6 @@ class TestCommands:
         assert code == 2
         assert "noise_scale" in out
 
-    def test_sweep(self, capsys):
-        code = main(["sweep", "--min-db", "0", "--max-db", "5",
-                     "--step-db", "5"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "power sweep" in out
-        assert "NAIVE4" in out
-
-    def test_adaptive(self, capsys):
-        code = main(["adaptive", "--draws", "5", "--power-db", "10"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "adaptivity gain" in out
-        assert "ADAPTIVE" in out
-
-    def test_fairness(self, capsys):
-        code = main(["fairness", "--power-db", "10"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "fairness analysis" in out
-        assert "cost of symmetry" in out
-
-    def test_fading(self, capsys):
-        code = main(["fading"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "fading campaign" in out
-        assert "hbc_dominates_ergodically" in out
-
 
 class TestGridScenarioCommand:
     """`scenarios run grid --param ...`: the protocols x powers x
@@ -240,6 +250,18 @@ class TestGridScenarioCommand:
         out = capsys.readouterr().out
         assert code == 2
         assert "error" in out
+
+    @pytest.mark.parametrize(
+        "param",
+        ["powers-db=nan", "powers-db=inf", "powers-db=0,nan", "k-factor=nan"],
+    )
+    def test_grid_non_finite_values_rejected(self, capsys, param):
+        code = main(["scenarios", "run", "grid", "--param", param,
+                     "--param", "draws=2", "--quiet", "--no-cache"])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert out.startswith("error: ")
+        assert "finite" in out
 
     def test_grid_negative_draws_rejected(self, capsys):
         code = main(["scenarios", "run", "grid", "--param", "draws=-5",
@@ -625,52 +647,6 @@ class TestScenarioShardGather:
         out = capsys.readouterr().out
         assert code == 0
         assert "frame error rate" in out
-
-
-class TestSweepValidation:
-    def test_zero_step_rejected(self, capsys):
-        code = main(["sweep", "--min-db", "0", "--max-db", "5",
-                     "--step-db", "0"])
-        out = capsys.readouterr().out
-        assert code == 2
-        assert "must be positive" in out
-
-    def test_inverted_range_rejected(self, capsys):
-        code = main(["sweep", "--min-db", "5", "--max-db", "0",
-                     "--step-db", "1"])
-        assert code == 2
-
-    def test_max_db_endpoint_kept_under_float_rounding(self, capsys):
-        """0.3 / 0.1 is 2.9999999999999996 in floating point."""
-        code = main(["sweep", "--min-db", "0", "--max-db", "0.3",
-                     "--step-db", "0.1"])
-        out = capsys.readouterr().out
-        assert code == 0
-        powers = [line.split()[0] for line in out.splitlines()
-                  if line[:1].isdigit()]
-        assert powers == ["0.0000", "0.1000", "0.2000", "0.3000"]
-
-    @pytest.mark.parametrize(
-        ("min_db", "max_db", "step_db", "expected"),
-        [
-            ("0", "0.7", "0.1", ["0.0000", "0.1000", "0.2000", "0.3000",
-                                 "0.4000", "0.5000", "0.6000", "0.7000"]),
-            ("-1", "1", "0.5", ["-1.0000", "-0.5000", "0.0000", "0.5000",
-                                "1.0000"]),
-            ("5", "5", "1", ["5.0000"]),
-            ("0", "1", "0.3", ["0.0000", "0.3000", "0.6000", "0.9000"]),
-        ],
-        ids=["tenths", "negative-start", "single-point", "off-grid-max"],
-    )
-    def test_grid_ends_at_last_step_within_range(self, capsys, min_db, max_db,
-                                                 step_db, expected):
-        code = main(["sweep", "--min-db", min_db, "--max-db", max_db,
-                     "--step-db", step_db])
-        out = capsys.readouterr().out
-        assert code == 0
-        powers = [line.split()[0] for line in out.splitlines()
-                  if line.strip().lstrip("-")[:1].isdigit()]
-        assert powers == expected
 
 
 class TestClientCommand:
