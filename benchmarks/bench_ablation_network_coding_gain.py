@@ -9,7 +9,6 @@ analytically and operationally.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from conftest import emit

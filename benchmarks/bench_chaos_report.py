@@ -181,7 +181,7 @@ def test_socket_drop_is_retried_to_the_same_bytes(reference, report, tmp_path):
         served, elapsed = _timed(lambda: client.evaluate("fig4-operating-points"))
         local = evaluate("fig4-operating-points")
         identical = served.values.tobytes() == local.values.tobytes()
-        faults = client.health()["faults_injected"]
+        faults = client.stats()["faults_injected"]
         report["socket-drop"] = {
             "outcome": "recovered",
             "bitwise_identical": identical,

@@ -12,7 +12,7 @@ import pytest
 from conftest import emit
 from repro.core.capacity import achievable_region
 from repro.core.protocols import Protocol
-from repro.experiments.config import FIG4_P0, FIG4_P10
+from repro.experiments.config import FIG4_P0
 from repro.experiments.fig4 import run_fig4
 from repro.experiments.runner import fig4_report
 

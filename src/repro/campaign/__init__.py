@@ -58,7 +58,6 @@ from .spec import (
     FadingSpec,
     GridAxis,
     LinkSimSpec,
-    WorkUnit,
     chunk_ranges,
 )
 
@@ -89,5 +88,4 @@ __all__ = [
     "FadingSpec",
     "GridAxis",
     "LinkSimSpec",
-    "WorkUnit",
 ]

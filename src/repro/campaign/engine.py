@@ -29,14 +29,13 @@ and the deadline rule; the one fault hook is
 
 :func:`evaluate_ensemble` is the lower-level building block for callers
 that already hold concrete channel realizations (e.g. the Monte-Carlo
-drivers, which own their RNG for backward compatibility); given a cache
-it checkpoints chunks under a content hash of the realizations
-themselves, so huge ensembles are resumable too.
+drivers, which own their RNG): one executor call over the draws, with
+no cache. Cacheable, resumable ensembles are specs run through
+:func:`run_campaign` (the ``fading-ensemble`` scenario).
 """
 
 from __future__ import annotations
 
-import hashlib
 import time
 from collections.abc import Mapping
 from concurrent.futures import BrokenExecutor
@@ -335,15 +334,6 @@ def _cache_key(spec: CampaignSpec) -> str:
 def _hash_key(spec_hash: str) -> str:
     """The store key of the spec whose content hash is ``spec_hash``."""
     return f"v{KERNEL_VERSION}-{spec_hash}"
-
-
-def _ensemble_key(protocol: Protocol, gains: np.ndarray, power: np.ndarray) -> str:
-    """Content key of a concrete-realization ensemble evaluation."""
-    hasher = hashlib.sha256()
-    hasher.update(protocol.value.encode("utf-8"))
-    hasher.update(np.ascontiguousarray(gains).tobytes())
-    hasher.update(np.ascontiguousarray(power).tobytes())
-    return f"v{KERNEL_VERSION}-ensemble-{hasher.hexdigest()}"
 
 
 def _resolve_cache(cache):
@@ -792,9 +782,6 @@ def evaluate_ensemble(
     power,
     *,
     executor=None,
-    cache=None,
-    chunk_size=None,
-    progress=None,
 ) -> np.ndarray:
     """Optimal sum rates of one protocol over concrete channel draws.
 
@@ -813,17 +800,6 @@ def evaluate_ensemble(
         array in ``(a, b, r)`` order gives each node its own power.
     executor:
         Executor name or instance; defaults to the vectorized fast path.
-    cache:
-        Optional :class:`CampaignCache` (or path / ``True``). With a
-        cache the evaluation is chunk-checkpointed under a content hash
-        of the realizations themselves, so repeated or interrupted
-        ensemble evaluations resume instead of recomputing.
-    chunk_size:
-        Checkpoint granularity in draws (default
-        :data:`repro.campaign.spec.DEFAULT_CHUNK_SIZE`).
-    progress:
-        Optional callable ``progress(done_draws, total_draws)``; with a
-        cache or ``chunk_size`` it ticks once per completed chunk.
 
     Returns
     -------
@@ -831,8 +807,6 @@ def evaluate_ensemble(
         One optimal sum rate per draw, in draw order.
     """
     executor = get_executor(executor)
-    if chunk_size is not None and chunk_size < 1:
-        raise InvalidParameterError(f"chunk size must be positive, got {chunk_size}")
     array = np.asarray(
         [
             (g.gab, g.gar, g.gbr) if hasattr(g, "gab") else tuple(g)
@@ -860,37 +834,13 @@ def evaluate_ensemble(
             power = power.copy()
         else:
             power = np.broadcast_to(power, (array.shape[0],)).copy()
-    store = _resolve_cache(cache)
-    if store is None and chunk_size is None:
-        batch = UnitBatch(
-            protocol=protocol,
-            gab=array[:, 0],
-            gar=array[:, 1],
-            gbr=array[:, 2],
-            power=power,
-        )
-        return executor.run([batch], progress=progress)[0]
-
-    def batches_for(lo: int, hi: int):
-        return [
-            UnitBatch(
-                protocol=protocol,
-                gab=array[lo:hi, 0],
-                gar=array[lo:hi, 1],
-                gbr=array[lo:hi, 2],
-                power=power[lo:hi],
-            )
-        ]
-
-    flat, _, _ = _run_chunked(
-        _ensemble_key(protocol, array, power),
-        (0, array.shape[0]),
-        batches_for,
-        {"protocol": protocol.value, "n_units": int(array.shape[0])},
-        store,
-        isinstance(executor, _CACHE_TRUSTED_EXECUTORS),
-        executor,
-        chunk_size or DEFAULT_CHUNK_SIZE,
-        progress,
+    if not (np.isfinite(array).all() and np.isfinite(power).all()):
+        raise InvalidParameterError("ensemble gains and power must be finite")
+    batch = UnitBatch(
+        protocol=protocol,
+        gab=array[:, 0],
+        gar=array[:, 1],
+        gbr=array[:, 2],
+        power=power,
     )
-    return flat
+    return executor.run([batch])[0]

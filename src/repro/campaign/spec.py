@@ -1,4 +1,4 @@
-"""Declarative campaign specifications and their expansion into work units.
+"""Declarative campaign specifications: grids, fading draws and shards.
 
 A :class:`CampaignSpec` describes a full evaluation grid as plain data:
 the classic axes ``protocols × powers × channel geometries × fading
@@ -7,9 +7,10 @@ inserted between ``power`` and ``gains`` — e.g. a node-pair axis for
 multi-pair networks or a power-policy axis for backoff studies.
 Expansion is deterministic: the fading ensemble is drawn once from the
 spec's seed (paired across protocols and powers, so per-realization
-comparisons like "HBC dominates MABC" hold draw by draw), and the resulting
-work units are pure ``(protocol, gains, power)`` triples with no hidden
-state. That determinism is what makes the content-addressed result cache
+comparisons like "HBC dominates MABC" hold draw by draw), and every grid
+cell is a pure ``(protocol, gains, power)`` triple with no hidden state
+(:func:`repro.campaign.engine._grid_batches` expands the grid into unit
+batches). That determinism is what makes the content-addressed result cache
 (:mod:`repro.campaign.cache`) sound: the spec hash fully determines the
 numbers.
 
@@ -49,7 +50,6 @@ __all__ = [
     "GridAxis",
     "CampaignSpec",
     "CampaignShard",
-    "WorkUnit",
     "GRID_AXES",
     "AXIS_OVERRIDE_KEYS",
     "LINK_CODES",
@@ -636,23 +636,6 @@ class GridAxis:
 
 
 @dataclass(frozen=True)
-class WorkUnit:
-    """One grid point: evaluate a protocol on one concrete channel.
-
-    ``index`` is the flat position in the campaign's
-    ``(protocol, power, gains, draw)`` C-order grid, so results can be
-    reassembled regardless of execution order. ``power`` is the classic
-    linear scalar, or a :class:`~repro.channels.power.NodePowers` when the
-    spec carries a ``node_powers_db`` allocation axis.
-    """
-
-    index: int
-    protocol: Protocol
-    gains: LinkGains
-    power: float | NodePowers
-
-
-@dataclass(frozen=True)
 class CampaignSpec:
     """A declarative evaluation grid over protocols, powers and channels.
 
@@ -1022,35 +1005,6 @@ class CampaignSpec:
             for di, realized in enumerate(ensemble):
                 draws[gi, di] = (realized.gab, realized.gar, realized.gbr)
         return draws
-
-    def expand(self, gain_draws: np.ndarray | None = None):
-        """Yield every :class:`WorkUnit` in C order of the grid.
-
-        ``gain_draws`` (from :meth:`sample_gain_draws`) can be passed in to
-        avoid re-sampling; it is sampled on demand otherwise. Draws are
-        shared across extensible axes (each axis value sees the same fade,
-        transformed by its own per-link offsets), so per-realization
-        comparisons stay paired along every non-channel axis.
-        """
-        if gain_draws is None:
-            gain_draws = self.sample_gain_draws()
-        index = 0
-        for block in range(self.n_blocks):
-            protocol, power, gain_scale = self.block_params(block)
-            for gi in range(len(self.gains)):
-                for di in range(self.n_draws):
-                    gab, gar, gbr = gain_draws[gi, di]
-                    if gain_scale is not None:
-                        gab = gab * gain_scale[0]
-                        gar = gar * gain_scale[1]
-                        gbr = gbr * gain_scale[2]
-                    yield WorkUnit(
-                        index=index,
-                        protocol=protocol,
-                        gains=LinkGains(gab, gar, gbr),
-                        power=power,
-                    )
-                    index += 1
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from .halfduplex import (
     FusedHalfDuplexMedium,
     FusedPhaseStream,
     HalfDuplexMedium,
-    PhaseOutput,
     PhaseRows,
     link_amplitudes,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "HalfDuplexMedium",
     "FusedHalfDuplexMedium",
     "FusedPhaseStream",
-    "PhaseOutput",
     "PhaseRows",
     "link_amplitudes",
     "NODE_ORDER",

@@ -8,10 +8,11 @@ implements that medium for the Gaussian case: in each phase, a set of nodes
 transmits and every silent node receives the superposition of all
 transmissions weighted by the pairwise complex gains, plus unit-power AWGN.
 
-The returned :class:`PhaseOutput` uses ``None`` as the ``∅`` symbol: a
-transmitting node's received entry is ``None``, faithfully encoding the
-half-duplex constraint rather than silently handing transmitters a copy of
-the channel output.
+Every phase runs row-batched (below) through one validation rule: a
+node named as a listener must not transmit, and a transmitting node has
+no received entry at all — :meth:`PhaseRows.signal_at` raises for it —
+faithfully encoding the half-duplex constraint rather than silently
+handing transmitters a copy of the channel output.
 
 Row-batched phases
 ------------------
@@ -66,7 +67,6 @@ __all__ = [
     "HalfDuplexMedium",
     "FusedHalfDuplexMedium",
     "FusedPhaseStream",
-    "PhaseOutput",
     "PhaseRows",
     "link_amplitudes",
 ]
@@ -103,31 +103,6 @@ def link_amplitudes(
         * np.exp(1j * phases[frozenset(pair)])
         for pair in _LINKS
     }
-
-
-@dataclass(frozen=True)
-class PhaseOutput:
-    """Received signals of one phase.
-
-    Attributes
-    ----------
-    received:
-        Mapping node -> complex sample vector for listeners, ``None`` (the
-        ``∅`` symbol) for transmitters.
-    transmitters:
-        The nodes that transmitted during the phase.
-    """
-
-    received: dict
-    transmitters: frozenset
-
-    def signal_at(self, node: str) -> np.ndarray:
-        """The received vector at ``node``; raises if the node transmitted."""
-        if node in self.transmitters:
-            raise HalfDuplexViolationError(
-                f"node {node!r} transmitted in this phase; it has no received signal"
-            )
-        return self.received[node]
 
 
 @dataclass(frozen=True)
@@ -289,62 +264,6 @@ class HalfDuplexMedium:
                     f"complex gain for {sorted(pair)} has power {amplitude}, "
                     f"inconsistent with G={expected}"
                 )
-
-    def run_phase(self, transmissions: dict, rng: np.random.Generator) -> PhaseOutput:
-        """Execute one phase.
-
-        Parameters
-        ----------
-        transmissions:
-            Mapping node -> complex symbol vector for every transmitting
-            node. All vectors must share a length. Nodes absent from the
-            mapping are listeners.
-        rng:
-            Random generator for the noise draws.
-
-        Returns
-        -------
-        PhaseOutput
-            Received vectors at all listeners; ``None`` at transmitters.
-
-        Raises
-        ------
-        HalfDuplexViolationError
-            If a node appears as transmitter with a ``None`` payload (a
-            programming error that would amount to transmitting ``∅``).
-        InvalidParameterError
-            For unknown nodes or mismatched block lengths.
-        """
-        for node in transmissions:
-            if node not in _NODES:
-                raise InvalidParameterError(
-                    f"unknown node {node!r}; nodes are {_NODES}"
-                )
-            if transmissions[node] is None:
-                raise HalfDuplexViolationError(
-                    f"node {node!r} listed as transmitter but supplied no signal"
-                )
-        tx_nodes = frozenset(transmissions)
-        if not tx_nodes:
-            raise InvalidParameterError("at least one node must transmit in a phase")
-        lengths = {np.asarray(x).shape for x in transmissions.values()}
-        if len(lengths) != 1:
-            raise InvalidParameterError(
-                f"simultaneous transmissions must share a shape, got {lengths}"
-            )
-        (shape,) = lengths
-
-        received: dict = {}
-        for node in _NODES:
-            if node in tx_nodes:
-                received[node] = None  # the ∅ output symbol
-                continue
-            y = self.noise.sample(rng, shape).astype(complex)
-            for tx, x in transmissions.items():
-                gain = self.complex_gains[frozenset((tx, node))]
-                y = y + gain * np.asarray(x)
-            received[node] = y
-        return PhaseOutput(received=received, transmitters=tx_nodes)
 
     def run_phase_rows(
         self, transmissions: dict, listeners, rng: np.random.Generator

@@ -24,7 +24,7 @@ Subcommands
 * ``client`` — talk to a running daemon: ``client run NAME`` evaluates a
   registered scenario remotely (transparently retrying transient
   failures — see ``--retries``), ``client ping`` / ``client stats`` /
-  ``client health`` / ``client shutdown`` probe and administer it.
+  ``client shutdown`` probe and administer it.
   When no daemon is listening at ``--socket`` the client exits with
   status 2 and a clear "daemon not running" message.
 * ``region`` — trace any protocol's rate region (or, with ``--outer``,
@@ -598,20 +598,12 @@ def _cmd_client(args) -> int:
             print(f"pong: protocol v{pong.get('protocol_version')}{draining}")
         elif args.action == "stats":
             reply = client.stats()
-            for key, value in sorted(reply.get("stats", {}).items()):
-                print(f"{key}: {value}")
-            print(f"in_flight: {reply.get('in_flight', 0)}")
-        elif args.action == "health":
-            reply = client.health()
-            status = reply.get("status", "unknown")
-            print(f"status: {status}")
+            print(f"status: {reply.get('status', 'unknown')}")
             for key in ("in_flight", "max_pending", "executor", "pool_rebuilds"):
                 if key in reply:
                     print(f"{key}: {reply[key]}")
-            faults = reply.get("faults_injected") or {}
-            if faults:
-                for key, value in sorted(faults.items()):
-                    print(f"fault {key}: {value}")
+            for key, value in sorted((reply.get("faults_injected") or {}).items()):
+                print(f"fault {key}: {value}")
             for key, value in sorted(reply.get("stats", {}).items()):
                 print(f"{key}: {value}")
         elif args.action == "shutdown":
@@ -1029,8 +1021,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the served result array to PATH via np.save",
     )
     client_sub.add_parser("ping", help="liveness probe")
-    client_sub.add_parser("stats", help="serving counters and in-flight jobs")
-    client_sub.add_parser("health", help="pool, queue and fault-injection counters")
+    client_sub.add_parser(
+        "stats", help="serving counters, pool, queue and fault-injection counters"
+    )
     client_sub.add_parser("shutdown", help="ask the daemon to drain and exit")
     p_client.set_defaults(func=_cmd_client)
 

@@ -204,12 +204,14 @@ class ServeClient:
         return self._roundtrip({"op": "ping", "id": self._next_id()})
 
     def stats(self) -> dict:
-        """The daemon's serving counters (requests, dedup, cache hits...)."""
-        return self._roundtrip({"op": "stats", "id": self._next_id()})
+        """The daemon's ``stats`` frame.
 
-    def health(self) -> dict:
-        """The daemon's liveness snapshot: pool, queue and fault counters."""
-        return self._roundtrip({"op": "health", "id": self._next_id()})
+        Its ``stats`` mapping holds the serving counters (requests,
+        dedup, cache hits...); the frame also carries ``status``,
+        ``in_flight``, ``max_pending``, the executor and its pool size,
+        ``pool_rebuilds``, ``cache`` and ``faults_injected``.
+        """
+        return self._roundtrip({"op": "stats", "id": self._next_id()})
 
     def shutdown(self) -> dict:
         """Ask the daemon to drain and exit; returns its ``bye`` frame."""

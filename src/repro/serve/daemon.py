@@ -322,28 +322,18 @@ class CampaignServer:
                 },
             )
         elif request.op == "stats":
-            await self._send(
-                writer,
-                {
-                    "event": "stats",
-                    "id": request.id,
-                    "stats": dict(self.stats),
-                    "in_flight": len(self._jobs),
-                },
-            )
-        elif request.op == "health":
-            await self._send(writer, self._health_frame(request.id))
+            await self._send(writer, self._stats_frame(request.id))
         elif request.op == "shutdown":
             await self._send(writer, {"event": "bye", "id": request.id})
             self.request_stop()
         else:
             await self._handle_evaluate(request, writer)
 
-    def _health_frame(self, request_id: str) -> dict:
-        """One liveness snapshot: pool, queue and fault-recovery counters."""
+    def _stats_frame(self, request_id: str) -> dict:
+        """Serving counters plus a liveness snapshot of pool, queue and faults."""
         executor = self._executor
         return {
-            "event": "health",
+            "event": "stats",
             "id": request_id,
             "status": "draining" if self._closing else "ok",
             "protocol_version": PROTOCOL_VERSION,

@@ -11,8 +11,7 @@ Request frames (``op`` selects the operation)::
     {"op": "evaluate", "id": "r-1", "scenario": {...}, "options": {...}}
     {"op": "ping", "id": "r-2"}
     {"op": "stats", "id": "r-3"}
-    {"op": "health", "id": "r-4"}
-    {"op": "shutdown", "id": "r-5"}
+    {"op": "shutdown", "id": "r-4"}
 
 The ``scenario`` mapping is the scenario reference format of
 :mod:`repro.scenarios.wire` (registered name or inline campaign spec);
@@ -32,9 +31,9 @@ or the terminal ``{"event": "error", "id": ..., "code": ..., "message":
 ``retryable`` telling the client whether an identical re-request is a
 sensible recovery (safe by construction: identical requests dedup on the
 spec's cache key, so a retry joins or re-reads, never recomputes
-divergently). ``ping`` answers ``pong``, ``stats`` answers ``stats``,
-``health`` answers ``health`` (a liveness/fault-counter snapshot) and
-``shutdown`` answers ``bye``.
+divergently). ``ping`` answers ``pong``, ``stats`` answers ``stats``
+(the serving counters plus a liveness snapshot: status, queue, pool and
+fault-injection counters) and ``shutdown`` answers ``bye``.
 
 Result payloads ship the grid as ``values`` — the base64 text of its
 C-order little-endian IEEE-754 float64 bytes — next to its ``shape``.
@@ -84,7 +83,7 @@ PROTOCOL_VERSION = 2
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 #: Supported request operations.
-OPS = ("evaluate", "ping", "stats", "health", "shutdown")
+OPS = ("evaluate", "ping", "stats", "shutdown")
 
 #: Error codes a terminal ``error`` event may carry.
 #:

@@ -30,7 +30,6 @@ from .montecarlo import (
     collect_adaptive_accounting,
     fading_sum_rate_statistics,
     fused_link_values,
-    outage_probability,
     simulate_protocol,
     simulate_protocol_cells,
     wave_bounds,
@@ -85,7 +84,6 @@ __all__ = [
     "collect_adaptive_accounting",
     "fading_sum_rate_statistics",
     "fused_link_values",
-    "outage_probability",
     "simulate_protocol",
     "simulate_protocol_cells",
     "wave_bounds",

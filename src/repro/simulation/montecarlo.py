@@ -11,10 +11,10 @@ Two complementary estimators live here:
   ``method="reference"`` runs the per-round
   :class:`~repro.simulation.engine.ProtocolEngine` loop instead, which
   is provably — and test-asserted — field-for-field identical.
-* :func:`fading_sum_rate_statistics` / :func:`outage_probability` —
-  evaluate the *analytic* LP-optimal sum rates over a quasi-static
-  fading ensemble (Section IV's channel model), producing ergodic
-  averages and outage curves for every protocol.
+* :func:`fading_sum_rate_statistics` — evaluate the *analytic*
+  LP-optimal sum rates over a quasi-static fading ensemble (Section IV's
+  channel model); the returned :class:`FadingStatistics` gives ergodic
+  averages, ε-outage quantiles and outage-at-target probabilities.
 
 Reproducibility policy of :func:`simulate_protocol` (the fix for the
 historical payload/noise RNG coupling that blocked batching): the
@@ -25,8 +25,8 @@ before ``b`` within each round); the noise stream then spawns one child
 per protocol phase, consumed as described in
 :mod:`repro.simulation.engine`. Since every draw site fills its array
 sequentially in C order, the report is a pure function of ``(protocol,
-gains, power, n_rounds, rng state, codec)`` — independent of
-``batch_size``, chunking, or whether the batched or the per-round path
+gains, power, n_rounds, rng state, codec)`` — independent of the
+fused row cap, chunking, or whether the batched or the per-round path
 ran.
 
 The analytic estimators draw the ensemble here (callers own the RNG)
@@ -113,7 +113,6 @@ __all__ = [
     "DEFAULT_FUSED_ROWS",
     "FadingStatistics",
     "fading_sum_rate_statistics",
-    "outage_probability",
 ]
 
 #: Default bound on fused rows (cells × rounds) per batched-engine call —
@@ -251,9 +250,10 @@ def wave_bounds(
                 "max_rounds needs target_rel_error: set both or neither"
             )
         return (n_rounds,)
-    if target_rel_error <= 0:
+    if not 0 < target_rel_error < math.inf:
         raise InvalidParameterError(
-            f"relative-error target must be positive, got {target_rel_error}"
+            f"relative-error target must be positive and finite, got "
+            f"{target_rel_error}"
         )
     if max_rounds is None:
         raise InvalidParameterError(
@@ -563,7 +563,6 @@ def simulate_protocol(
     *,
     codec: LinkCodec | None = None,
     method: str = "batched",
-    batch_size: int | None = None,
     target_rel_error: float | None = None,
     max_rounds: int | None = None,
     importance_sampling: ImportanceSamplingSpec | None = None,
@@ -584,7 +583,7 @@ def simulate_protocol(
         Root of all randomness. Spawned into independent payload and
         noise streams per the module-level reproducibility policy, so a
         given generator state always yields the same report regardless of
-        execution method or batch size.
+        execution method.
     codec:
         Frame pipeline; defaults to :func:`default_codec` (128-bit
         payloads, CRC-16, NASA K=7 code, BPSK).
@@ -593,10 +592,6 @@ def simulate_protocol(
         :func:`simulate_protocol_cells`; ``"reference"`` runs the
         per-round scalar loop. Both produce the identical
         :class:`SimulationReport`.
-    batch_size:
-        Bound on rows per batched-engine call (the ``row_cap`` of
-        :func:`simulate_protocol_cells`, default
-        :data:`DEFAULT_FUSED_ROWS`); results are independent of it.
     target_rel_error / max_rounds:
         Optional adaptive round allocation (set both or neither; batched
         method only): run the escalating waves of :func:`wave_bounds`
@@ -627,7 +622,6 @@ def simulate_protocol(
             codec=codec,
             target_rel_error=target_rel_error,
             max_rounds=max_rounds,
-            row_cap=batch_size,
             sampling=importance_sampling,
         )[0]
     if (
@@ -720,7 +714,6 @@ def fused_link_values(
     *,
     link,
     indices,
-    row_cap: int | None = None,
 ) -> np.ndarray:
     """Metric values of a batch of operational grid cells, cells-fused.
 
@@ -753,7 +746,6 @@ def fused_link_values(
         codec=link.codec(),
         target_rel_error=link.target_rel_error,
         max_rounds=link.max_rounds,
-        row_cap=row_cap,
         sampling=link.importance_sampling,
     )
     tally = _ADAPTIVE_TALLY.get()
@@ -794,9 +786,16 @@ class FadingStatistics:
         return float(np.quantile(self.samples, q))
 
     def outage_at(self, target: float) -> float:
-        """Fraction of realizations whose optimal sum rate is below ``target``."""
-        if target < 0:
-            raise InvalidParameterError(f"target must be non-negative, got {target}")
+        """Fraction of realizations whose optimal sum rate is below ``target``.
+
+        This is the quasi-static outage probability: the channel is
+        constant per protocol execution, so a realization is in outage
+        when even optimal phase durations cannot support ``target``.
+        """
+        if not 0 <= target < math.inf:
+            raise InvalidParameterError(
+                f"target must be non-negative and finite, got {target}"
+            )
         return float(np.mean(self.samples < target))
 
 
@@ -809,8 +808,6 @@ def fading_sum_rate_statistics(
     *,
     k_factor: float = 0.0,
     executor=None,
-    cache=None,
-    progress=None,
 ) -> FadingStatistics:
     """Ensemble-average LP-optimal sum rate under quasi-static fading.
 
@@ -820,55 +817,16 @@ def fading_sum_rate_statistics(
     optimizations run through
     :func:`repro.campaign.engine.evaluate_ensemble` (``executor``:
     campaign executor name or instance, defaulting to the vectorized fast
-    path). With a ``cache``
-    (a :class:`~repro.campaign.cache.CampaignCache`, path or ``True``)
-    the evaluation is chunk-checkpointed under a content hash of the
-    drawn realizations, so a huge ensemble interrupted mid-run resumes
-    from its checkpoints on the next call with the same RNG state.
+    path). The outage probability at a target sum rate is
+    ``fading_sum_rate_statistics(...).outage_at(target)``; a cacheable,
+    resumable ensemble is the ``fading-ensemble`` scenario.
     """
     if n_draws < 1:
         raise InvalidParameterError(f"need at least one draw, got {n_draws}")
     ensemble = sample_gain_ensemble(mean_gains, n_draws, rng, k_factor=k_factor)
-    values = evaluate_ensemble(
-        protocol, ensemble, power, executor=executor, cache=cache, progress=progress
-    )
+    values = evaluate_ensemble(protocol, ensemble, power, executor=executor)
     return FadingStatistics(
         mean=float(values.mean()),
         std_error=float(values.std(ddof=1) / np.sqrt(n_draws)) if n_draws > 1 else 0.0,
         samples=values,
     )
-
-
-def outage_probability(
-    protocol: Protocol,
-    mean_gains: LinkGains,
-    power: float,
-    target_sum_rate: float,
-    n_draws: int,
-    rng: np.random.Generator,
-    *,
-    k_factor: float = 0.0,
-    executor=None,
-    cache=None,
-) -> float:
-    """Probability that the optimal sum rate falls below a target.
-
-    The quasi-static outage formulation: the channel is constant per
-    protocol execution, so a realization is "in outage" when even optimal
-    phase durations cannot support ``target_sum_rate``.
-    """
-    if target_sum_rate < 0:
-        raise InvalidParameterError(
-            f"target sum rate must be non-negative, got {target_sum_rate}"
-        )
-    stats = fading_sum_rate_statistics(
-        protocol,
-        mean_gains,
-        power,
-        n_draws,
-        rng,
-        k_factor=k_factor,
-        executor=executor,
-        cache=cache,
-    )
-    return stats.outage_at(target_sum_rate)

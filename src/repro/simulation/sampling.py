@@ -80,6 +80,7 @@ reported unresolved) instead of stopping early on a garbage estimate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -297,6 +298,10 @@ class ImportanceSamplingSpec:
     min_ess_fraction: float = DEFAULT_MIN_ESS_FRACTION
 
     def __post_init__(self) -> None:
+        for name in ("noise_scale", "noise_shift", "target_snr_db"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InvalidParameterError(f"{name} must be finite, got {value}")
         if not self.noise_scale > 0:
             raise InvalidParameterError(
                 f"noise_scale must be positive, got {self.noise_scale}"

@@ -43,8 +43,6 @@ from .simulator import (
     FlowStats,
     TrafficReport,
     simulate_traffic,
-    stable_throughput_knee,
-    traffic_cell_value,
     traffic_link_values,
 )
 
@@ -69,7 +67,5 @@ __all__ = [
     "FlowStats",
     "TrafficReport",
     "simulate_traffic",
-    "stable_throughput_knee",
-    "traffic_cell_value",
     "traffic_link_values",
 ]

@@ -54,8 +54,6 @@ __all__ = [
     "FlowStats",
     "TrafficReport",
     "simulate_traffic",
-    "stable_throughput_knee",
-    "traffic_cell_value",
     "traffic_link_values",
 ]
 
@@ -266,10 +264,9 @@ def _run_simulations(sims) -> None:
 def _load_sims(protocol, gains, power, *, link, rng, **options) -> list:
     """One simulation per offered load, each from its own spawned child.
 
-    ``options`` are :class:`_TrafficSim`'s ``codec``/``method``/``chunk``.
+    ``options`` are :class:`_TrafficSim`'s ``codec``/``method``/``chunk``;
+    :class:`~repro.campaign.spec.LinkSimSpec` guarantees the loads exist.
     """
-    if link.traffic is None or link.traffic.offered_loads is None:
-        raise InvalidParameterError("a load sweep needs traffic offered_loads")
     loads = link.traffic.offered_loads
     return [
         _TrafficSim(
@@ -350,66 +347,6 @@ def simulate_traffic(
     )
     _run_simulations([sim])
     return sim.report()
-
-
-def stable_throughput_knee(
-    protocol,
-    gains: LinkGains,
-    power: float,
-    *,
-    link,
-    rng: np.random.Generator,
-    method: str = "batched",
-    chunk: int | None = None,
-) -> float:
-    """The largest sustained offered load of the cell, in frames/slot.
-
-    Sweeps ``traffic.offered_loads`` (rate scale factors); a load is
-    *stable* when the system delivers at least
-    ``1 - traffic.knee_tolerance`` of the frames it generated. Each load
-    runs from its own spawned child stream, so the sweep is one more
-    spec-pure function, and all loads run through one driver, so their
-    outcome chunks share fused engine calls. Returns the nominal offered
-    rate ``scale × Σ_flows rate`` of the largest stable load, or ``0.0``
-    when none is stable.
-    """
-    sims = _load_sims(
-        protocol,
-        gains,
-        power,
-        link=link,
-        rng=rng,
-        codec=link.codec(),
-        method=method,
-        chunk=chunk,
-    )
-    _run_simulations(sims)
-    return _knee(link.traffic, sims)
-
-
-def traffic_cell_value(
-    protocol,
-    gains: LinkGains,
-    power: float,
-    *,
-    link,
-    rng: np.random.Generator,
-    method: str = "batched",
-    chunk: int | None = None,
-) -> float:
-    """One grid cell's traffic metric (``link.metric`` dispatch)."""
-    sims = _cell_sims(
-        protocol,
-        gains,
-        power,
-        link=link,
-        rng=rng,
-        codec=link.codec(),
-        method=method,
-        chunk=chunk,
-    )
-    _run_simulations(sims)
-    return _cell_value(link, sims)
 
 
 def traffic_link_values(

@@ -204,11 +204,19 @@ class TestEvaluateEnsemble:
         assert values.shape == (2,)
         assert values[0] == values[1]
 
-    def test_chunked_evaluation_is_bitwise_identical(self, paper_gains, rng):
-        ensemble = sample_gain_ensemble(paper_gains, 11, rng)
-        whole = evaluate_ensemble(Protocol.HBC, ensemble, 10.0)
-        chunked = evaluate_ensemble(Protocol.HBC, ensemble, 10.0, chunk_size=3)
-        assert np.array_equal(whole, chunked)
+    @pytest.mark.parametrize(
+        "triple, power",
+        [
+            ((float("nan"), 1.0, 1.0), 10.0),
+            ((1.0, float("inf"), 1.0), 10.0),
+            ((1.0, 1.0, 1.0), float("nan")),
+            ((1.0, 1.0, 1.0), float("inf")),
+        ],
+        ids=["nan-gain", "inf-gain", "nan-power", "inf-power"],
+    )
+    def test_non_finite_inputs_rejected(self, triple, power):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            evaluate_ensemble(Protocol.HBC, [triple], power)
 
     def test_bad_shapes_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.campaign.engine import run_campaign
+from repro.campaign.engine import _grid_batches, run_campaign
 from repro.campaign.spec import CampaignSpec, FadingSpec, GridAxis
 from repro.core.protocols import Protocol
 from repro.exceptions import InvalidParameterError
@@ -106,17 +106,20 @@ class TestExtendedSpecStructure:
         with pytest.raises(InvalidParameterError):
             extended_spec.block_params(extended_spec.n_blocks)
 
-    def test_expand_covers_the_grid_with_scaled_gains(self, extended_spec):
-        units = list(extended_spec.expand())
-        assert len(units) == extended_spec.n_units
-        assert [u.index for u in units] == list(range(extended_spec.n_units))
+    def test_grid_batches_cover_the_grid_with_scaled_gains(self, extended_spec):
         draws = extended_spec.sample_gain_draws()
+        batches = _grid_batches(
+            extended_spec, draws.reshape(-1, 3), 0, extended_spec.n_units
+        )
+        assert len(batches) == extended_spec.n_blocks
+        assert sum(len(b) for b in batches) == extended_spec.n_units
         # Block 2 in C order over (protocol, power, pair, policy) is
         # (MABC, 10 dB, far pair, zero backoff); its first unit is draw 0.
-        unit = units[2 * extended_spec.n_channels]
-        assert unit.gains.gab == draws[0, 0, 0] * db_to_linear(-3.0)
-        assert unit.gains.gar == draws[0, 0, 1] * db_to_linear(2.0)
-        assert unit.gains.gbr == draws[0, 0, 2] * db_to_linear(-1.0)
+        batch = batches[2]
+        assert batch.protocol is Protocol.MABC
+        assert batch.gab[0] == draws[0, 0, 0] * db_to_linear(-3.0)
+        assert batch.gar[0] == draws[0, 0, 1] * db_to_linear(2.0)
+        assert batch.gbr[0] == draws[0, 0, 2] * db_to_linear(-1.0)
 
     def test_dict_round_trip(self, extended_spec):
         clone = CampaignSpec.from_dict(extended_spec.to_dict())

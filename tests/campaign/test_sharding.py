@@ -18,13 +18,11 @@ import pytest
 from repro.campaign.cache import CampaignCache
 from repro.campaign.engine import (
     _cache_key,
-    evaluate_ensemble,
     gather_campaign,
     run_campaign,
 )
 from repro.campaign.executors import SerialExecutor
 from repro.campaign.spec import CampaignSpec, FadingSpec
-from repro.channels.fading import sample_gain_ensemble
 from repro.core.protocols import Protocol
 from repro.exceptions import IncompleteCampaignError, InvalidParameterError
 
@@ -249,12 +247,9 @@ class TestResumption:
         assert submissions == [-(-spec.n_units // 16)]
         assert len(created) == 1
 
-    def test_invalid_chunk_size_rejected(self, spec, paper_gains):
+    def test_invalid_chunk_size_rejected(self, spec):
         with pytest.raises(InvalidParameterError):
             run_campaign(spec, chunk_size=0)
-        triple = (paper_gains.gab, paper_gains.gar, paper_gains.gbr)
-        with pytest.raises(InvalidParameterError):
-            evaluate_ensemble(Protocol.HBC, [triple], 10.0, chunk_size=-1)
 
     def test_untrusted_executor_does_not_write_chunks(self, spec, tmp_path):
         class ZeroExecutor:
@@ -266,30 +261,3 @@ class TestResumption:
         cache = CampaignCache(tmp_path)
         run_campaign(spec, executor=ZeroExecutor(), cache=cache, chunk_size=16)
         assert list(cache.iter_chunks(_cache_key(spec))) == []
-
-
-class TestEnsembleCheckpointing:
-    def test_repeated_ensemble_is_served_from_chunks(self, paper_gains, tmp_path):
-        ensemble = sample_gain_ensemble(paper_gains, 30, np.random.default_rng(7))
-        first = evaluate_ensemble(
-            Protocol.HBC, ensemble, 10.0, cache=tmp_path, chunk_size=8
-        )
-        counting = CountingExecutor()
-        second = evaluate_ensemble(
-            Protocol.HBC,
-            ensemble,
-            10.0,
-            cache=tmp_path,
-            chunk_size=8,
-            executor=counting,
-        )
-        assert counting.units_evaluated == 0
-        assert np.array_equal(first, second)
-
-    def test_different_ensembles_do_not_collide(self, paper_gains, tmp_path):
-        rng = np.random.default_rng(7)
-        ensemble_a = sample_gain_ensemble(paper_gains, 10, rng)
-        ensemble_b = sample_gain_ensemble(paper_gains, 10, rng)
-        a = evaluate_ensemble(Protocol.HBC, ensemble_a, 10.0, cache=tmp_path)
-        b = evaluate_ensemble(Protocol.HBC, ensemble_b, 10.0, cache=tmp_path)
-        assert not np.array_equal(a, b)

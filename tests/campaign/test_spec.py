@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.campaign.engine import _grid_batches
 from repro.campaign.spec import (
     CampaignShard,
     CampaignSpec,
     FadingSpec,
     GridAxis,
-    WorkUnit,
     chunk_ranges,
 )
 from repro.core.protocols import Protocol
@@ -98,23 +98,27 @@ class TestExpansion:
         assert small_spec.grid_shape == (2, 2, 1, 5)
         assert small_spec.n_units == 20
 
-    def test_expand_yields_every_unit_in_order(self, small_spec):
-        units = list(small_spec.expand())
-        assert len(units) == small_spec.n_units
-        assert [u.index for u in units] == list(range(small_spec.n_units))
-        assert all(isinstance(u, WorkUnit) for u in units)
+    def test_grid_batches_cover_every_unit_in_order(self, small_spec):
+        flat_gains = small_spec.sample_gain_draws().reshape(-1, 3)
+        batches = _grid_batches(small_spec, flat_gains, 0, small_spec.n_units)
+        # One batch per (protocol, power) block of 5 draws, in C order.
+        assert [len(b) for b in batches] == [5, 5, 5, 5]
+        assert [b.protocol for b in batches] == [
+            Protocol.MABC,
+            Protocol.MABC,
+            Protocol.HBC,
+            Protocol.HBC,
+        ]
         # First block is MABC at 0 dB (power 1.0 linear).
-        assert units[0].protocol is Protocol.MABC
-        assert units[0].power == pytest.approx(1.0)
-        # Second half of the grid is HBC.
-        assert units[10].protocol is Protocol.HBC
+        assert np.all(batches[0].power == pytest.approx(1.0))
+        assert np.all(batches[1].power == pytest.approx(10.0))
 
     def test_draws_paired_across_protocols_and_powers(self, small_spec):
-        units = list(small_spec.expand())
-        per_block = len(small_spec.powers_db) * small_spec.n_draws
-        mabc, hbc = units[:per_block], units[per_block:]
-        for a, b in zip(mabc, hbc):
-            assert a.gains == b.gains
+        flat_gains = small_spec.sample_gain_draws().reshape(-1, 3)
+        batches = _grid_batches(small_spec, flat_gains, 0, small_spec.n_units)
+        for batch in batches[1:]:
+            for link in ("gab", "gar", "gbr"):
+                assert np.array_equal(getattr(batch, link), getattr(batches[0], link))
 
     def test_no_fading_means_single_draw_of_means(self, paper_gains):
         spec = CampaignSpec(

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.channels.awgn import ComplexAwgn
-from repro.channels.gains import LinkGains
 from repro.channels.halfduplex import HalfDuplexMedium, link_amplitudes
 from repro.exceptions import HalfDuplexViolationError, InvalidParameterError
 
@@ -30,35 +29,51 @@ class TestComplexGains:
             link_amplitudes(paper_gains, None, random_phases=True)
 
 
+def one_round(medium, transmissions, rng, listeners=None):
+    """Run one phase as a one-round batch of the row-batched medium."""
+    rows = {
+        node: x if x is None else np.asarray(x)[None, :]
+        for node, x in transmissions.items()
+    }
+    if listeners is None:
+        listeners = tuple(n for n in ("a", "b", "r") if n not in transmissions)
+    return medium.run_phase_rows(rows, listeners, rng)
+
+
 class TestHalfDuplexSemantics:
     def test_transmitter_receives_nothing(self, medium, rng):
-        out = medium.run_phase({"a": np.ones(8, dtype=complex)}, rng)
-        assert out.received["a"] is None
+        out = one_round(medium, {"a": np.ones(8, dtype=complex)}, rng)
+        assert "a" not in out.received
+        assert set(out.received) == {"b", "r"}
 
     def test_listeners_receive_signal(self, medium, paper_gains, rng):
-        out = medium.run_phase({"a": np.ones(64, dtype=complex)}, rng)
+        out = one_round(medium, {"a": np.ones(64, dtype=complex)}, rng)
         expected_at_r = np.sqrt(paper_gains.gar)
         expected_at_b = np.sqrt(paper_gains.gab)
+        assert out.signal_at("r").shape == (1, 64)
         assert np.allclose(out.signal_at("r"), expected_at_r, atol=1e-4)
         assert np.allclose(out.signal_at("b"), expected_at_b, atol=1e-4)
 
     def test_signal_at_transmitter_raises(self, medium, rng):
-        out = medium.run_phase({"a": np.ones(4, dtype=complex)}, rng)
+        out = one_round(medium, {"a": np.ones(4, dtype=complex)}, rng)
         with pytest.raises(HalfDuplexViolationError):
             out.signal_at("a")
 
     def test_mac_phase_superposes(self, medium, paper_gains, rng):
-        out = medium.run_phase(
-            {"a": np.ones(32, dtype=complex), "b": np.ones(32, dtype=complex)}, rng
+        out = one_round(
+            medium,
+            {"a": np.ones(32, dtype=complex), "b": np.ones(32, dtype=complex)},
+            rng,
         )
         expected = np.sqrt(paper_gains.gar) + np.sqrt(paper_gains.gbr)
         assert np.allclose(out.signal_at("r"), expected, atol=1e-4)
-        assert out.received["a"] is None
-        assert out.received["b"] is None
+        assert set(out.received) == {"r"}
 
     def test_transmitters_recorded(self, medium, rng):
-        out = medium.run_phase(
-            {"a": np.ones(4, dtype=complex), "b": np.ones(4, dtype=complex)}, rng
+        out = one_round(
+            medium,
+            {"a": np.ones(4, dtype=complex), "b": np.ones(4, dtype=complex)},
+            rng,
         )
         assert out.transmitters == frozenset(("a", "b"))
 
@@ -66,21 +81,27 @@ class TestHalfDuplexSemantics:
 class TestValidation:
     def test_unknown_node_rejected(self, medium, rng):
         with pytest.raises(InvalidParameterError):
-            medium.run_phase({"x": np.ones(4)}, rng)
+            one_round(medium, {"x": np.ones(4)}, rng, listeners=("r",))
 
     def test_none_payload_rejected(self, medium, rng):
         with pytest.raises(HalfDuplexViolationError):
-            medium.run_phase({"a": None}, rng)
+            one_round(medium, {"a": None}, rng)
 
     def test_empty_phase_rejected(self, medium, rng):
         with pytest.raises(InvalidParameterError):
-            medium.run_phase({}, rng)
+            one_round(medium, {}, rng)
 
     def test_length_mismatch_rejected(self, medium, rng):
         with pytest.raises(InvalidParameterError):
-            medium.run_phase(
-                {"a": np.ones(4, dtype=complex), "b": np.ones(5, dtype=complex)}, rng
+            one_round(
+                medium,
+                {"a": np.ones(4, dtype=complex), "b": np.ones(5, dtype=complex)},
+                rng,
             )
+
+    def test_transmitter_cannot_listen(self, medium, rng):
+        with pytest.raises(HalfDuplexViolationError):
+            one_round(medium, {"a": np.ones(4, dtype=complex)}, rng, listeners=("a",))
 
     def test_inconsistent_complex_gains_rejected(self, paper_gains):
         bad = link_amplitudes(paper_gains)
@@ -99,6 +120,6 @@ class TestNoiseStatistics:
     def test_unit_noise_by_default(self, paper_gains):
         medium = HalfDuplexMedium(gains=paper_gains)
         rng = np.random.default_rng(1)
-        out = medium.run_phase({"a": np.zeros(50000, dtype=complex)}, rng)
+        out = one_round(medium, {"a": np.zeros(50000, dtype=complex)}, rng)
         noise_power = np.mean(np.abs(out.signal_at("r")) ** 2)
         assert noise_power == pytest.approx(1.0, rel=0.05)

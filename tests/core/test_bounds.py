@@ -1,7 +1,5 @@
 """Unit tests for the Theorem 2-6 constraint builders."""
 
-import pytest
-
 from repro.core.bounds import (
     ALL_BOUNDS,
     bound_for,
@@ -15,7 +13,6 @@ from repro.core.bounds import (
 )
 from repro.core.protocols import Protocol, protocol_phases
 from repro.core.terms import BoundKind, MiKey
-from repro.exceptions import InvalidParameterError
 
 
 def constraint_map(spec):

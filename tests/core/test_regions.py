@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.bounds import dt_capacity, mabc_inner, tdbc_outer
+from repro.core.bounds import dt_capacity, mabc_inner
 from repro.core.capacity import achievable_region, outer_bound_region
 from repro.core.protocols import Protocol
 from repro.core.regions import (

@@ -31,33 +31,39 @@ def quiet_medium():
                             noise=ComplexAwgn(1e-9))
 
 
+def transmit(medium, node, symbols, rng):
+    """One node transmits one frame; returns a listener -> received map."""
+    listeners = tuple(n for n in ("a", "b", "r") if n != node)
+    rows = medium.run_phase_rows({node: symbols[None, :]}, listeners, rng)
+    return {listener: rows.signal_at(listener)[0] for listener in listeners}
+
+
 def run_tdbc_with_corrupt_relay(codec, medium, rng, *, corrupt_bits):
     """A TDBC exchange where the relay flips `corrupt_bits` of its frame."""
     amp = 3.0
     wa, wb = random_bits(rng, 32), random_bits(rng, 32)
     frame_a, frame_b = codec.crc.append(wa), codec.crc.append(wb)
 
-    out1 = medium.run_phase({"a": amp * codec.encode_frame_bits(frame_a)}, rng)
+    out1 = transmit(medium, "a", amp * codec.encode_frame_bits(frame_a), rng)
     a_at_b_direct = codec.decode(
-        out1.signal_at("b"),
+        out1["b"],
         medium.complex_gains[frozenset(("a", "b"))], 1e-9, amplitude=amp)
     a_at_r = codec.decode(
-        out1.signal_at("r"),
+        out1["r"],
         medium.complex_gains[frozenset(("a", "r"))], 1e-9, amplitude=amp)
 
-    out2 = medium.run_phase({"b": amp * codec.encode_frame_bits(frame_b)}, rng)
+    out2 = transmit(medium, "b", amp * codec.encode_frame_bits(frame_b), rng)
     b_at_r = codec.decode(
-        out2.signal_at("r"),
+        out2["r"],
         medium.complex_gains[frozenset(("b", "r"))], 1e-9, amplitude=amp)
 
     # The relay builds the XOR frame, then a fault flips bits in it.
     relay_frame = xor_bits(a_at_r.frame_bits, b_at_r.frame_bits).copy()
     for position in range(corrupt_bits):
         relay_frame[position] ^= 1
-    out3 = medium.run_phase({"r": amp * codec.encode_frame_bits(relay_frame)},
-                            rng)
+    out3 = transmit(medium, "r", amp * codec.encode_frame_bits(relay_frame), rng)
     relay_at_b = codec.decode(
-        out3.signal_at("b"),
+        out3["b"],
         medium.complex_gains[frozenset(("b", "r"))], 1e-9, amplitude=amp)
     estimate = arbitrate_paths(codec, relay_frame=relay_at_b,
                                own_frame_bits=frame_b,
@@ -99,10 +105,10 @@ class TestMabcNoFallback:
         frame_a, frame_b = codec.crc.append(wa), codec.crc.append(wb)
         corrupted = xor_bits(frame_a, frame_b).copy()
         corrupted[0] ^= 1
-        out = quiet_medium.run_phase(
-            {"r": amp * codec.encode_frame_bits(corrupted)}, rng)
+        out = transmit(
+            quiet_medium, "r", amp * codec.encode_frame_bits(corrupted), rng)
         relay_at_b = codec.decode(
-            out.signal_at("b"),
+            out["b"],
             quiet_medium.complex_gains[frozenset(("b", "r"))], 1e-9,
             amplitude=amp)
         estimate = arbitrate_paths(codec, relay_frame=relay_at_b,

@@ -1,9 +1,7 @@
 """Unit tests for repro.network.cutset (the Lemma-1 engine)."""
 
-import numpy as np
 import pytest
 
-from repro.channels.gains import LinkGains
 from repro.exceptions import InvalidParameterError, InvalidProtocolError
 from repro.information.functions import gaussian_capacity
 from repro.network.cutset import (

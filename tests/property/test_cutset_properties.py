@@ -7,7 +7,6 @@ constraint — this is the strongest internal-consistency check in the suite.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -16,7 +16,6 @@ sampled fused kernel makes the whole 12-cell grid affordable), then:
   ``max_rounds`` without resolving.
 """
 
-import numpy as np
 import pytest
 
 from repro.api import evaluate

@@ -1,4 +1,4 @@
-"""Serve-layer resilience: health probes, structured retryability, and
+"""Serve-layer resilience: liveness snapshots, structured retryability, and
 client reconnect-and-retry under injected socket faults.
 
 The client-facing guarantee mirrors the engine's: under injected socket
@@ -9,6 +9,7 @@ the caller whether trying again makes sense.
 """
 
 import asyncio
+import socket
 import threading
 import time
 
@@ -21,6 +22,7 @@ from repro.core.protocols import Protocol
 from repro.exceptions import CampaignTimeoutError
 from repro.faults import FaultPlan, FaultRule
 from repro.serve import CampaignServer, ServeClient, ServeConfig, ServeError
+from repro.serve.protocol import decode_frame, encode_frame
 
 
 @pytest.fixture()
@@ -90,32 +92,48 @@ def socket_plan(kind, event, **kwargs):
     return FaultPlan(rules=(FaultRule(kind=kind, site=event, **kwargs),))
 
 
-class TestHealthOp:
-    def test_health_snapshot(self, start_server):
+class TestStatsSnapshot:
+    def test_stats_snapshot(self, start_server):
         _, client = start_server()
-        health = client.health()
-        assert health["status"] == "ok"
-        assert health["executor"] == "async"
-        assert health["in_flight"] == 0
-        assert health["pool_rebuilds"] == 0
-        assert health["faults_injected"] == {}
-        assert health["stats"]["requests"] >= 1
-        assert health["cache"] is True
+        snapshot = client.stats()
+        assert snapshot["event"] == "stats"
+        assert snapshot["status"] == "ok"
+        assert snapshot["executor"] == "async"
+        assert snapshot["in_flight"] == 0
+        assert snapshot["pool_rebuilds"] == 0
+        assert snapshot["faults_injected"] == {}
+        assert snapshot["stats"]["requests"] >= 1
+        assert snapshot["cache"] is True
 
-    def test_health_reports_process_pool_size(self, start_server):
+    def test_stats_reports_process_pool_size(self, start_server):
         _, client = start_server(executor="process", processes=1)
-        health = client.health()
-        assert health["executor"] == "process"
-        assert health["processes"] == 1
+        snapshot = client.stats()
+        assert snapshot["executor"] == "process"
+        assert snapshot["processes"] == 1
 
-    def test_health_via_cli_printer(self, start_server, capsys):
+    def test_stats_via_cli_printer(self, start_server, capsys):
         from repro.cli import main
 
         server, _ = start_server()
-        assert main(["client", "--socket", server.config.socket_path, "health"]) == 0
+        assert main(["client", "--socket", server.config.socket_path, "stats"]) == 0
         out = capsys.readouterr().out
         assert "status: ok" in out
         assert "pool_rebuilds: 0" in out
+        assert "requests: " in out
+
+    def test_health_op_is_refused_as_invalid(self, start_server):
+        server, client = start_server()
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(30)
+            sock.connect(server.config.socket_path)
+            sock.sendall(encode_frame({"op": "health", "id": "h-1"}))
+            reply = decode_frame(sock.makefile("rb").readline())
+        assert reply["event"] == "error"
+        assert reply["code"] == "invalid"
+        assert reply["id"] == "h-1"
+        assert "health" in reply["message"]
+        # The daemon keeps serving after refusing the frame.
+        assert client.ping()["event"] == "pong"
 
 
 class TestRetryableFlags:
@@ -174,8 +192,8 @@ class TestClientReconnect:
         # The first attempt computed and cached before the frame was
         # severed, so the retry is served from the store.
         assert served.served_from == "cache"
-        health = client.health()
-        assert health["faults_injected"] == {"socket-close": 1}
+        snapshot = client.stats()
+        assert snapshot["faults_injected"] == {"socket-close": 1}
 
     def test_torn_result_frame_is_retried_to_success(self, start_server):
         server, _ = start_server(fault_plan=socket_plan("socket-drop", "result"))
@@ -183,7 +201,7 @@ class TestClientReconnect:
         served = client.evaluate("fig4-operating-points")
         local = evaluate("fig4-operating-points")
         assert served.values.tobytes() == local.values.tobytes()
-        assert client.health()["faults_injected"] == {"socket-drop": 1}
+        assert client.stats()["faults_injected"] == {"socket-drop": 1}
 
     def test_severed_accepted_frame_rejoins_the_job(self, start_server):
         server, _ = start_server(fault_plan=socket_plan("socket-close", "accepted"))
@@ -207,7 +225,7 @@ class TestClientReconnect:
         # prompt (the rule fires once per frame ordinal).
         pong = client.ping()
         assert pong["protocol_version"] >= 1
-        assert client.health()["faults_injected"] == {"socket-delay": 1}
+        assert client.stats()["faults_injected"] == {"socket-delay": 1}
 
     def test_zero_retries_surfaces_the_disconnect(self, start_server):
         server, _ = start_server(fault_plan=socket_plan("socket-close", "result"))
@@ -241,7 +259,7 @@ class TestEngineFaultsThroughDaemon:
         local = evaluate("fig4-operating-points")
         assert served.values.tobytes() == local.values.tobytes()
         assert served.payload["pool_rebuilds"] >= 1
-        assert client.health()["pool_rebuilds"] >= 1
+        assert client.stats()["pool_rebuilds"] >= 1
 
 
 class TestDeadlinePropagation:

@@ -4,12 +4,14 @@ import json
 
 import pytest
 
-from repro.campaign.spec import CampaignSpec, FadingSpec
+from repro.campaign.spec import CampaignSpec, FadingSpec, LinkSimSpec
 from repro.channels.gains import LinkGains
 from repro.core.protocols import Protocol
 from repro.exceptions import InvalidParameterError
 from repro.scenarios import Scenario, get_scenario
 from repro.scenarios.wire import request_to_scenario, scenario_to_request
+from repro.serve.protocol import decode_frame, encode_frame
+from repro.simulation.sampling import ImportanceSamplingSpec
 
 
 @pytest.fixture()
@@ -106,6 +108,45 @@ class TestValidation:
             reference["spec"]["gains"][0][1] = value
         with pytest.raises(InvalidParameterError, match="finite"):
             request_to_scenario(reference)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("noise_shift", float("nan")),
+            ("noise_scale", float("inf")),
+            ("target_snr_db", float("nan")),
+            ("target_rel_error", float("nan")),
+        ],
+    )
+    def test_rejects_non_finite_link_parameters(self, field, value):
+        """NaN/Infinity tokens decode as floats; the spec must refuse them."""
+        link = LinkSimSpec(
+            n_rounds=8,
+            payload_bits=24,
+            seed=0,
+            code="test",
+            crc="crc8",
+            metric="fer",
+            target_rel_error=0.5,
+            max_rounds=16,
+            importance_sampling=ImportanceSamplingSpec(noise_scale=1.1),
+        )
+        spec = CampaignSpec(
+            protocols=(Protocol.DT,),
+            powers_db=(10.0,),
+            gains=(LinkGains.from_db(-7.0, 0.0, 5.0),),
+            link=link,
+        )
+        scenario = Scenario.from_campaign_spec(spec, name="non-finite")
+        reference = scenario_to_request(scenario)
+        if field == "target_rel_error":
+            reference["spec"]["link"][field] = value
+        else:
+            reference["spec"]["link"]["importance_sampling"][field] = value
+        request = {"op": "evaluate", "id": "r", "scenario": reference}
+        frame = decode_frame(encode_frame(request))
+        with pytest.raises(InvalidParameterError, match="finite"):
+            request_to_scenario(frame["scenario"])
 
     def test_rejects_non_scenario_object(self):
         with pytest.raises(InvalidParameterError):

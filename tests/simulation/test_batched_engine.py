@@ -25,7 +25,7 @@ from repro.simulation.engine import (
 )
 from repro.simulation.linkcodec import LinkCodec
 from repro.simulation.modulation import Qpsk
-from repro.simulation.montecarlo import simulate_protocol
+from repro.simulation.montecarlo import simulate_protocol, simulate_protocol_cells
 
 FAST_CODEC = LinkCodec(payload_bits=32, code=TEST_CODE, crc=CRC8)
 NASA_CODEC = LinkCodec(payload_bits=32, code=NASA_CODE, crc=CRC16_CCITT)
@@ -37,9 +37,7 @@ GAINS = LinkGains.from_db(-7.0, 0.0, 5.0)
 POWER = 1.0
 
 
-def _report_pair(
-    protocol, codec, *, n_rounds=21, seed=123, power=POWER, batch_size=None
-):
+def _report_pair(protocol, codec, *, n_rounds=21, seed=123, power=POWER, row_cap=None):
     reference = simulate_protocol(
         protocol,
         GAINS,
@@ -49,15 +47,20 @@ def _report_pair(
         codec=codec,
         method="reference",
     )
-    batched = simulate_protocol(
-        protocol,
-        GAINS,
-        power,
-        n_rounds,
-        np.random.default_rng(seed),
-        codec=codec,
-        batch_size=batch_size,
-    )
+    if row_cap is None:
+        batched = simulate_protocol(
+            protocol, GAINS, power, n_rounds, np.random.default_rng(seed), codec=codec
+        )
+    else:
+        (batched,) = simulate_protocol_cells(
+            protocol,
+            (GAINS,),
+            power,
+            n_rounds,
+            (np.random.default_rng(seed),),
+            codec=codec,
+            row_cap=row_cap,
+        )
     return reference, batched
 
 
@@ -93,22 +96,16 @@ class TestBatchSizeInvariance:
     """Results are a pure function of the rng state — never of batching."""
 
     @pytest.mark.parametrize(
-        "batch_size", [1, 7, 64], ids=["one", "prime", "over-campaign"]
+        "row_cap", [1, 7, 64], ids=["one", "prime", "over-campaign"]
     )
     @pytest.mark.parametrize(
         "protocol", list(Protocol), ids=[p.value for p in Protocol]
     )
-    def test_odd_batch_sizes(self, protocol, batch_size):
+    def test_odd_batch_sizes(self, protocol, row_cap):
         reference, batched = _report_pair(
-            protocol, FAST_CODEC, n_rounds=23, batch_size=batch_size
+            protocol, FAST_CODEC, n_rounds=23, row_cap=row_cap
         )
         assert batched == reference
-
-    def test_invalid_batch_size_rejected(self, paper_gains, rng):
-        with pytest.raises(InvalidParameterError):
-            simulate_protocol(
-                Protocol.DT, paper_gains, 1.0, 2, rng, codec=FAST_CODEC, batch_size=0
-            )
 
     def test_invalid_method_rejected(self, paper_gains, rng):
         with pytest.raises(InvalidParameterError):

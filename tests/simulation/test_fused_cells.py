@@ -17,6 +17,7 @@ Acceptance criteria of the fused-cells PR live here:
 import numpy as np
 import pytest
 
+from repro.campaign.spec import LinkSimSpec
 from repro.channels.gains import LinkGains
 from repro.channels.halfduplex import (
     FusedHalfDuplexMedium,
@@ -189,6 +190,30 @@ class TestWaveBounds:
             wave_bounds(8, target_rel_error=-0.1, max_rounds=16)
         with pytest.raises(InvalidParameterError):
             wave_bounds(8, target_rel_error=0.3, max_rounds=4)
+
+    @pytest.mark.parametrize("target", [float("nan"), float("inf")])
+    def test_non_finite_target_rejected(self, target):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            wave_bounds(8, target_rel_error=target, max_rounds=64)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            LinkSimSpec(
+                n_rounds=8,
+                payload_bits=24,
+                seed=0,
+                target_rel_error=target,
+                max_rounds=64,
+            )
+        with pytest.raises(InvalidParameterError, match="finite"):
+            simulate_protocol(
+                Protocol.DT,
+                LinkGains.from_db(-7.0, 0.0, 5.0),
+                1.0,
+                8,
+                np.random.default_rng(0),
+                codec=small_codec(),
+                target_rel_error=target,
+                max_rounds=64,
+            )
 
 
 class TestAdaptiveAllocation:

@@ -17,7 +17,6 @@ from repro.simulation.montecarlo import (
     collect_adaptive_accounting,
     fading_sum_rate_statistics,
     fused_link_values,
-    outage_probability,
     simulate_protocol,
 )
 
@@ -171,6 +170,11 @@ class TestFadingStatistics:
         with pytest.raises(InvalidParameterError):
             mabc_stats.outage_at(-1.0)
 
+    @pytest.mark.parametrize("target", [float("nan"), float("inf")])
+    def test_non_finite_target_rejected(self, mabc_stats, target):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            mabc_stats.outage_at(target)
+
     def test_outage_at_counts_draws_strictly_below_target(self):
         stats = FadingStatistics(
             mean=2.5, std_error=0.0, samples=np.array([1.0, 2.0, 3.0, 4.0])
@@ -194,22 +198,6 @@ class TestFadingStatistics:
         )
         assert stats.std_error == 0.0
         assert stats.mean == stats.samples[0]
-
-    def test_cached_run_matches_uncached(self, paper_gains, tmp_path):
-        def samples(cache):
-            return fading_sum_rate_statistics(
-                Protocol.HBC,
-                paper_gains,
-                10.0,
-                30,
-                np.random.default_rng(19),
-                cache=cache,
-            ).samples
-
-        reference = samples(None).tobytes()
-        assert samples(tmp_path).tobytes() == reference
-        assert any(tmp_path.iterdir())
-        assert samples(tmp_path).tobytes() == reference
 
     def test_hbc_outage_rate_dominates(self, paper_gains):
         """Pointwise HBC >= MABC implies quantile dominance (paired RNG)."""
@@ -263,54 +251,6 @@ def mabc_stats():
         n_draws=80,
         rng=np.random.default_rng(11),
     )
-
-
-class TestOutage:
-    def test_outage_monotone_in_target(self, paper_gains):
-        rng = np.random.default_rng(8)
-        low = outage_probability(
-            Protocol.MABC,
-            paper_gains,
-            power=10.0,
-            target_sum_rate=0.5,
-            n_draws=60,
-            rng=np.random.default_rng(8),
-        )
-        high = outage_probability(
-            Protocol.MABC,
-            paper_gains,
-            power=10.0,
-            target_sum_rate=5.0,
-            n_draws=60,
-            rng=np.random.default_rng(8),
-        )
-        assert low <= high
-
-    def test_zero_target_never_in_outage(self, paper_gains):
-        outage = outage_probability(
-            Protocol.MABC,
-            paper_gains,
-            power=10.0,
-            target_sum_rate=0.0,
-            n_draws=30,
-            rng=np.random.default_rng(9),
-        )
-        assert outage == 0.0
-
-    @pytest.mark.parametrize("target", [0.5, 2.0, 5.0])
-    def test_equals_fading_statistics_outage_at(self, paper_gains, target):
-        """``outage_probability`` reads the one ensemble result type."""
-        outage = outage_probability(
-            Protocol.HBC, paper_gains, 10.0, target, 50, np.random.default_rng(23)
-        )
-        stats = fading_sum_rate_statistics(
-            Protocol.HBC, paper_gains, 10.0, 50, np.random.default_rng(23)
-        )
-        assert outage == stats.outage_at(target)
-
-    def test_negative_target_rejected(self, paper_gains, rng):
-        with pytest.raises(InvalidParameterError):
-            outage_probability(Protocol.MABC, paper_gains, 1.0, -1.0, 10, rng)
 
 
 class TestAdaptiveAccounting:

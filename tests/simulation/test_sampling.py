@@ -78,6 +78,21 @@ class TestImportanceSamplingSpec:
         with pytest.raises(InvalidParameterError, match="min_ess_fraction"):
             ImportanceSamplingSpec(noise_scale=1.1, min_ess_fraction=-0.1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("noise_scale", float("inf")),
+            ("noise_scale", float("nan")),
+            ("noise_shift", float("nan")),
+            ("noise_shift", float("-inf")),
+            ("target_snr_db", float("nan")),
+            ("target_snr_db", float("inf")),
+        ],
+    )
+    def test_rejects_non_finite_parameters(self, field, value):
+        with pytest.raises(InvalidParameterError, match=f"{field} must be finite"):
+            ImportanceSamplingSpec(**{"noise_scale": 1.1, field: value})
+
     def test_to_dict_is_sparse(self):
         assert ImportanceSamplingSpec(noise_scale=1.1).to_dict() == {"noise_scale": 1.1}
         full = ImportanceSamplingSpec(

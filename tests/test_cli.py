@@ -75,6 +75,16 @@ class TestCommands:
             ["fig4", "--power-db", "nan"],
             ["fig4", "--power-db", "inf"],
             ["simulate", "--protocol", "hbc", "--rounds", "2", "--power-db", "nan"],
+            ["simulate", "--protocol", "dt", "--rounds", "16",
+             "--importance-sampling", "1.1", "--is-noise-shift", "nan"],
+            ["simulate", "--protocol", "dt", "--rounds", "16",
+             "--importance-sampling", "inf"],
+            ["simulate", "--protocol", "dt", "--rounds", "16",
+             "--importance-sampling", "1.1", "--is-target-snr-db", "nan"],
+            ["simulate", "--protocol", "dt", "--rounds", "16",
+             "--target-rel-error", "nan", "--max-rounds", "64"],
+            ["simulate", "--protocol", "dt", "--rounds", "16",
+             "--target-rel-error", "inf", "--max-rounds", "64"],
         ],
         ids=[
             "region-one-point",
@@ -84,6 +94,11 @@ class TestCommands:
             "fig4-nan-power",
             "fig4-inf-power",
             "simulate-nan-power",
+            "simulate-nan-is-shift",
+            "simulate-inf-is-scale",
+            "simulate-nan-is-target-snr",
+            "simulate-nan-target-rel-error",
+            "simulate-inf-target-rel-error",
         ],
     )
     def test_usage_error_exits_2_with_one_line(self, capsys, argv):

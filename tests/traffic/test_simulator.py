@@ -14,8 +14,6 @@ from repro.traffic import (
     SCHEDULERS,
     realize_chunks,
     simulate_traffic,
-    stable_throughput_knee,
-    traffic_cell_value,
     traffic_link_values,
 )
 
@@ -262,25 +260,22 @@ class TestSimulateTraffic:
 
 class TestStableThroughput:
     def _knee(self, link, seed=0):
-        return stable_throughput_knee(
+        """One cell seeded ``[link.seed, seed]``: a one-cell batch at that index."""
+        return traffic_link_values(
             Protocol.MABC,
-            PAPER_GAINS,
-            10.0,
+            [PAPER_GAINS.gab],
+            [PAPER_GAINS.gar],
+            [PAPER_GAINS.gbr],
+            [10.0],
             link=link,
-            rng=np.random.default_rng([link.seed, seed]),
-        )
+            indices=[seed],
+        )[0]
 
     def test_knee_is_a_swept_nominal_rate_or_zero(self):
         link = two_pair_link("opportunistic")
         nominal = 2.0 * sum(link.traffic.pair_rates())
         candidates = {0.0} | {s * nominal for s in link.traffic.offered_loads}
         assert self._knee(link) in candidates
-
-    def test_sweep_without_offered_loads_rejected(self):
-        with pytest.raises(InvalidParameterError, match="offered_loads"):
-            self._knee(latency_link())
-        with pytest.raises(InvalidParameterError, match="offered_loads"):
-            self._knee(LinkSimSpec(n_rounds=8, payload_bits=32, seed=0))
 
     def test_work_conserving_weakly_dominates_round_robin(self):
         """The acceptance claim, at the registered scenario's asymmetry."""
@@ -416,14 +411,3 @@ class TestFusedDriver:
         # slot, so the first refill realizes all nine in one call.
         assert widths[0] == 9
         assert sum(widths) > len(widths)
-
-    def test_cell_value_runs_the_same_driver(self):
-        link = driver_link("stable_throughput", "round-robin")
-        value = traffic_cell_value(
-            Protocol.TDBC,
-            MIXED_GAINS[1],
-            MIXED_POWERS[1],
-            link=link,
-            rng=np.random.default_rng([link.seed, MIXED_INDICES[1]]),
-        )
-        assert np.float64(value).tobytes() == mixed_values(link)[1].tobytes()
