@@ -5,8 +5,9 @@ against a real campaign and asserts the headline guarantee of
 ``docs/robustness.md``: the run either completes **bitwise-identical**
 to its fault-free reference or fails with a **single typed error** — no
 torn caches, no silently wrong numbers, no hangs.  The per-scenario
-outcomes and recovery counters are written to ``CHAOS_report.json`` at
-the repo root (the artifact the CI ``chaos-smoke`` job uploads).
+outcomes and recovery counters are written to
+``.benchmarks/CHAOS_report.json`` under the repo root (git-ignored; the
+artifact the CI ``chaos-smoke`` job uploads).
 
 Scenarios:
 
@@ -50,7 +51,9 @@ from repro.serve import CampaignServer, ServeClient, ServeConfig, ServeError
 
 SEED = 11
 GAINS = LinkGains.from_db(-7.0, 0.0, 5.0)
-CHAOS_JSON = Path(__file__).resolve().parent.parent / "CHAOS_report.json"
+CHAOS_JSON = (
+    Path(__file__).resolve().parent.parent / ".benchmarks" / "CHAOS_report.json"
+)
 
 #: Zero backoff: the report measures recovery mechanics, not sleeps.
 FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base=0.0)
@@ -82,6 +85,7 @@ def report():
     """Mutable per-scenario records; flushed to CHAOS_report.json."""
     records: dict[str, dict] = {}
     yield records
+    CHAOS_JSON.parent.mkdir(exist_ok=True)
     CHAOS_JSON.write_text(
         json.dumps(
             {

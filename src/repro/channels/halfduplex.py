@@ -164,6 +164,13 @@ class FusedPhaseStream:
         return len(self.streams)
 
 
+#: Complex elements per row block of :func:`_combine_received`. The
+#: superposition's temporaries are one block each, so a phase's peak
+#: memory is its draws plus a constant, not plus several copies of the
+#: received rows.
+_BLOCK_ELEMENTS = 1 << 13
+
+
 def _combine_received(draws, listeners, transmissions: dict, complex_gains) -> dict:
     """Listener superposition: noise draws plus gain-weighted transmissions.
 
@@ -175,20 +182,29 @@ def _combine_received(draws, listeners, transmissions: dict, complex_gains) -> d
     the heart of the fused-vs-reference bitwise-identity invariant —
     exists exactly once.
 
-    Once computed, a listener's complex output is copied over its own
-    noise columns (exactly ``2 * n_symbols`` floats per row, never read
-    again), so a phase's outputs take no memory beyond its draws. The
-    copy is exact, so the values do not depend on where they live.
+    Each listener's sum is built in row blocks of about
+    :data:`_BLOCK_ELEMENTS` complex elements, and a block's complex
+    output is copied over its own noise columns (exactly ``2 * n_symbols``
+    floats per row, never read again), so a phase's outputs take no
+    memory beyond its draws and the temporaries stay one block in size.
+    The arithmetic is elementwise and the copy exact, so the values do
+    not depend on the block size or on where they live.
     """
     received: dict = {}
     n_rows, _, _, n_symbols = draws.shape
+    block = max(1, _BLOCK_ELEMENTS // n_symbols)
     for li, node in enumerate(listeners):
-        y = draws[:, li, 0, :] + 1j * draws[:, li, 1, :]
-        for tx, x in transmissions.items():
-            gain = complex_gains[frozenset((tx, node))]
-            y = y + gain * np.asarray(x)
+        weighted = [
+            (complex_gains[frozenset((tx, node))], np.asarray(x))
+            for tx, x in transmissions.items()
+        ]
         out = draws[:, li].reshape(n_rows, 2 * n_symbols).view(complex)
-        out[...] = y
+        for start in range(0, n_rows, block):
+            rows = slice(start, start + block)
+            y = draws[rows, li, 0, :] + 1j * draws[rows, li, 1, :]
+            for gain, x in weighted:
+                y = y + (gain[rows] if np.ndim(gain) else gain) * x[rows]
+            out[rows] = y
         received[node] = out
     return received
 

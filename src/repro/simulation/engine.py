@@ -676,9 +676,17 @@ class BatchedProtocolEngine(_LinkEngine):
     that cell's streams exactly. Build instances with :meth:`for_cells`.
 
     Each phase's :class:`~repro.channels.halfduplex.PhaseRows` is dropped
-    as soon as its listeners are decoded, so a round batch holds at most
+    as soon as its listeners are read, so a round batch holds at most
     one phase's complex received rows at a time — what keeps wide fused
-    batches inside the campaign's memory budget.
+    batches inside the campaign's memory budget. The relay's receptions
+    are decoded at once (the relay re-encodes them). The terminals'
+    overheard direct receptions (TDBC and HBC phases 1 and 2) are only
+    demodulated: the round holds their coded-bit LLR rows, which share no
+    memory with the phase's draws, and
+    :func:`~repro.simulation.terminals.arbitrate_paths_rows` decodes
+    them on just the rows whose relay path failed. Every phase still
+    draws noise for all of its listeners, so RNG consumption matches the
+    per-round engine, which decodes every direct frame.
     """
 
     def __post_init__(self) -> None:
@@ -896,10 +904,10 @@ class BatchedProtocolEngine(_LinkEngine):
         del out2
 
         est_b_at_a = arbitrate_paths_rows(
-            codec, relay_frames=relay_at_a, own_frame_rows=frames_a, direct_frames=None
+            codec, relay_frames=relay_at_a, own_frame_rows=frames_a
         )
         est_a_at_b = arbitrate_paths_rows(
-            codec, relay_frames=relay_at_b, own_frame_rows=frames_b, direct_frames=None
+            codec, relay_frames=relay_at_b, own_frame_rows=frames_b
         )
         success_ab, err_ab = self._direction_rows(wa, est_a_at_b)
         success_ba, err_ba = self._direction_rows(wb, est_b_at_a)
@@ -930,7 +938,7 @@ class BatchedProtocolEngine(_LinkEngine):
         a_at_r = codec.decode_rows(
             out1.signal_at("r"), self._gain("a", "r"), self._noise_power, amplitude=amp
         )
-        a_at_b_direct = codec.decode_rows(
+        a_at_b_llrs = codec.demodulate_rows(
             out1.signal_at("b"), self._gain("a", "b"), self._noise_power, amplitude=amp
         )
         del out1
@@ -941,7 +949,7 @@ class BatchedProtocolEngine(_LinkEngine):
         b_at_r = codec.decode_rows(
             out2.signal_at("r"), self._gain("b", "r"), self._noise_power, amplitude=amp
         )
-        b_at_a_direct = codec.decode_rows(
+        b_at_a_llrs = codec.demodulate_rows(
             out2.signal_at("a"), self._gain("a", "b"), self._noise_power, amplitude=amp
         )
         del out2
@@ -962,13 +970,13 @@ class BatchedProtocolEngine(_LinkEngine):
             codec,
             relay_frames=relay_at_a,
             own_frame_rows=frames_a,
-            direct_frames=b_at_a_direct,
+            direct_llr_rows=b_at_a_llrs,
         )
         est_a_at_b = arbitrate_paths_rows(
             codec,
             relay_frames=relay_at_b,
             own_frame_rows=frames_b,
-            direct_frames=a_at_b_direct,
+            direct_llr_rows=a_at_b_llrs,
         )
         success_ab, err_ab = self._direction_rows(wa, est_a_at_b)
         success_ba, err_ba = self._direction_rows(wb, est_b_at_a)
@@ -1005,7 +1013,7 @@ class BatchedProtocolEngine(_LinkEngine):
         a1_at_r = half.decode_rows(
             out1.signal_at("r"), self._gain("a", "r"), self._noise_power, amplitude=amp
         )
-        a1_at_b_direct = half.decode_rows(
+        a1_at_b_llrs = half.demodulate_rows(
             out1.signal_at("b"), self._gain("a", "b"), self._noise_power, amplitude=amp
         )
         del out1
@@ -1016,7 +1024,7 @@ class BatchedProtocolEngine(_LinkEngine):
         b1_at_r = half.decode_rows(
             out2.signal_at("r"), self._gain("b", "r"), self._noise_power, amplitude=amp
         )
-        b1_at_a_direct = half.decode_rows(
+        b1_at_a_llrs = half.demodulate_rows(
             out2.signal_at("a"), self._gain("a", "b"), self._noise_power, amplitude=amp
         )
         del out2
@@ -1069,19 +1077,19 @@ class BatchedProtocolEngine(_LinkEngine):
             half,
             relay_frames=relay1_at_a,
             own_frame_rows=frames_a1,
-            direct_frames=b1_at_a_direct,
+            direct_llr_rows=b1_at_a_llrs,
         )
         est_b2_at_a = arbitrate_paths_rows(
-            half, relay_frames=relay2_at_a, own_frame_rows=frames_a2, direct_frames=None
+            half, relay_frames=relay2_at_a, own_frame_rows=frames_a2
         )
         est_a1_at_b = arbitrate_paths_rows(
             half,
             relay_frames=relay1_at_b,
             own_frame_rows=frames_b1,
-            direct_frames=a1_at_b_direct,
+            direct_llr_rows=a1_at_b_llrs,
         )
         est_a2_at_b = arbitrate_paths_rows(
-            half, relay_frames=relay2_at_b, own_frame_rows=frames_b2, direct_frames=None
+            half, relay_frames=relay2_at_b, own_frame_rows=frames_b2
         )
 
         err_ab = hamming_distance_rows(wa1, est_a1_at_b.payload)

@@ -10,6 +10,14 @@ Terminals exploit two kinds of knowledge the paper's decoders use:
   the partner's *direct* transmission in an earlier phase (the paper's
   "first/second phase side information") and can arbitrate between the
   direct estimate and the relay-path estimate using the CRCs.
+
+The batched arbitration (:func:`arbitrate_paths_rows`) takes the
+overheard frames as demodulated LLR rows, not decoded frames. It resolves
+the relay path first and runs the direct-path Viterbi decode only on the
+rows whose relay path failed its CRC, because a verified relay row never
+reads its direct estimate. The direct link is usually the weak one, so
+those are the rows least likely to take the decoder's certified fast
+path. :func:`arbitrate_paths` is the per-round oracle; it decodes eagerly.
 """
 
 from __future__ import annotations
@@ -140,39 +148,30 @@ class PartnerEstimateRows:
 def arbitrate_paths_rows(
     codec: LinkCodec,
     *,
-    relay_frames: DecodedFrameBatch | None,
+    relay_frames: DecodedFrameBatch,
     own_frame_rows: np.ndarray,
-    direct_frames: DecodedFrameBatch | None,
+    direct_llr_rows: np.ndarray | None = None,
 ) -> PartnerEstimateRows:
     """Batched :func:`arbitrate_paths` over a rounds axis.
 
     Applies the same preference order per round: a CRC-verified relay
     resolution wins, then a CRC-verified direct estimate, and otherwise
-    the relay-path estimate is kept but flagged failed (or the direct one
-    when no relay evidence exists). Pure row-wise selection between the
-    two candidate payload batches, so row ``r`` equals the scalar
-    arbitration of round ``r``.
+    the relay-path estimate is kept but flagged failed. The overheard
+    direct path arrives as demodulated coded-bit LLR rows
+    (``direct_llr_rows``; omitted when the protocol has no direct
+    phase) and is decoded here, on only the rows whose relay path
+    failed: a verified relay row never reads its direct estimate, so its
+    Viterbi pass is skipped. Row ``r`` of :meth:`LinkCodec.decode_llr_rows`
+    equals the decode of that row alone, so row ``r`` of the result
+    equals the scalar arbitration of round ``r``.
     """
     crc = codec.crc
-    relay_payload = None
-    relay_ok = None
-    if relay_frames is not None:
-        partner_rows = np.bitwise_xor(relay_frames.frame_bits, own_frame_rows)
-        relay_ok = relay_frames.crc_ok & crc.check_rows(partner_rows)
-        relay_payload = partner_rows[:, : -crc.n_bits]
-        if direct_frames is None:
-            return PartnerEstimateRows(payload=relay_payload, crc_ok=relay_ok)
-        use_direct = ~relay_ok & direct_frames.crc_ok
-        payload = np.where(use_direct[:, None], direct_frames.payload, relay_payload)
-        return PartnerEstimateRows(
-            payload=payload, crc_ok=relay_ok | direct_frames.crc_ok
-        )
-    if direct_frames is not None:
-        return PartnerEstimateRows(
-            payload=direct_frames.payload, crc_ok=direct_frames.crc_ok.copy()
-        )
-    n_rounds = int(np.asarray(own_frame_rows).shape[0])
-    return PartnerEstimateRows(
-        payload=np.zeros((n_rounds, codec.payload_bits), dtype=np.uint8),
-        crc_ok=np.zeros(n_rounds, dtype=bool),
-    )
+    partner_rows = np.bitwise_xor(relay_frames.frame_bits, own_frame_rows)
+    crc_ok = relay_frames.crc_ok & crc.check_rows(partner_rows)
+    payload = partner_rows[:, : -crc.n_bits]
+    failed = np.flatnonzero(~crc_ok)
+    if direct_llr_rows is not None and failed.size:
+        direct = codec.decode_llr_rows(direct_llr_rows[failed])
+        payload[failed[direct.crc_ok]] = direct.payload[direct.crc_ok]
+        crc_ok[failed] = direct.crc_ok
+    return PartnerEstimateRows(payload=payload, crc_ok=crc_ok)

@@ -1,5 +1,8 @@
 """Integration: CLI entry points against the real experiment harness."""
 
+import numpy as np
+import pytest
+
 from repro.cli import main
 
 
@@ -51,3 +54,26 @@ class TestAnalysisCommands:
             out = capsys.readouterr().out
             assert code == 0
             assert "goodput" in out
+
+
+class TestTrafficScenarioDumps:
+    """Traffic cells realize link outcomes through one fused driver per
+    batch: the default executor hands it a whole protocol run, the serial
+    executor one cell per call. Both dumps must agree bit for bit."""
+
+    @pytest.mark.parametrize("name", ["queueing-latency", "multi-pair-scheduling"])
+    def test_fused_dump_equals_serial_dump(self, name, capsys, tmp_path):
+        runs = {"default": [], "serial": ["--executor", "serial"]}
+        outputs, arrays = {}, {}
+        for label, flags in runs.items():
+            dump = tmp_path / f"{label}.npy"
+            argv = ["scenarios", "run", name, "--no-cache", "--quiet", *flags]
+            assert main([*argv, "--dump", str(dump)]) == 0
+            outputs[label] = capsys.readouterr().out
+            arrays[label] = np.load(dump)
+        assert "via serial executor" in outputs["serial"]
+        assert "via serial executor" not in outputs["default"]
+        fused, serial = arrays["default"], arrays["serial"]
+        assert fused.size > 0
+        assert fused.shape == serial.shape
+        assert fused.tobytes() == serial.tobytes()

@@ -14,6 +14,8 @@ Acceptance criteria of the fused-cells PR live here:
   and never depend on how the cells were fused.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from repro.channels.halfduplex import (
 )
 from repro.core.protocols import Protocol
 from repro.exceptions import InvalidParameterError
+from repro.simulation import engine as link_engine
 from repro.simulation.convolutional import NASA_CODE, TEST_CODE
 from repro.simulation.crc import CRC8, CRC16_CCITT
 from repro.simulation.engine import BatchedProtocolEngine
@@ -36,6 +39,7 @@ from repro.simulation.montecarlo import (
     simulate_protocol_cells,
     wave_bounds,
 )
+from repro.simulation.terminals import DecodePath
 
 ALL_PROTOCOLS = (
     Protocol.DT,
@@ -55,6 +59,14 @@ CELL_GAINS = (
 )
 CELL_POWERS = (10**1.2, 10**0.4, 10**0.8)
 SEED = 17
+
+#: Two cells whose direct link is 2-3 dB stronger than both relay links
+#: (the paper's geometry has it 7-12 dB weaker), so TDBC and HBC
+#: terminals often fall back on the overheard direct frame.
+DIRECT_CELL_GAINS = (
+    LinkGains.from_db(-2.0, -4.0, -4.0),
+    LinkGains.from_db(0.0, -2.0, -3.0),
+)
 
 
 def small_codec(code=TEST_CODE, crc=CRC8, modulation=None, payload_bits=24):
@@ -109,6 +121,50 @@ class TestFusedEquivalence:
                 codec=codec,
                 method="reference",
             )
+
+    @pytest.mark.parametrize("protocol", [Protocol.TDBC, Protocol.HBC])
+    @pytest.mark.parametrize(
+        "code,crc,payload_bits",
+        [(TEST_CODE, CRC8, 24), (NASA_CODE, CRC16_CCITT, 16)],
+        ids=["test-code", "nasa-code"],
+    )
+    def test_fused_equals_reference_when_direct_link_is_strong(
+        self, protocol, code, crc, payload_bits, monkeypatch
+    ):
+        # Count the reference engine's arbitration outcomes, so the test
+        # proves every branch of the deferred direct decode is reached.
+        paths = Counter()
+        scalar = link_engine.arbitrate_paths
+
+        def counting(codec, **kwargs):
+            estimate = scalar(codec, **kwargs)
+            if kwargs["direct_frame"] is not None:
+                paths[estimate.path] += 1
+            return estimate
+
+        monkeypatch.setattr(link_engine, "arbitrate_paths", counting)
+        codec = small_codec(code=code, crc=crc, payload_bits=payload_bits)
+        n_cells = len(DIRECT_CELL_GAINS)
+        fused = simulate_protocol_cells(
+            protocol,
+            DIRECT_CELL_GAINS,
+            (1.0,) * n_cells,
+            16,
+            cell_rngs(n_cells),
+            codec=codec,
+        )
+        for i, report in enumerate(fused):
+            assert report == simulate_protocol(
+                protocol,
+                DIRECT_CELL_GAINS[i],
+                1.0,
+                16,
+                np.random.default_rng([SEED, i]),
+                codec=codec,
+                method="reference",
+            )
+        assert paths[DecodePath.DIRECT] > paths[DecodePath.RELAY] > 0
+        assert paths[DecodePath.FAILED] > 0
 
     @pytest.mark.parametrize("row_cap", [1, 2, 5, 7, 10_000])
     def test_fused_invariant_to_row_cap(self, row_cap):

@@ -1,18 +1,22 @@
 """Memory regression guard for the fused batched engine.
 
 ``BatchedProtocolEngine.run_*_rounds`` drops each phase's ``PhaseRows``
-(complex received rows) as soon as its listeners are decoded, so a fused
+(complex received rows) as soon as its listeners are read, so a fused
 round batch holds one phase's outputs at a time, and the medium writes
-those outputs over the phase's noise draws. This guard runs one fused
-TDBC wave and one fused HBC wave, 12 cells x 24 rounds each with the
-production codec, and bounds the ``tracemalloc`` peak per fused row.
+those outputs over the phase's noise draws, building each listener's sum
+in fixed-size row blocks. The overheard direct receptions of TDBC and
+HBC are held as coded-bit LLR rows until arbitration. This guard runs
+one fused TDBC wave and one fused HBC wave, 12 cells x 24 rounds each
+with the production codec, and bounds the ``tracemalloc`` peak per
+fused row.
 
-The bounds are the peaks measured with NumPy 2.4 on CPython 3.11
-(TDBC 26,200 B/row, HBC 35,300 B/row) plus 10 % headroom. Holding the
-first phase's outputs until the round returns measures 35,800 B/row
-(TDBC) and 40,800 B/row (HBC), past both bounds. The numbers are
-allocation sizes, not timings, so they repeat exactly for a given NumPy
-and Python.
+Peaks measured with NumPy 2.4 on CPython 3.11: TDBC 26,377 B/row, HBC
+27,892 B/row. The HBC bound is that peak plus 10 % headroom. The TDBC
+bound is kept from an earlier measurement (26,200 B/row plus 10 %), so
+its headroom is 9 %. Holding the first phase's outputs until the round
+returns measures 35,980 B/row (TDBC) and 33,398 B/row (HBC), past both
+bounds. The numbers are allocation sizes, not timings, so they repeat
+exactly for a given NumPy and Python.
 """
 
 import tracemalloc
@@ -31,10 +35,10 @@ from repro.simulation.linkcodec import default_codec
 N_CELLS = 12
 ROUNDS = 24
 
-#: Measured traced peak per fused row (bytes) times 1.10.
+#: Traced peak per fused row (bytes) times 1.10; see the module docstring.
 PEAK_BYTES_PER_ROW = {
     Protocol.TDBC: 26_200 * 1.10,
-    Protocol.HBC: 35_300 * 1.10,
+    Protocol.HBC: 27_900 * 1.10,
 }
 
 

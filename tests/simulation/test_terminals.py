@@ -6,10 +6,11 @@ import pytest
 from repro.simulation.bits import random_bits, xor_bits
 from repro.simulation.convolutional import TEST_CODE
 from repro.simulation.crc import CRC8
-from repro.simulation.linkcodec import DecodedFrame, LinkCodec
+from repro.simulation.linkcodec import DecodedFrame, DecodedFrameBatch, LinkCodec
 from repro.simulation.terminals import (
     DecodePath,
     arbitrate_paths,
+    arbitrate_paths_rows,
     resolve_via_relay,
 )
 
@@ -134,3 +135,143 @@ class TestArbitration:
         )
         assert estimate.path is DecodePath.FAILED
         assert estimate.payload.shape == (32,)
+
+
+
+def _corrupt(frame_rows, rows):
+    """Flip the first bit of the given rows, so their CRC no longer checks."""
+    bad = frame_rows.copy()
+    bad[rows, 0] ^= 1
+    return bad
+
+
+def _rows_on(paths, path):
+    return [r for r, p in enumerate(paths) if p is path]
+
+
+class TestArbitrationRows:
+    """``arbitrate_paths_rows`` against the scalar ``arbitrate_paths``."""
+
+    N_ROWS = 12
+
+    def _case(self, codec, rng, *, relay_bad, direct_bad, noise=0.0):
+        """Relay batch, own frames, partner payloads and direct LLR rows.
+
+        ``relay_bad`` and ``direct_bad`` pick the rows whose relay frame
+        or overheard direct frame fails its CRC. The direct LLRs are the
+        noise-free demodulation of the (possibly corrupted) partner frame
+        plus ``noise`` times a standard normal.
+        """
+        shape = (self.N_ROWS, codec.payload_bits)
+        own = codec.crc.append_rows(rng.integers(0, 2, shape, dtype=np.uint8))
+        partner = rng.integers(0, 2, shape, dtype=np.uint8)
+        partner_frames = codec.crc.append_rows(partner)
+        relay_bits = _corrupt(np.bitwise_xor(own, partner_frames), relay_bad)
+        relay = DecodedFrameBatch(
+            payload=relay_bits[:, : -codec.crc.n_bits],
+            frame_bits=relay_bits,
+            crc_ok=codec.crc.check_rows(relay_bits),
+        )
+        symbols = codec.encode_frame_rows(_corrupt(partner_frames, direct_bad))
+        llrs = codec.demodulate_rows(symbols, 1.0, 1.0)
+        llrs = llrs + noise * rng.standard_normal(llrs.shape)
+        return relay, own, partner, llrs
+
+    def _arbitrate(self, codec, relay, own, direct_llrs):
+        """Batched arbitration, checked row by row against the scalar one.
+
+        Returns the batched estimates and the scalar decode path per row.
+        """
+        rows = arbitrate_paths_rows(
+            codec, relay_frames=relay, own_frame_rows=own, direct_llr_rows=direct_llrs
+        )
+        assert rows.payload.shape == (len(relay), codec.payload_bits)
+        paths = []
+        for r in range(len(relay)):
+            direct = None if direct_llrs is None else codec.decode_llrs(direct_llrs[r])
+            scalar = arbitrate_paths(
+                codec,
+                relay_frame=relay.frame(r),
+                own_frame_bits=own[r],
+                direct_frame=direct,
+            )
+            np.testing.assert_array_equal(rows.payload[r], scalar.payload)
+            assert bool(rows.crc_ok[r]) == scalar.crc_ok
+            paths.append(scalar.path)
+        return rows, paths
+
+    def test_relay_verified(self, codec, rng):
+        # Every direct frame fails: a verified relay row must still win.
+        relay, own, partner, llrs = self._case(
+            codec, rng, relay_bad=[], direct_bad=slice(None)
+        )
+        rows, paths = self._arbitrate(codec, relay, own, llrs)
+        assert paths == [DecodePath.RELAY] * self.N_ROWS
+        np.testing.assert_array_equal(rows.payload, partner)
+
+    def test_relay_failed_direct_verified(self, codec, rng):
+        relay, own, partner, llrs = self._case(
+            codec, rng, relay_bad=[0, 3, 4, 9], direct_bad=[]
+        )
+        rows, paths = self._arbitrate(codec, relay, own, llrs)
+        assert _rows_on(paths, DecodePath.DIRECT) == [0, 3, 4, 9]
+        assert rows.crc_ok.all()
+        np.testing.assert_array_equal(rows.payload, partner)
+
+    def test_both_failed(self, codec, rng):
+        relay, own, _, llrs = self._case(
+            codec, rng, relay_bad=[1, 2, 7], direct_bad=[2, 5, 7]
+        )
+        rows, paths = self._arbitrate(codec, relay, own, llrs)
+        assert _rows_on(paths, DecodePath.FAILED) == [2, 7]
+        assert _rows_on(paths, DecodePath.DIRECT) == [1]
+        np.testing.assert_array_equal(np.flatnonzero(~rows.crc_ok), [2, 7])
+
+    def test_no_direct_path(self, codec, rng):
+        relay, own, _, _ = self._case(codec, rng, relay_bad=[4, 6], direct_bad=[])
+        rows, paths = self._arbitrate(codec, relay, own, None)
+        assert _rows_on(paths, DecodePath.FAILED) == [4, 6]
+        np.testing.assert_array_equal(np.flatnonzero(~rows.crc_ok), [4, 6])
+
+    def test_noisy_direct_rows(self, codec, rng):
+        # Noisy LLRs send direct rows through the full Viterbi recursion
+        # as well as the certified-codeword shortcut.
+        relay, own, _, llrs = self._case(
+            codec, rng, relay_bad=slice(None, None, 2), direct_bad=[], noise=3.0
+        )
+        _, paths = self._arbitrate(codec, relay, own, llrs)
+        assert _rows_on(paths, DecodePath.DIRECT)
+        assert _rows_on(paths, DecodePath.FAILED)
+
+    @pytest.fixture
+    def decoded(self, monkeypatch):
+        """The LLR rows of every ``LinkCodec.decode_llr_rows`` call."""
+        calls = []
+        decode = LinkCodec.decode_llr_rows
+
+        def counting(self, coded_llr_rows):
+            calls.append(np.array(coded_llr_rows))
+            return decode(self, coded_llr_rows)
+
+        monkeypatch.setattr(LinkCodec, "decode_llr_rows", counting)
+        return calls
+
+    def test_decodes_exactly_the_failed_relay_rows(self, codec, rng, decoded):
+        relay, own, _, llrs = self._case(
+            codec, rng, relay_bad=[1, 5, 6, 11], direct_bad=[5]
+        )
+        arbitrate_paths_rows(
+            codec, relay_frames=relay, own_frame_rows=own, direct_llr_rows=llrs
+        )
+        assert len(decoded) == 1
+        np.testing.assert_array_equal(decoded[0], llrs[[1, 5, 6, 11]])
+
+    def test_no_decode_when_every_relay_row_verifies(self, codec, rng, decoded):
+        relay, own, _, llrs = self._case(
+            codec, rng, relay_bad=[], direct_bad=slice(None)
+        )
+        rows = arbitrate_paths_rows(
+            codec, relay_frames=relay, own_frame_rows=own, direct_llr_rows=llrs
+        )
+        assert decoded == []
+        assert rows.crc_ok.all()
