@@ -552,9 +552,10 @@ def run_campaign(
     progress:
         Optional callable ``progress(done_units, total_units)`` invoked as
         evaluation advances (and once on a cache hit). A chunked run ticks
-        once per completed chunk on every executor; the one-pass path
-        ticks at the executor's own granularity. For a shard run the
-        totals are shard-local.
+        once per completed chunk on every executor; the one-pass path (an
+        in-process executor with no cache, shard, chunk size, fault plan
+        or deadline) ticks at the executor's own granularity. For a shard
+        run the totals are shard-local.
     shard:
         ``None`` evaluates the whole grid. A :class:`CampaignShard` (or
         ``(index, count)`` pair, 0-based) evaluates only that balanced
@@ -634,9 +635,12 @@ def run_campaign(
         and chunk_size is None
         and plan is None
         and deadline is None
+        and not hasattr(executor, "run_chunks")
     ):
-        # Nothing to checkpoint, resume, inject or abort: evaluate the
-        # grid in one pass.
+        # Nothing to checkpoint, resume, inject or abort, and no pool to
+        # heal: evaluate the grid in one pass in process. A pool executor
+        # always takes the chunk loop, whose retry rounds recover a dead
+        # worker.
         batches = _grid_batches(spec, flat_gains, 0, spec.n_units)
         with _adaptive_tally(spec) as tally:
             value_arrays = executor.run(batches, progress=progress)

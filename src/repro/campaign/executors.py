@@ -440,10 +440,12 @@ class AsyncExecutor:
     def run(self, batches, progress=None) -> list:
         """Evaluate ``batches`` and return one value array per batch.
 
-        The plain-executor protocol (used for unchunked runs): each batch
-        is sliced into roughly ``4 × processes`` sub-batches which are all
-        submitted up front; workers drain them in whatever order they free
-        up, and the results reassemble in submission order.
+        The plain-executor protocol, which
+        :func:`~repro.campaign.engine.evaluate_ensemble` calls (campaigns
+        take :meth:`run_chunks`): each batch is sliced into roughly
+        ``4 × processes`` sub-batches which are all submitted up front;
+        workers drain them in whatever order they free up, and the
+        results reassemble in submission order.
         """
         total = sum(len(batch) for batch in batches)
         jobs = []

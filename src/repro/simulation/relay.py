@@ -123,15 +123,13 @@ class MacDecodingRows:
     frame_a, frame_b:
         Decoded frame batches of terminals ``a`` and ``b``.
     decoded_first:
-        Which terminal the first SIC stage decoded. For a single-cell
-        batch the ordering depends only on the quasi-static gains, so it
-        is the shared ``"a"``/``"b"`` string; a cells-fused batch carries
-        one ``"a"``/``"b"`` entry per row (the ordering is per cell).
+        Which terminal the first SIC stage decoded, one ``"a"``/``"b"``
+        entry per row (the ordering is per cell).
     """
 
     frame_a: DecodedFrameBatch
     frame_b: DecodedFrameBatch
-    decoded_first: str | np.ndarray
+    decoded_first: np.ndarray
 
     @property
     def both_ok(self) -> np.ndarray:
@@ -150,24 +148,30 @@ def _select_frame_rows(
     )
 
 
-def _sic_decode_mac_fused(
+def sic_decode_mac_rows(
     codec: LinkCodec,
-    y: np.ndarray,
+    received_rows: np.ndarray,
     *,
-    gain_a,
-    gain_b,
-    noise_power,
-    amplitude,
+    gain_a: np.ndarray,
+    gain_b: np.ndarray,
+    noise_power: float,
+    amplitude: np.ndarray,
 ) -> MacDecodingRows:
-    """Per-row SIC: every row carries its own gains/amplitude column.
+    """Batched successive interference cancellation, one cell per row.
 
-    The cells-fused counterpart of the scalar ordering decision: the
-    stage-1/stage-2 split is selected per row with ``np.where`` using the
-    same ``power_a >= power_b`` comparison (ties decode ``a`` first), and
-    every arithmetic expression matches the scalar path operation for
-    operation — so a fused row reproduces the scalar SIC of its cell bit
-    for bit.
+    :func:`sic_decode_mac` over ``(n_rows, n_symbols)`` received rows,
+    with ``gain_a``/``gain_b``/``amplitude`` as ``(n_rows, 1)`` per-row
+    columns (the cells-fused engine's layout). The stage ordering is
+    decided per row with ``np.where`` on the same ``power_a >= power_b``
+    comparison (ties decode ``a`` first), and every arithmetic
+    expression matches the scalar path operation for operation — so row
+    ``r`` reproduces the scalar SIC of its cell and round bit for bit.
     """
+    if np.any(np.asarray(noise_power) <= 0):
+        raise InvalidParameterError(f"noise power must be positive, got {noise_power}")
+    if np.any(np.asarray(amplitude) <= 0):
+        raise InvalidParameterError(f"amplitude must be positive, got {amplitude}")
+    y = np.asarray(received_rows)
     power_a = amplitude**2 * np.abs(gain_a) ** 2
     power_b = amplitude**2 * np.abs(gain_b) ** 2
     strong_is_a = power_a >= power_b
@@ -189,67 +193,6 @@ def _sic_decode_mac_fused(
         frame_a=_select_frame_rows(first_is_a, strong_frames, weak_frames),
         frame_b=_select_frame_rows(~first_is_a, strong_frames, weak_frames),
         decoded_first=np.where(first_is_a, "a", "b"),
-    )
-
-
-def sic_decode_mac_rows(
-    codec: LinkCodec,
-    received_rows: np.ndarray,
-    *,
-    gain_a: complex,
-    gain_b: complex,
-    noise_power: float,
-    amplitude: float,
-) -> MacDecodingRows:
-    """Batched successive interference cancellation over a rounds axis.
-
-    Exactly :func:`sic_decode_mac` with ``(n_rounds, n_symbols)`` inputs:
-    the stage ordering is decided once from the (round-independent)
-    received powers, and both decode stages, the re-encoding and the
-    residual subtraction are elementwise along the rounds axis — so row
-    ``r`` reproduces the scalar SIC of round ``r`` bit for bit.
-
-    ``gain_a``/``gain_b``/``amplitude`` may also be ``(n_rows, 1)``
-    per-row columns (the cells-fused engine's layout); the stage ordering
-    is then decided *per row* with the identical comparison, and the
-    selected-gain arithmetic stays elementwise, preserving bitwise
-    equality with the per-cell path.
-    """
-    if np.any(np.asarray(noise_power) <= 0):
-        raise InvalidParameterError(f"noise power must be positive, got {noise_power}")
-    if np.any(np.asarray(amplitude) <= 0):
-        raise InvalidParameterError(f"amplitude must be positive, got {amplitude}")
-    y = np.asarray(received_rows)
-    if np.ndim(gain_a) or np.ndim(gain_b) or np.ndim(amplitude):
-        return _sic_decode_mac_fused(
-            codec,
-            y,
-            gain_a=gain_a,
-            gain_b=gain_b,
-            noise_power=noise_power,
-            amplitude=amplitude,
-        )
-    power_a = amplitude**2 * abs(gain_a) ** 2
-    power_b = amplitude**2 * abs(gain_b) ** 2
-    strong_is_a = power_a >= power_b
-    strong_gain, weak_gain = (gain_a, gain_b) if strong_is_a else (gain_b, gain_a)
-    weak_power = power_b if strong_is_a else power_a
-
-    strong_frames = codec.decode_rows(
-        y, strong_gain, noise_power + weak_power, amplitude=amplitude
-    )
-    reencoded = codec.encode_frame_rows(strong_frames.frame_bits)
-    residual = y - amplitude * strong_gain * reencoded
-    weak_frames = codec.decode_rows(
-        residual, weak_gain, noise_power, amplitude=amplitude
-    )
-
-    if strong_is_a:
-        return MacDecodingRows(
-            frame_a=strong_frames, frame_b=weak_frames, decoded_first="a"
-        )
-    return MacDecodingRows(
-        frame_a=weak_frames, frame_b=strong_frames, decoded_first="b"
     )
 
 

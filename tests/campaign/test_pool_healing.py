@@ -8,8 +8,11 @@ are already checkpointed and are never recomputed.  The recovered run is
 bitwise-identical to a fault-free one.
 """
 
+import os
+
 import pytest
 
+from repro.campaign import executors
 from repro.campaign.engine import RetryPolicy, run_campaign
 from repro.campaign.executors import AsyncExecutor
 from repro.campaign.spec import CampaignSpec, FadingSpec
@@ -73,6 +76,38 @@ class TestWorkerDeathRecovery:
         assert result.pool_rebuilds == 1
         assert result.chunk_retries >= 1
         assert executor.pool_rebuilds == 1
+        assert result.values.tobytes() == reference.values.tobytes()
+
+    def test_no_cache_run_heals_a_dead_worker(
+        self, spec, reference, tmp_path, monkeypatch
+    ):
+        """A pool run with no cache, shard, chunk size, fault plan or
+        deadline still takes the chunk loop, so a worker that dies is
+        healed and its chunk retried instead of surfacing a raw
+        ``BrokenProcessPool``."""
+        parent = os.getpid()
+        marker = tmp_path / "died"
+        evaluate = executors._evaluate_batch
+
+        def die_once(batch):
+            # Forked workers inherit this patch. The first one to claim
+            # the marker exits; every later call evaluates normally.
+            if os.getpid() != parent:
+                try:
+                    os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+                except FileExistsError:
+                    pass
+                else:
+                    os._exit(1)
+            return evaluate(batch)
+
+        monkeypatch.setattr(executors, "_evaluate_batch", die_once)
+        result = run_campaign(
+            spec, executor=AsyncExecutor(processes=2), retry=FAST_RETRY
+        )
+        assert marker.exists()
+        assert result.pool_rebuilds == 1
+        assert result.chunk_retries == 1
         assert result.values.tobytes() == reference.values.tobytes()
 
     def test_transient_worker_error_does_not_rebuild(self, spec, reference, tmp_path):

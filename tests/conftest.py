@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import asyncio
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.channels.gains import LinkGains
 from repro.core.gaussian import GaussianChannel
 from repro.information.functions import db_to_linear
+from repro.serve import CampaignServer, ServeClient, ServeConfig, ServeError
 
 
 @pytest.fixture
@@ -32,6 +37,49 @@ def channel_low(paper_gains) -> GaussianChannel:
 def channel_high(paper_gains) -> GaussianChannel:
     """Fig. 4 bottom panel: P = 10 dB."""
     return GaussianChannel(gains=paper_gains, power=db_to_linear(10.0))
+
+
+@pytest.fixture()
+def start_server(tmp_path):
+    """Factory fixture: boot a (possibly fault-armed) daemon in a thread,
+    shut it down after the test."""
+    running = []
+
+    def start(fault_plan=None, **overrides):
+        index = len(running)
+        options = {
+            "socket_path": str(tmp_path / f"serve-{index}.sock"),
+            "cache": str(tmp_path / f"cache-{index}"),
+            "processes": 2,
+        }
+        options.update(overrides)
+        config = ServeConfig(**options)
+        server = CampaignServer(config, fault_plan=fault_plan)
+        thread = threading.Thread(
+            target=lambda: asyncio.run(server.serve_forever()), daemon=True
+        )
+        thread.start()
+        client = ServeClient(config.socket_path, timeout=60)
+        deadline = time.monotonic() + 15
+        while True:
+            try:
+                client.ping()
+                break
+            except ServeError:
+                if time.monotonic() > deadline:
+                    raise
+                time.sleep(0.02)
+        running.append((server, thread, client))
+        return server, client
+
+    yield start
+    for server, thread, client in running:
+        try:
+            client.shutdown()
+        except ServeError:
+            pass
+        thread.join(timeout=20)
+        assert not thread.is_alive()
 
 
 def random_link_gains(rng: np.random.Generator, *, low_db: float = -10.0,

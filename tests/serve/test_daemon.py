@@ -24,48 +24,6 @@ from repro.serve import CampaignServer, ServeClient, ServeConfig, ServeError
 from repro.serve.protocol import decode_frame
 
 
-@pytest.fixture()
-def start_server(tmp_path):
-    """Factory fixture: boot a daemon in a thread, tear it down after."""
-    running = []
-
-    def start(**overrides):
-        index = len(running)
-        options = {
-            "socket_path": str(tmp_path / f"serve-{index}.sock"),
-            "cache": str(tmp_path / f"cache-{index}"),
-            "processes": 2,
-        }
-        options.update(overrides)
-        config = ServeConfig(**options)
-        server = CampaignServer(config)
-        thread = threading.Thread(
-            target=lambda: asyncio.run(server.serve_forever()), daemon=True
-        )
-        thread.start()
-        client = ServeClient(config.socket_path, timeout=60)
-        deadline = time.monotonic() + 15
-        while True:
-            try:
-                client.ping()
-                break
-            except ServeError:
-                if time.monotonic() > deadline:
-                    raise
-                time.sleep(0.02)
-        running.append((server, thread, client))
-        return server, client
-
-    yield start
-    for server, thread, client in running:
-        try:
-            client.shutdown()
-        except ServeError:
-            pass
-        thread.join(timeout=20)
-        assert not thread.is_alive()
-
-
 def _gate_evaluations(server):
     """Block every job at the evaluation seam until the gate is set."""
     gate = threading.Event()
@@ -350,11 +308,15 @@ class TestServeConfig:
 
 class TestFacadeRoute:
     def test_evaluate_server_is_bitwise_identical(self, start_server):
-        server, _ = start_server()
+        server, client = start_server()
         via_server = evaluate("fig4-operating-points", server=server.config.socket_path)
         local = evaluate("fig4-operating-points")
         assert via_server.values.tobytes() == local.values.tobytes()
         assert via_server.executor_name.startswith("serve:")
+        # The facade's request filled the daemon's cache: the hot path.
+        hot = client.evaluate("fig4-operating-points")
+        assert hot.served_from == "cache"
+        assert hot.values.tobytes() == local.values.tobytes()
 
     def test_server_route_owns_cache_and_shard(self, start_server, tmp_path):
         server, _ = start_server()

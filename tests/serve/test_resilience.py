@@ -8,7 +8,6 @@ or raises one typed :class:`ServeError` whose ``retryable`` flag tells
 the caller whether trying again makes sense.
 """
 
-import asyncio
 import socket
 import threading
 import time
@@ -23,48 +22,6 @@ from repro.exceptions import CampaignTimeoutError
 from repro.faults import FaultPlan, FaultRule
 from repro.serve import CampaignServer, ServeClient, ServeConfig, ServeError
 from repro.serve.protocol import decode_frame, encode_frame
-
-
-@pytest.fixture()
-def start_server(tmp_path):
-    """Factory fixture: boot a (possibly fault-armed) daemon in a thread."""
-    running = []
-
-    def start(fault_plan=None, **overrides):
-        index = len(running)
-        options = {
-            "socket_path": str(tmp_path / f"serve-{index}.sock"),
-            "cache": str(tmp_path / f"cache-{index}"),
-            "processes": 2,
-        }
-        options.update(overrides)
-        config = ServeConfig(**options)
-        server = CampaignServer(config, fault_plan=fault_plan)
-        thread = threading.Thread(
-            target=lambda: asyncio.run(server.serve_forever()), daemon=True
-        )
-        thread.start()
-        client = ServeClient(config.socket_path, timeout=60)
-        deadline = time.monotonic() + 15
-        while True:
-            try:
-                client.ping()
-                break
-            except ServeError:
-                if time.monotonic() > deadline:
-                    raise
-                time.sleep(0.02)
-        running.append((server, thread, client))
-        return server, client
-
-    yield start
-    for server, thread, client in running:
-        try:
-            client.shutdown()
-        except ServeError:
-            pass
-        thread.join(timeout=20)
-        assert not thread.is_alive()
 
 
 def _gate_evaluations(server):

@@ -9,6 +9,8 @@ import pytest
 
 from repro.cli import build_parser, main
 
+SPEC_LINE = re.compile(r"^spec [0-9a-f]{64}$", re.MULTILINE)
+
 
 class TestParser:
     def test_subcommands_registered(self):
@@ -426,6 +428,12 @@ class TestScenariosCommand:
         for name in list_scenarios():
             assert name in out
         assert "objective" in out
+        # The loop above cannot notice a built-in that stops registering.
+        for name in ("two-pair-round-robin", "fig3-placement",
+                     "operational-goodput", "power-allocation-sweep",
+                     "finite-snr-dmt", "queueing-latency",
+                     "multi-pair-scheduling", "operational-deepfade-fer"):
+            assert name in out
 
     def test_list_json_is_machine_readable(self, capsys):
         import json
@@ -482,7 +490,7 @@ class TestScenariosCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "round_robin_sum_rate over 2 pairs" in out
-        assert "spec " in out
+        assert SPEC_LINE.search(out)
 
     def test_run_repeat_hits_cache(self, capsys, tmp_path):
         args = ["scenarios", "run", "fig4-operating-points",
@@ -504,7 +512,8 @@ class TestScenariosCommand:
                      "--no-cache", "--quiet"])
         captured = capsys.readouterr()
         assert code == 0
-        assert "spec " in captured.out
+        assert "frame error rate" in captured.out
+        assert SPEC_LINE.search(captured.out)
         assert "3 adaptive cells unresolved" in captured.err
 
     def test_run_dump_writes_grid(self, capsys, tmp_path):
@@ -528,7 +537,7 @@ class TestScenarioParams:
                      "--quiet", "--param", "n_draws=6", "--param", "seed=3"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "spec " in out
+        assert SPEC_LINE.search(out)
 
     def test_dashed_keys_map_to_underscores(self, capsys):
         code = main(["scenarios", "run", "finite-snr-dmt", "--no-cache",
@@ -662,6 +671,7 @@ class TestScenarioShardGather:
         out = capsys.readouterr().out
         assert code == 0
         assert "frame error rate" in out
+        assert SPEC_LINE.search(out)
 
 
 class TestClientCommand:
