@@ -32,6 +32,7 @@ def three_pair_demo() -> Scenario:
         power=PowerPolicy.uniform(powers_db=(0.0, 10.0)),
         fading=FadingSpec(n_draws=200, seed=42),
         objective="round_robin_sum_rate",
+        grounding="multi-pair baseline of Kim, Smida & Devroye, arXiv:1002.0123",
     )
 
 

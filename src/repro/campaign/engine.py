@@ -369,14 +369,15 @@ def _grid_batches(spec, flat_gains, start, stop):
     per block. Block parameters come from :meth:`CampaignSpec.block_params`,
     which keeps this loop agnostic of how many axes the spec declares.
 
-    Analytic specs get one batch per block piece: the LP kernel already
-    runs hundreds of cells per call, and a wider batch only grows its
-    working set. Operational (link) specs get one batch per maximal run
-    of consecutive pieces sharing a protocol, so the fused link kernel
-    decodes every power and extra-axis value of that protocol in one
-    pipeline per wave. Units carry their own power and flat index, and
-    link specs reject per-node powers, so the merge is a concatenation
-    and cannot change a value.
+    Pieces are merged into one batch per maximal run of consecutive
+    pieces sharing a protocol and a power layout: one shared power per
+    unit, shape ``(n,)``, or per-node powers, shape ``(n, 3)``. The LP
+    kernel then builds its tables once per protocol run (and bounds its
+    own working set by slabs), and the fused link kernel decodes every
+    power and extra-axis value of a protocol in one pipeline per wave;
+    link specs reject per-node powers, so the layout never splits a link
+    run. Units carry their own power and flat index, so the merge is a
+    concatenation and cannot change a value.
     """
     n_channels = flat_gains.shape[0]
     runs = []
@@ -410,7 +411,11 @@ def _grid_batches(spec, flat_gains, start, stop):
             link=spec.link,
             indices=indices,
         )
-        if spec.link is not None and runs and runs[-1][0].protocol == protocol:
+        if (
+            runs
+            and runs[-1][0].protocol == protocol
+            and runs[-1][0].power.ndim == power_array.ndim
+        ):
             runs[-1].append(piece)
         else:
             runs.append([piece])
@@ -554,8 +559,9 @@ def run_campaign(
         evaluation advances (and once on a cache hit). A chunked run ticks
         once per completed chunk on every executor; the one-pass path (an
         in-process executor with no cache, shard, chunk size, fault plan
-        or deadline) ticks at the executor's own granularity. For a shard
-        run the totals are shard-local.
+        or deadline) ticks at the executor's own granularity: once per
+        protocol run on the vectorized executor, once per unit on the
+        serial one. For a shard run the totals are shard-local.
     shard:
         ``None`` evaluates the whole grid. A :class:`CampaignShard` (or
         ``(index, count)`` pair, 0-based) evaluates only that balanced

@@ -100,9 +100,9 @@ class UnitBatch:
 
     The array fields are aligned: unit ``i`` of the batch is
     ``(protocol, gains=(gab[i], gar[i], gbr[i]), power=power[i])``.
-    An analytic batch covers (part of) one grid block, so its power is
-    uniform; an operational batch may span every block of a protocol
-    run, so its power varies per unit.
+    A batch may span every block of a protocol run, so its power varies
+    per unit; ``power`` is ``(n,)`` (one shared power per unit) or
+    ``(n, 3)`` (per-node powers), never a mix of the two.
 
     Operational (link-level) campaigns additionally carry the
     :class:`~repro.campaign.spec.LinkSimSpec` and each unit's flat grid
@@ -244,9 +244,10 @@ class SerialExecutor:
 class VectorizedExecutor:
     """Evaluate whole batches in process, one kernel call per batch.
 
-    Batch size is bounded upstream: the engine cuts batches at its
-    ``chunk_size``, the kernel walks its cells in fixed-size passes and
-    the fused link driver caps rows per call.
+    The engine hands over one batch per protocol run, cut only at its
+    ``chunk_size``. Working sets stay bounded inside the kernels: the LP
+    kernel builds its tables in fixed-size slabs and solves them in
+    fixed-size passes, and the fused link driver caps rows per call.
     """
 
     name = "vectorized"

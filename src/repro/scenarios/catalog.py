@@ -61,7 +61,7 @@ def _row(entry: dict) -> str:
         f"| {axes} "
         f"| {entry['cells']} "
         f"| `{entry['objective']}` "
-        f"| {entry['grounding'] or '—'} "
+        f"| {entry['grounding']} "
         f"| {entry['description']} |"
     )
 

@@ -43,11 +43,15 @@ def register_scenario(target=None, *, name: str | None = None, replace: bool = F
     A factory is any zero-argument callable returning a
     :class:`Scenario`; its default name is the function name with
     underscores mapped to dashes. Registering an existing name raises
-    unless ``replace=True``.
+    unless ``replace=True``. A registered scenario must name its
+    ``grounding`` (the paper or result it reproduces): an instance
+    without one is refused here, a factory's scenario when
+    :func:`get_scenario` builds it.
     """
     if target is None:
         return lambda factory: register_scenario(factory, name=name, replace=replace)
     if isinstance(target, Scenario):
+        _check_grounding(name or target.name, target)
         _add(name or target.name, lambda: target, replace)
         return target
     if callable(target):
@@ -70,6 +74,14 @@ def _add(name: str, factory, replace: bool) -> None:
             "to overwrite it"
         )
     _REGISTRY[name] = factory
+
+
+def _check_grounding(name: str, scenario: Scenario) -> None:
+    if not scenario.grounding.strip():
+        raise InvalidParameterError(
+            f"scenario {name!r} has no grounding; a registered scenario must "
+            "name the paper or result it reproduces"
+        )
 
 
 def unregister_scenario(name: str) -> None:
@@ -105,6 +117,7 @@ def get_scenario(name: str, **params) -> Scenario:
         raise InvalidParameterError(
             f"factory for {name!r} returned {scenario!r}, not a Scenario"
         )
+    _check_grounding(name, scenario)
     return scenario
 
 

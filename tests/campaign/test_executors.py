@@ -219,3 +219,28 @@ class TestEveryExecutorName:
             assert result.cells_computed == spec.n_units
             values[name] = result.values.tobytes()
         assert len(set(values.values())) == 1
+
+
+def _analytic_scenario_names():
+    from repro.scenarios import get_scenario, list_scenarios
+
+    return [
+        name
+        for name in list_scenarios()
+        if get_scenario(name).to_campaign_spec().link is None
+    ]
+
+
+class TestRegisteredAnalyticScenarios:
+    """Every registered analytic scenario, one batch per protocol run."""
+
+    @pytest.mark.parametrize("name", _analytic_scenario_names())
+    def test_vectorized_serial_and_chunked_agree_bitwise(self, name):
+        from repro.scenarios import get_scenario
+
+        spec = get_scenario(name).to_campaign_spec()
+        vectorized = run_campaign(spec, executor="vectorized").values
+        serial = run_campaign(spec, executor="serial").values
+        chunked = run_campaign(spec, executor="vectorized", chunk_size=37).values
+        assert vectorized.tobytes() == serial.tobytes()
+        assert chunked.tobytes() == serial.tobytes()

@@ -111,15 +111,19 @@ class TestExtendedSpecStructure:
         batches = _grid_batches(
             extended_spec, draws.reshape(-1, 3), 0, extended_spec.n_units
         )
-        assert len(batches) == extended_spec.n_blocks
-        assert sum(len(b) for b in batches) == extended_spec.n_units
+        # One batch per protocol run, each covering that protocol's blocks.
+        assert [b.protocol for b in batches] == [Protocol.MABC, Protocol.HBC]
+        per_protocol = extended_spec.n_units // 2
+        assert [len(b) for b in batches] == [per_protocol, per_protocol]
         # Block 2 in C order over (protocol, power, pair, policy) is
         # (MABC, 10 dB, far pair, zero backoff); its first unit is draw 0.
-        batch = batches[2]
+        batch = batches[0]
+        first = 2 * extended_spec.n_channels
         assert batch.protocol is Protocol.MABC
-        assert batch.gab[0] == draws[0, 0, 0] * db_to_linear(-3.0)
-        assert batch.gar[0] == draws[0, 0, 1] * db_to_linear(2.0)
-        assert batch.gbr[0] == draws[0, 0, 2] * db_to_linear(-1.0)
+        assert batch.gab[first] == draws[0, 0, 0] * db_to_linear(-3.0)
+        assert batch.gar[first] == draws[0, 0, 1] * db_to_linear(2.0)
+        assert batch.gbr[first] == draws[0, 0, 2] * db_to_linear(-1.0)
+        assert batch.power[first] == db_to_linear(10.0)
 
     def test_dict_round_trip(self, extended_spec):
         clone = CampaignSpec.from_dict(extended_spec.to_dict())

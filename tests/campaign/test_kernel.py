@@ -8,12 +8,15 @@ closed-form equalization solves are checked against Cramer's rule and the
 bordered determinant, and its values against HiGHS on degenerate channels.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from repro.campaign.kernel import (
     _CELLS_PER_PASS,
+    _CELLS_PER_SLAB,
     _directional_mi_table,
     _equalization_values,
     _objective_functions,
@@ -123,6 +126,42 @@ class TestBatchInvariance:
             Protocol.HBC, gab[30:], gar[30:], gbr[30:], power[30:]
         )
         assert np.array_equal(full, np.concatenate([first, second]))
+
+
+class TestSlabs:
+    """Batches larger than one slab: same bits, bounded working set."""
+
+    def test_batch_spanning_several_slabs_equals_split_batches(self):
+        rng = np.random.default_rng(8)
+        n = 2 * _CELLS_PER_SLAB + 300
+        gab, gar, gbr = rng.exponential(1.0, (3, n))
+        powers = rng.uniform(0.5, 12.0, (n, 3))
+        for power in (powers[:, 0], powers):
+            full = batched_sum_rates(Protocol.HBC, gab, gar, gbr, power)
+            cuts = [0, 1000, _CELLS_PER_SLAB + 1, n - 1, n]
+            parts = [
+                batched_sum_rates(
+                    Protocol.HBC, gab[lo:hi], gar[lo:hi], gbr[lo:hi], power[lo:hi]
+                )
+                for lo, hi in zip(cuts, cuts[1:])
+            ]
+            assert np.array_equal(full, np.concatenate(parts))
+
+    def test_peak_memory_stays_at_one_slab(self):
+        def peak(n):
+            rng = np.random.default_rng(9)
+            gab, gar, gbr = rng.exponential(1.0, (3, n))
+            power = np.full(n, 10.0)
+            tracemalloc.start()
+            try:
+                batched_sum_rates(Protocol.HBC, gab, gar, gbr, power)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(8)  # warm the candidate caches outside the measurement
+        one_slab = peak(_CELLS_PER_SLAB)
+        assert peak(4 * _CELLS_PER_SLAB) <= 1.1 * one_slab
 
 
 class TestInterface:

@@ -3,7 +3,7 @@
 ``_grid_batches`` hands an operational (link) spec to the executors as
 one batch per maximal run of blocks sharing a protocol, so the fused link
 kernel decodes every power and extra-axis value of that protocol in one
-pipeline per wave; analytic specs keep one batch per block. The grouping
+pipeline per wave; analytic specs follow the same rule. The grouping
 is a pure execution layout: every cell keeps its own ``(seed, flat
 index)`` streams, so the values are bitwise-identical however the grid
 is batched, sliced or chunked.
@@ -90,13 +90,18 @@ class TestGrouping:
         assert np.array_equal(batches[0].indices, np.arange(start, boundary))
         assert np.array_equal(batches[1].indices, np.arange(boundary, stop))
 
-    def test_analytic_spec_keeps_one_batch_per_block(self, spec):
+    def test_analytic_spec_gets_one_batch_per_protocol_run(self, spec):
         analytic = dataclasses.replace(spec, link=None)
         flat_gains = analytic.sample_gain_draws().reshape(-1, 3)
         batches = _grid_batches(analytic, flat_gains, 0, analytic.n_units)
-        assert len(batches) == analytic.n_blocks
-        assert all(len(b) == analytic.n_channels for b in batches)
+        per_protocol = analytic.n_units // len(analytic.protocols)
+        assert [b.protocol for b in batches] == list(analytic.protocols)
+        assert [len(b) for b in batches] == [per_protocol] * len(analytic.protocols)
         assert all(b.indices is None for b in batches)
+        powers = np.concatenate([b.power for b in batches])
+        blocks = np.arange(analytic.n_units) // analytic.n_channels
+        expected = [analytic.block_params(int(block))[1] for block in blocks]
+        assert np.array_equal(powers, expected)
 
 
 class TestBitwiseAcrossLayouts:

@@ -13,7 +13,12 @@ import numpy as np
 import pytest
 
 from repro.campaign.cache import CampaignCache
-from repro.campaign.engine import evaluate_ensemble, gather_campaign, run_campaign
+from repro.campaign.engine import (
+    _grid_batches,
+    evaluate_ensemble,
+    gather_campaign,
+    run_campaign,
+)
 from repro.campaign.kernel import batched_sum_rates, mi_value_table
 from repro.campaign.spec import CampaignSpec, FadingSpec, GridAxis
 from repro.channels.gains import LinkGains
@@ -254,6 +259,52 @@ class TestExecutorsAndSharding:
         assert np.array_equal(
             shifted_values.values.reshape(-1), base_values.values.reshape(-1)
         )
+
+
+def mixed_layout_spec():
+    """TDBC blocks alternating per-node and shared power layouts."""
+    return CampaignSpec(
+        protocols=(Protocol.TDBC,),
+        powers_db=(0.0, 10.0),
+        gains=(PAPER_GAINS,),
+        fading=FadingSpec(n_draws=5, seed=17),
+        extra_axes=(
+            GridAxis(
+                name="alloc",
+                values=(
+                    {"node_powers_db": (0.0, 0.0, 3.0)},
+                    {"power_db_offset": 0.0},
+                ),
+            ),
+        ),
+    )
+
+
+class TestMixedPowerLayouts:
+    """A protocol run whose blocks alternate ``(n, 3)`` and ``(n,)`` powers."""
+
+    @pytest.fixture(scope="class")
+    def spec(self):
+        return mixed_layout_spec()
+
+    @pytest.fixture(scope="class")
+    def serial_values(self, spec):
+        return run_campaign(spec, executor="serial").values
+
+    def test_batches_split_where_the_power_layout_changes(self, spec):
+        flat_gains = spec.sample_gain_draws().reshape(-1, 3)
+        batches = _grid_batches(spec, flat_gains, 0, spec.n_units)
+        assert [b.power.ndim for b in batches] == [2, 1, 2, 1]
+        assert [len(b) for b in batches] == [spec.n_channels] * 4
+
+    def test_one_pass_matches_serial_bitwise(self, spec, serial_values):
+        values = run_campaign(spec, executor="vectorized").values
+        assert values.tobytes() == serial_values.tobytes()
+
+    def test_chunks_splitting_blocks_match_serial_bitwise(self, spec, serial_values):
+        chunk_size = spec.n_channels + 2
+        result = run_campaign(spec, executor="vectorized", chunk_size=chunk_size)
+        assert result.values.tobytes() == serial_values.tobytes()
 
 
 class TestEnsembleWidening:

@@ -101,24 +101,21 @@ class TestExpansion:
     def test_grid_batches_cover_every_unit_in_order(self, small_spec):
         flat_gains = small_spec.sample_gain_draws().reshape(-1, 3)
         batches = _grid_batches(small_spec, flat_gains, 0, small_spec.n_units)
-        # One batch per (protocol, power) block of 5 draws, in C order.
-        assert [len(b) for b in batches] == [5, 5, 5, 5]
-        assert [b.protocol for b in batches] == [
-            Protocol.MABC,
-            Protocol.MABC,
-            Protocol.HBC,
-            Protocol.HBC,
-        ]
-        # First block is MABC at 0 dB (power 1.0 linear).
-        assert np.all(batches[0].power == pytest.approx(1.0))
-        assert np.all(batches[1].power == pytest.approx(10.0))
+        # One batch per protocol run: 2 powers x 5 draws, in C order.
+        assert [len(b) for b in batches] == [10, 10]
+        assert [b.protocol for b in batches] == [Protocol.MABC, Protocol.HBC]
+        # First block is MABC at 0 dB (power 1.0 linear), then 10 dB.
+        assert np.all(batches[0].power[:5] == pytest.approx(1.0))
+        assert np.all(batches[0].power[5:] == pytest.approx(10.0))
 
     def test_draws_paired_across_protocols_and_powers(self, small_spec):
         flat_gains = small_spec.sample_gain_draws().reshape(-1, 3)
         batches = _grid_batches(small_spec, flat_gains, 0, small_spec.n_units)
-        for batch in batches[1:]:
-            for link in ("gab", "gar", "gbr"):
-                assert np.array_equal(getattr(batch, link), getattr(batches[0], link))
+        first = batches[0].slice(0, 5)
+        for batch in batches:
+            for block in (batch.slice(0, 5), batch.slice(5, 10)):
+                for link in ("gab", "gar", "gbr"):
+                    assert np.array_equal(getattr(block, link), getattr(first, link))
 
     def test_no_fading_means_single_draw_of_means(self, paper_gains):
         spec = CampaignSpec(

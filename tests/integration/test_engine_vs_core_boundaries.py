@@ -17,19 +17,21 @@ from repro.network.cutset import GaussianMIOracle, cutset_outer_bound
 from repro.network.model import bidirectional_relay_network
 
 
-@pytest.mark.parametrize("protocol,n_phases", [
-    (Protocol.MABC, 2),
-    (Protocol.TDBC, 3),
-    (Protocol.HBC, 4),
-    (Protocol.NAIVE4, 4),
-])
+@pytest.mark.parametrize(
+    "protocol,n_phases",
+    [
+        (Protocol.MABC, 2),
+        (Protocol.TDBC, 3),
+        (Protocol.HBC, 4),
+        (Protocol.NAIVE4, 4),
+    ],
+)
 class TestBoundaryEquivalence:
     def test_boundaries_match(self, protocol, n_phases, channel_high):
         constraints = cutset_outer_bound(
             bidirectional_relay_network(),
             protocol_schedule(protocol),
-            GaussianMIOracle(gains=channel_high.gains,
-                             power=channel_high.power),
+            GaussianMIOracle(gains=channel_high.gains, power=channel_high.power),
         )
         engine_boundary = cutset_boundary(constraints, n_phases, n_points=9)
         core_boundary = outer_bound_region(protocol, channel_high).boundary(9)
@@ -49,5 +51,4 @@ class TestBoundaryEquivalence:
         )
         engine_point = cutset_max_sum_rate(constraints, n_phases)
         core_point = outer_bound_region(protocol, channel_low).max_sum_rate()
-        assert engine_point.sum_rate == pytest.approx(core_point.sum_rate,
-                                                      abs=1e-7)
+        assert engine_point.sum_rate == pytest.approx(core_point.sum_rate, abs=1e-7)

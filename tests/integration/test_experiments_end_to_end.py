@@ -34,8 +34,7 @@ class TestRegistryEndToEnd:
         for eid in ("fig4a", "fig4b"):
             summary_title, headers, rows = reports[eid].tables[0]
             region_names = {row[0] for row in rows}
-            assert region_names == {"DT", "MABC", "TDBC inner",
-                                    "TDBC outer", "HBC"}
+            assert region_names == {"DT", "MABC", "TDBC inner", "TDBC outer", "HBC"}
 
     def test_headline_points_reported_at_high_snr(self, reports):
         titles = [t for t, _h, _r in reports["fig4b"].tables]

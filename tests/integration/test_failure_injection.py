@@ -27,8 +27,9 @@ def codec():
 
 @pytest.fixture
 def quiet_medium():
-    return HalfDuplexMedium(gains=LinkGains.from_db(0.0, 3.0, 6.0),
-                            noise=ComplexAwgn(1e-9))
+    return HalfDuplexMedium(
+        gains=LinkGains.from_db(0.0, 3.0, 6.0), noise=ComplexAwgn(1e-9)
+    )
 
 
 def transmit(medium, node, symbols, rng):
@@ -46,16 +47,16 @@ def run_tdbc_with_corrupt_relay(codec, medium, rng, *, corrupt_bits):
 
     out1 = transmit(medium, "a", amp * codec.encode_frame_bits(frame_a), rng)
     a_at_b_direct = codec.decode(
-        out1["b"],
-        medium.complex_gains[frozenset(("a", "b"))], 1e-9, amplitude=amp)
+        out1["b"], medium.complex_gains[frozenset(("a", "b"))], 1e-9, amplitude=amp
+    )
     a_at_r = codec.decode(
-        out1["r"],
-        medium.complex_gains[frozenset(("a", "r"))], 1e-9, amplitude=amp)
+        out1["r"], medium.complex_gains[frozenset(("a", "r"))], 1e-9, amplitude=amp
+    )
 
     out2 = transmit(medium, "b", amp * codec.encode_frame_bits(frame_b), rng)
     b_at_r = codec.decode(
-        out2["r"],
-        medium.complex_gains[frozenset(("b", "r"))], 1e-9, amplitude=amp)
+        out2["r"], medium.complex_gains[frozenset(("b", "r"))], 1e-9, amplitude=amp
+    )
 
     # The relay builds the XOR frame, then a fault flips bits in it.
     relay_frame = xor_bits(a_at_r.frame_bits, b_at_r.frame_bits).copy()
@@ -63,24 +64,29 @@ def run_tdbc_with_corrupt_relay(codec, medium, rng, *, corrupt_bits):
         relay_frame[position] ^= 1
     out3 = transmit(medium, "r", amp * codec.encode_frame_bits(relay_frame), rng)
     relay_at_b = codec.decode(
-        out3["b"],
-        medium.complex_gains[frozenset(("b", "r"))], 1e-9, amplitude=amp)
-    estimate = arbitrate_paths(codec, relay_frame=relay_at_b,
-                               own_frame_bits=frame_b,
-                               direct_frame=a_at_b_direct)
+        out3["b"], medium.complex_gains[frozenset(("b", "r"))], 1e-9, amplitude=amp
+    )
+    estimate = arbitrate_paths(
+        codec,
+        relay_frame=relay_at_b,
+        own_frame_bits=frame_b,
+        direct_frame=a_at_b_direct,
+    )
     return wa, estimate
 
 
 class TestCorruptRelay:
     def test_clean_relay_uses_relay_path(self, codec, quiet_medium, rng):
         wa, estimate = run_tdbc_with_corrupt_relay(
-            codec, quiet_medium, rng, corrupt_bits=0)
+            codec, quiet_medium, rng, corrupt_bits=0
+        )
         assert estimate.path is DecodePath.RELAY
         np.testing.assert_array_equal(estimate.payload, wa)
 
     def test_corrupt_relay_falls_back_to_direct(self, codec, quiet_medium, rng):
         wa, estimate = run_tdbc_with_corrupt_relay(
-            codec, quiet_medium, rng, corrupt_bits=3)
+            codec, quiet_medium, rng, corrupt_bits=3
+        )
         assert estimate.path is DecodePath.DIRECT
         assert estimate.crc_ok
         np.testing.assert_array_equal(estimate.payload, wa)
@@ -91,7 +97,8 @@ class TestCorruptRelay:
         rng = np.random.default_rng(77)
         for corrupt_bits in (1, 2, 5, 8):
             wa, estimate = run_tdbc_with_corrupt_relay(
-                codec, quiet_medium, rng, corrupt_bits=corrupt_bits)
+                codec, quiet_medium, rng, corrupt_bits=corrupt_bits
+            )
             if estimate.crc_ok:
                 np.testing.assert_array_equal(estimate.payload, wa)
 
@@ -105,13 +112,15 @@ class TestMabcNoFallback:
         frame_a, frame_b = codec.crc.append(wa), codec.crc.append(wb)
         corrupted = xor_bits(frame_a, frame_b).copy()
         corrupted[0] ^= 1
-        out = transmit(
-            quiet_medium, "r", amp * codec.encode_frame_bits(corrupted), rng)
+        out = transmit(quiet_medium, "r", amp * codec.encode_frame_bits(corrupted), rng)
         relay_at_b = codec.decode(
             out["b"],
-            quiet_medium.complex_gains[frozenset(("b", "r"))], 1e-9,
-            amplitude=amp)
-        estimate = arbitrate_paths(codec, relay_frame=relay_at_b,
-                                   own_frame_bits=frame_b, direct_frame=None)
+            quiet_medium.complex_gains[frozenset(("b", "r"))],
+            1e-9,
+            amplitude=amp,
+        )
+        estimate = arbitrate_paths(
+            codec, relay_frame=relay_at_b, own_frame_bits=frame_b, direct_frame=None
+        )
         assert estimate.path is DecodePath.FAILED
         assert not estimate.crc_ok

@@ -23,8 +23,7 @@ from repro.simulation.modulation import Qpsk
 
 @pytest.fixture
 def qpsk_codec():
-    return LinkCodec(payload_bits=32, code=TEST_CODE, crc=CRC8,
-                     modulation=Qpsk())
+    return LinkCodec(payload_bits=32, code=TEST_CODE, crc=CRC8, modulation=Qpsk())
 
 
 @pytest.fixture
@@ -33,8 +32,9 @@ def bpsk_codec():
 
 
 def make_engine(codec, noise_power=1e-6):
-    medium = HalfDuplexMedium(gains=LinkGains.from_db(-3.0, 3.0, 6.0),
-                              noise=ComplexAwgn(noise_power))
+    medium = HalfDuplexMedium(
+        gains=LinkGains.from_db(-3.0, 3.0, 6.0), noise=ComplexAwgn(noise_power)
+    )
     return ProtocolEngine(medium=medium, codec=codec, power=10.0)
 
 
@@ -54,8 +54,9 @@ class TestQpskCodec:
 
 
 class TestQpskProtocols:
-    @pytest.mark.parametrize("protocol", list(Protocol),
-                             ids=[p.value for p in Protocol])
+    @pytest.mark.parametrize(
+        "protocol", list(Protocol), ids=[p.value for p in Protocol]
+    )
     def test_clean_channel_round(self, protocol, qpsk_codec, rng):
         engine = make_engine(qpsk_codec)
         wa, wb = random_bits(rng, 32), random_bits(rng, 32)

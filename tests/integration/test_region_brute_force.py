@@ -28,11 +28,14 @@ def simplex_grid(n_phases: int, steps: int):
             yield tuple(c / steps for c in combo) + (tail / steps,)
 
 
-@pytest.mark.parametrize("protocol,steps", [
-    (Protocol.MABC, 40),
-    (Protocol.TDBC, 12),
-    (Protocol.HBC, 6),
-])
+@pytest.mark.parametrize(
+    "protocol,steps",
+    [
+        (Protocol.MABC, 40),
+        (Protocol.TDBC, 12),
+        (Protocol.HBC, 6),
+    ],
+)
 def test_lp_region_dominates_sampled_pentagons(protocol, steps, channel_high):
     spec = bound_for(protocol, BoundKind.INNER)
     evaluated = channel_high.evaluate(spec)
@@ -71,6 +74,5 @@ def test_time_sharing_convexifies(channel_high):
     caps_2 = evaluated.rate_caps((0.3, 0.7))
     point_1 = (caps_1["Ra"], min(caps_1["Rb"], caps_1["Ra+Rb"] - caps_1["Ra"]))
     point_2 = (caps_2["Ra"], min(caps_2["Rb"], caps_2["Ra+Rb"] - caps_2["Ra"]))
-    midpoint = (0.5 * (point_1[0] + point_2[0]),
-                0.5 * (point_1[1] + point_2[1]))
+    midpoint = (0.5 * (point_1[0] + point_2[0]), 0.5 * (point_1[1] + point_2[1]))
     assert region.contains(midpoint[0] * 0.999, midpoint[1] * 0.999, tol=1e-7)

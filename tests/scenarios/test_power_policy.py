@@ -226,6 +226,7 @@ class TestRegistryParams:
             description="registered as a ready-made instance",
             protocols=(Protocol.MABC,),
             topology=Topology(gains=(paper_gains,)),
+            grounding="Kim, Mitran & Tarokh, ICDCS Workshops 2007",
         )
         register_scenario(scenario)
         try:

@@ -1,5 +1,7 @@
 """Registry round-trip tests: register -> list -> resolve -> evaluate."""
 
+import dataclasses
+
 import pytest
 
 from repro.campaign.spec import FadingSpec
@@ -38,6 +40,7 @@ def scratch_scenario(paper_gains):
         topology=Topology(gains=(paper_gains,)),
         power=PowerPolicy.uniform(powers_db=(10.0,)),
         fading=FadingSpec(n_draws=2, seed=9),
+        grounding="Kim, Mitran & Tarokh, ICDCS Workshops 2007",
     )
 
 
@@ -141,6 +144,29 @@ class TestRegistration:
 
         with pytest.raises(InvalidParameterError):
             get_scenario("scratch-factory")
+
+    def test_ungrounded_instance_rejected_at_registration(
+        self, scratch_scenario, clean_registry
+    ):
+        for grounding in ("", "  "):
+            ungrounded = dataclasses.replace(scratch_scenario, grounding=grounding)
+            with pytest.raises(InvalidParameterError, match="grounding"):
+                register_scenario(ungrounded)
+            assert "scratch-test-scenario" not in list_scenarios()
+
+    def test_ungrounded_factory_rejected_when_built(
+        self, scratch_scenario, clean_registry
+    ):
+        @register_scenario(name="scratch-factory")
+        def scratch_factory():
+            return dataclasses.replace(scratch_scenario, grounding="")
+
+        with pytest.raises(InvalidParameterError, match="grounding"):
+            get_scenario("scratch-factory")
+
+    def test_every_registered_scenario_is_grounded(self):
+        for name in list_scenarios():
+            assert get_scenario(name).grounding.strip()
 
 
 class TestEvaluateByName:
