@@ -54,7 +54,6 @@ from ..channels.pathloss import linear_relay_gains
 from ..core.protocols import Protocol
 from ..exceptions import InvalidParameterError
 from ..experiments.config import FIG3_DEFAULT, Fig3Config
-from ..simulation.sampling import ImportanceSamplingSpec
 from .base import PowerPolicy, RelayPair, Scenario, Topology
 from .registry import register_scenario
 
@@ -344,6 +343,9 @@ def operational_deepfade_fer_scenario() -> Scenario:
     machinery of ``repro.core`` places safely outside outage, which is
     what the cross-validation tests check (cf. arXiv:0903.1502).
     """
+    # Imported here so an analytic-only caller never loads the link simulator.
+    from ..simulation.sampling import ImportanceSamplingSpec
+
     return Scenario(
         name="operational-deepfade-fer",
         description="importance-sampled rare-event FER over deep-fade draws",

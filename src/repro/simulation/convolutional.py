@@ -45,23 +45,26 @@ overflowing sum add ``argmax``'s rule that the first NaN wins. Every
 operation is elementwise along the rows, so each row sees the oracle's
 sequence of roundings.
 
-**(b) Certified codeword shortcut.** Let ``c = (llr < 0)`` be a row's
-hard decisions. With ``Σ_j a_j·g_j = 1`` over GF(2)[D] (extended Euclid
-on the generators, once per code), ``u = Σ_j a_j·c_j`` recovers the
-information word whenever ``c`` is a codeword. If ``encode(u) == c``,
-then ``c`` is a terminated codeword that agrees in sign with every LLR,
-so it has the largest exact metric ``M(c) = ½·A`` with ``A = Σ|llr|``.
-A row whose certificate holds returns ``u`` and skips the ACS. The
-certificate is that every LLR is normal (finite, non-zero, not
-subnormal), ``A ≤ 2^1020`` and ``δ > 2·γ_{T+n}·A``, where ``δ`` is the
-sum of the ``d_free`` smallest ``|llr|``, ``γ_k = k·u/(1 − k·u)`` and
-``u = 2^-53``. The proof has three steps.
+**(b) Certified candidate shortcut.** The caller passes each row's
+transmitted information word ``û`` as ``sent``. Let ``ĉ = encode(û)``
+and give position ``i`` the signed reliability
+``w_i = (1 − 2·ĉ_i)·llr_i``: ``+|llr_i|`` where ``ĉ_i`` agrees with the
+LLR's sign and ``−|llr_i|`` where it does not. A path's exact metric is
+``M(p) = ½·Σ_i (1 − 2·p_i)·llr_i``, so
+``M(ĉ) − M(p) = Σ_{i: p_i ≠ ĉ_i} w_i``. A row whose certificate holds
+returns ``û`` and skips the ACS. The certificate is that every LLR is
+normal (finite, non-zero, not subnormal), ``A = Σ|llr| ≤ 2^1020`` and
+``δ > 2·γ_{T+n}·A``, where ``δ`` is the sum of the ``d_free`` smallest
+``w_i``, ``γ_k = k·u/(1 − k·u)`` and ``u = 2^-53``. Then ``δ > 0``, so
+the ``d_free``-th smallest ``w_i`` is positive, and so is every ``w_i``
+outside the ``d_free`` smallest: the ``w_i`` of any ``m ≥ d_free``
+positions sum to at least ``δ``. The proof has three steps.
 
-1. Take any state ``σ`` on ``c``'s path at step ``t + 1``. The rival
+1. Take any state ``σ`` on ``ĉ``'s path at step ``t + 1``. The rival
    candidate there is a path ``p`` from state 0 that differs from
-   ``c``'s prefix. By linearity ``p ⊕ c`` leaves state 0 and returns to
-   it, so it has weight at least ``d_free``. The exact metrics therefore
-   satisfy ``M(c) − M(p) = Σ_{i: p_i ≠ c_i} |llr_i| ≥ δ``.
+   ``ĉ``'s prefix. By linearity ``p ⊕ ĉ`` leaves state 0 and returns to
+   it, so the two differ in at least ``d_free`` positions, and the exact
+   metrics satisfy ``M(ĉ) − M(p) = Σ_{i: p_i ≠ ĉ_i} w_i ≥ δ``.
 2. A survivor's float metric is the float running sum along its own
    path. Each branch sum has ``n − 1`` additions and each metric at most
    ``T``, so relative errors compose to ``γ_{T+n}``. Halving a sum is
@@ -70,13 +73,21 @@ sum of the ``d_free`` smallest ``|llr|``, ``γ_k = k·u/(1 − k·u)`` and
    All-normal LLRs give ``γ_{T+n}·A ≥ (T+n)·nT·2^-1075 ≥ 3T·2^-1075``
    (``T ≥ 2``), so twice the error is at most ``2·γ_{T+n}·A``.
    ``A ≤ 2^1020`` keeps every value finite.
-3. Hence ``cand_c − cand_p ≥ δ − 2·γ_{T+n}·A > 0`` at every step. Both
-   ``decode`` and the ACS keep ``c``'s branch strictly, and the
-   traceback from state 0 returns ``u``.
+3. Hence ``cand_ĉ − cand_p ≥ δ − 2·γ_{T+n}·A > 0`` at every step. Both
+   ``decode`` and the ACS keep ``ĉ``'s branch strictly, and the
+   traceback from state 0 returns ``û``.
 
-The code tests ``δ̂ > 4·γ_{T+n}·Â`` on the float sums. The extra factor
-2 covers their own rounding, a relative ``γ_N`` ≪ 1. Rows that fail
-the certificate run the butterfly ACS.
+The code tests ``δ̂ > 4·γ_k·Â`` on float sums, with
+``k = max(T + n, d_free)``. ``Â`` sums ``N = nT`` terms and the
+threshold adds two roundings, so it is at least
+``4·γ_k·A·(1 − γ_{N+1})``. The signed sum ``δ̂`` adds ``d_free`` terms
+of either sign, which can cancel, so its error bound is absolute:
+``|δ̂ − δ| ≤ γ_{d_free−1}·Σ|w_i| ≤ γ_k·A``. Together
+``δ > (3 − 4·γ_{N+1})·γ_k·A ≥ 2·γ_{T+n}·A``. Rows that fail the
+certificate run the butterfly ACS. The proof holds for any codeword
+candidate, so ``sent`` decides only which rows skip the ACS, never a
+decoded bit: a row whose ``sent`` word is not the ML one fails the
+certificate and runs the ACS.
 """
 
 from __future__ import annotations
@@ -148,47 +159,6 @@ def _pattern_metrics(planes: np.ndarray) -> np.ndarray:
     for j in range(1, n_outputs):
         acc = acc + signs[:, j, None] * planes[j][:, None, :]
     return 0.5 * acc
-
-
-def _gf2_mul(a: int, b: int) -> int:
-    """Product of two GF(2)[D] polynomials (bit ``i`` holds ``D^i``)."""
-    product = 0
-    while b:
-        if b & 1:
-            product ^= a
-        a <<= 1
-        b >>= 1
-    return product
-
-
-def _gf2_bezout(a: int, b: int) -> tuple:
-    """``(g, x, y)`` with ``x·a ⊕ y·b = g = gcd(a, b)`` over GF(2)[D]."""
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        quotient, remainder = 0, a
-        while remainder.bit_length() >= b.bit_length():
-            shift = remainder.bit_length() - b.bit_length()
-            quotient ^= 1 << shift
-            remainder ^= b << shift
-        a, b = b, remainder
-        x0, x1 = x1, x0 ^ _gf2_mul(quotient, x1)
-        y0, y1 = y1, y0 ^ _gf2_mul(quotient, y1)
-    return a, x0, y0
-
-
-def _bezout_inverse(polynomials) -> tuple | None:
-    """Polynomials ``a_j`` with ``Σ_j a_j·g_j = 1``, or ``None`` if none exist.
-
-    Folds the extended Euclidean algorithm over the generators, keeping
-    ``Σ_j a_j·g_j = gcd(g_0, ..., g_j)``. The gcd is 1 exactly when the
-    code is not catastrophic.
-    """
-    gcd, coefficients = polynomials[0], [1] + [0] * (len(polynomials) - 1)
-    for j in range(1, len(polynomials)):
-        gcd, x, y = _gf2_bezout(gcd, polynomials[j])
-        coefficients = [_gf2_mul(x, c) for c in coefficients]
-        coefficients[j] = y
-    return tuple(coefficients) if gcd == 1 else None
 
 
 def _free_distance(next_state: np.ndarray, outputs: np.ndarray) -> int:
@@ -311,7 +281,7 @@ class ConvolutionalCode:
         return np.stack(streams, axis=2).reshape(n_rows, n_steps * self.n_outputs)
 
     def _trellis(self) -> dict:
-        """Build (and cache) the trellis, Bezout and free-distance tables."""
+        """Build (and cache) the trellis and free-distance tables."""
         if self._tables:
             return self._tables
         k = self.constraint_length
@@ -384,7 +354,6 @@ class ConvolutionalCode:
                 "slot1_negated": np.array_equal(
                     branch_patterns[1], branch_patterns[0] ^ ((1 << self.n_outputs) - 1)
                 ),
-                "bezout": _bezout_inverse(polynomials),
                 "d_free": _free_distance(next_state, outputs),
             },
         )
@@ -440,14 +409,18 @@ class ConvolutionalCode:
             state = pred_state[state, slot]
         return decoded[:n_info_bits]
 
-    def decode_rows(self, llr_rows, n_info_bits: int) -> np.ndarray:
+    def decode_rows(self, llr_rows, n_info_bits: int, sent) -> np.ndarray:
         """Viterbi-decode a batch of frames in one trellis pass.
 
         ``llr_rows`` has shape ``(R, n_coded_bits(n_info_bits))``; the
-        result is the ``(R, n_info_bits)`` batch of ML information-bit
-        sequences. Rows with a certified hard-decision codeword return it
-        directly and the rest run the butterfly ACS (module docstring), so
-        row ``r`` equals ``decode(llr_rows[r], n_info_bits)`` bit for bit.
+        result is a fresh ``(R, n_info_bits)`` batch of ML information-bit
+        sequences. ``sent`` gives each row's transmitted information
+        word, ``(R, n_info_bits)``, as the certificate's candidate: a row
+        whose sent word is provably ML, even across a few low-reliability
+        sign errors, returns it and skips the trellis. It cannot change a
+        value. The other rows run the butterfly ACS (module docstring),
+        so row ``r`` equals ``decode(llr_rows[r], n_info_bits)`` bit for
+        bit.
         """
         llr_arr = np.asarray(llr_rows, dtype=float)
         expected = self.n_coded_bits(n_info_bits)
@@ -456,43 +429,37 @@ class ConvolutionalCode:
                 f"expected (rows, {expected}) LLRs for {n_info_bits} info "
                 f"bits, got shape {llr_arr.shape}"
             )
-        decoded, certified = self._certified_codewords(llr_arr, n_info_bits)
-        rest = np.flatnonzero(~certified)
+        decoded = as_bit_rows(sent)
+        if decoded.shape != (llr_arr.shape[0], n_info_bits):
+            raise InvalidParameterError(
+                f"expected ({llr_arr.shape[0]}, {n_info_bits}) sent bits, "
+                f"got shape {decoded.shape}"
+            )
+        rest = np.flatnonzero(~self._certified(llr_arr, decoded))
         if rest.size:
             decoded[rest] = self._butterfly_viterbi(llr_arr, rest, n_info_bits)
         return decoded
 
-    def _certified_codewords(self, llr_arr: np.ndarray, n_info_bits: int) -> tuple:
-        """Rows whose hard decisions are a codeword Viterbi provably returns.
+    def _certified(self, llr_arr: np.ndarray, info: np.ndarray) -> np.ndarray:
+        """Rows whose Viterbi output is provably their candidate ``info[r]``.
 
-        Returns ``(info, certified)``: for each row with ``certified[r]``,
-        ``info[r]`` is the information word of its hard decisions, which
-        is the decoder's output by the certificate in the module docstring.
+        Applies the signed certificate of the module docstring.
         """
-        tables = self._trellis()
-        n_rows = llr_arr.shape[0]
-        info = np.zeros((n_rows, n_info_bits), dtype=np.uint8)
-        if tables["bezout"] is None:
-            return info, np.zeros(n_rows, dtype=bool)
-        n_steps = n_info_bits + self.constraint_length - 1
-        hard = (llr_arr < 0).view(np.uint8)
-        streams = hard.reshape(n_rows, n_steps, self.n_outputs)
-        # u = Σ_j a_j·c_j: shift-XORs, truncated to the information bits.
-        for j, a in enumerate(tables["bezout"]):
-            span = n_steps + max(a.bit_length() - 1, 0)
-            info ^= _shift_xor_rows(streams[:, :, j], a, span)[:, :n_info_bits]
-        certified = np.all(self._encode_rows(info) == hard, axis=1)
-
-        d_free = tables["d_free"]
-        magnitudes = np.abs(llr_arr)
-        smallest = np.partition(magnitudes, d_free - 1, axis=1)[:, :d_free]
-        total = magnitudes.sum(axis=1)
-        k = n_steps + self.n_outputs
-        gamma = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
-        certified &= smallest.min(axis=1) >= np.finfo(float).tiny
+        d_free = self._trellis()["d_free"]
+        n_steps = info.shape[1] + self.constraint_length - 1
+        signed = np.abs(llr_arr)
+        total = signed.sum(axis=1)
+        certified = signed.min(axis=1) >= np.finfo(float).tiny
         certified &= total <= _SUM_LIMIT
-        certified &= smallest.sum(axis=1) > 4.0 * gamma * total
-        return info, certified
+        # w = ±|llr|, negative where the candidate disagrees with the sign.
+        hard = (llr_arr < 0).view(np.uint8)
+        signed[(self._encode_rows(info) ^ hard).view(bool)] *= -1.0
+        signed.partition(d_free - 1, axis=1)  # in place: `signed` is scratch
+        with np.errstate(invalid="ignore"):  # inf - inf on rows the guards drop
+            margin = signed[:, :d_free].sum(axis=1)
+        k = max(n_steps + self.n_outputs, d_free)
+        gamma = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+        return certified & (margin > 4.0 * gamma * total)
 
     def _butterfly_viterbi(
         self, llr_arr: np.ndarray, rows: np.ndarray, n_info_bits: int

@@ -767,6 +767,21 @@ class BatchedProtocolEngine(_LinkEngine):
             )
         return wa, wb
 
+    def _decode(self, phase, listener: str, source: str, sent, codec=None):
+        """Decode the frames ``source`` sent in ``phase`` as ``listener`` hears them.
+
+        ``sent`` is the frame batch ``source`` transmitted. The decoder
+        takes it as its certified candidates, which decides only how many
+        rows skip the trellis and cannot change a value.
+        """
+        return (codec or self.codec).decode_rows(
+            phase.signal_at(listener),
+            self._gain(listener, source),
+            self._noise_power,
+            amplitude=self._amplitude,
+            sent=sent,
+        )
+
     @staticmethod
     def _direction_rows(sent_rows, estimate) -> tuple:
         errors = hamming_distance_rows(sent_rows, estimate.payload)
@@ -781,20 +796,18 @@ class BatchedProtocolEngine(_LinkEngine):
         wa, wb = self._check_payload_batch(payload_rows_a, payload_rows_b, codec)
         amp = self._amplitude
         s1, s2 = self._phase_streams(Protocol.DT, None, phase_streams)
+        frames_a = codec.crc.append_rows(wa)
+        frames_b = codec.crc.append_rows(wb)
 
         out1 = self.medium.run_phase_rows(
-            {"a": amp * codec.encode_rows(wa)}, ("b",), s1
+            {"a": amp * codec.encode_frame_rows(frames_a)}, ("b",), s1
         )
-        frames_at_b = codec.decode_rows(
-            out1.signal_at("b"), self._gain("a", "b"), self._noise_power, amplitude=amp
-        )
+        frames_at_b = self._decode(out1, "b", "a", frames_a)
         del out1
         out2 = self.medium.run_phase_rows(
-            {"b": amp * codec.encode_rows(wb)}, ("a",), s2
+            {"b": amp * codec.encode_frame_rows(frames_b)}, ("a",), s2
         )
-        frames_at_a = codec.decode_rows(
-            out2.signal_at("a"), self._gain("a", "b"), self._noise_power, amplitude=amp
-        )
+        frames_at_a = self._decode(out2, "a", "b", frames_b)
         del out2
 
         err_ab = hamming_distance_rows(wa, frames_at_b.payload)
@@ -823,31 +836,23 @@ class BatchedProtocolEngine(_LinkEngine):
         out1 = self.medium.run_phase_rows(
             {"a": amp * codec.encode_frame_rows(frames_a)}, ("r",), s1
         )
-        a_at_r = codec.decode_rows(
-            out1.signal_at("r"), self._gain("a", "r"), self._noise_power, amplitude=amp
-        )
+        a_at_r = self._decode(out1, "r", "a", frames_a)
         del out1
         out2 = self.medium.run_phase_rows(
             {"r": amp * codec.encode_frame_rows(a_at_r.frame_bits)}, ("b",), s2
         )
-        a_at_b = codec.decode_rows(
-            out2.signal_at("b"), self._gain("b", "r"), self._noise_power, amplitude=amp
-        )
+        a_at_b = self._decode(out2, "b", "r", a_at_r.frame_bits)
         del out2
 
         out3 = self.medium.run_phase_rows(
             {"b": amp * codec.encode_frame_rows(frames_b)}, ("r",), s3
         )
-        b_at_r = codec.decode_rows(
-            out3.signal_at("r"), self._gain("b", "r"), self._noise_power, amplitude=amp
-        )
+        b_at_r = self._decode(out3, "r", "b", frames_b)
         del out3
         out4 = self.medium.run_phase_rows(
             {"r": amp * codec.encode_frame_rows(b_at_r.frame_bits)}, ("a",), s4
         )
-        b_at_a = codec.decode_rows(
-            out4.signal_at("a"), self._gain("a", "r"), self._noise_power, amplitude=amp
-        )
+        b_at_a = self._decode(out4, "a", "r", b_at_r.frame_bits)
         del out4
 
         err_ab = hamming_distance_rows(wa, a_at_b.payload)
@@ -888,6 +893,8 @@ class BatchedProtocolEngine(_LinkEngine):
             gain_b=self._gain("b", "r"),
             noise_power=self._noise_power,
             amplitude=amp,
+            sent_a=frames_a,
+            sent_b=frames_b,
         )
         del out1
 
@@ -895,12 +902,8 @@ class BatchedProtocolEngine(_LinkEngine):
         out2 = self.medium.run_phase_rows(
             {"r": amp * codec.encode_frame_rows(relay_frames)}, ("a", "b"), s2
         )
-        relay_at_a = codec.decode_rows(
-            out2.signal_at("a"), self._gain("a", "r"), self._noise_power, amplitude=amp
-        )
-        relay_at_b = codec.decode_rows(
-            out2.signal_at("b"), self._gain("b", "r"), self._noise_power, amplitude=amp
-        )
+        relay_at_a = self._decode(out2, "a", "r", relay_frames)
+        relay_at_b = self._decode(out2, "b", "r", relay_frames)
         del out2
 
         est_b_at_a = arbitrate_paths_rows(
@@ -935,9 +938,7 @@ class BatchedProtocolEngine(_LinkEngine):
         out1 = self.medium.run_phase_rows(
             {"a": amp * codec.encode_frame_rows(frames_a)}, ("b", "r"), s1
         )
-        a_at_r = codec.decode_rows(
-            out1.signal_at("r"), self._gain("a", "r"), self._noise_power, amplitude=amp
-        )
+        a_at_r = self._decode(out1, "r", "a", frames_a)
         a_at_b_llrs = codec.demodulate_rows(
             out1.signal_at("b"), self._gain("a", "b"), self._noise_power, amplitude=amp
         )
@@ -946,9 +947,7 @@ class BatchedProtocolEngine(_LinkEngine):
         out2 = self.medium.run_phase_rows(
             {"b": amp * codec.encode_frame_rows(frames_b)}, ("a", "r"), s2
         )
-        b_at_r = codec.decode_rows(
-            out2.signal_at("r"), self._gain("b", "r"), self._noise_power, amplitude=amp
-        )
+        b_at_r = self._decode(out2, "r", "b", frames_b)
         b_at_a_llrs = codec.demodulate_rows(
             out2.signal_at("a"), self._gain("a", "b"), self._noise_power, amplitude=amp
         )
@@ -958,12 +957,8 @@ class BatchedProtocolEngine(_LinkEngine):
         out3 = self.medium.run_phase_rows(
             {"r": amp * codec.encode_frame_rows(relay_frames)}, ("a", "b"), s3
         )
-        relay_at_a = codec.decode_rows(
-            out3.signal_at("a"), self._gain("a", "r"), self._noise_power, amplitude=amp
-        )
-        relay_at_b = codec.decode_rows(
-            out3.signal_at("b"), self._gain("b", "r"), self._noise_power, amplitude=amp
-        )
+        relay_at_a = self._decode(out3, "a", "r", relay_frames)
+        relay_at_b = self._decode(out3, "b", "r", relay_frames)
         del out3
 
         est_b_at_a = arbitrate_paths_rows(
@@ -971,12 +966,14 @@ class BatchedProtocolEngine(_LinkEngine):
             relay_frames=relay_at_a,
             own_frame_rows=frames_a,
             direct_llr_rows=b_at_a_llrs,
+            partner_frame_rows=frames_b,
         )
         est_a_at_b = arbitrate_paths_rows(
             codec,
             relay_frames=relay_at_b,
             own_frame_rows=frames_b,
             direct_llr_rows=a_at_b_llrs,
+            partner_frame_rows=frames_a,
         )
         success_ab, err_ab = self._direction_rows(wa, est_a_at_b)
         success_ba, err_ba = self._direction_rows(wb, est_b_at_a)
@@ -1010,9 +1007,7 @@ class BatchedProtocolEngine(_LinkEngine):
         out1 = self.medium.run_phase_rows(
             {"a": amp * half.encode_frame_rows(frames_a1)}, ("b", "r"), s1
         )
-        a1_at_r = half.decode_rows(
-            out1.signal_at("r"), self._gain("a", "r"), self._noise_power, amplitude=amp
-        )
+        a1_at_r = self._decode(out1, "r", "a", frames_a1, half)
         a1_at_b_llrs = half.demodulate_rows(
             out1.signal_at("b"), self._gain("a", "b"), self._noise_power, amplitude=amp
         )
@@ -1021,9 +1016,7 @@ class BatchedProtocolEngine(_LinkEngine):
         out2 = self.medium.run_phase_rows(
             {"b": amp * half.encode_frame_rows(frames_b1)}, ("a", "r"), s2
         )
-        b1_at_r = half.decode_rows(
-            out2.signal_at("r"), self._gain("b", "r"), self._noise_power, amplitude=amp
-        )
+        b1_at_r = self._decode(out2, "r", "b", frames_b1, half)
         b1_at_a_llrs = half.demodulate_rows(
             out2.signal_at("a"), self._gain("a", "b"), self._noise_power, amplitude=amp
         )
@@ -1044,6 +1037,8 @@ class BatchedProtocolEngine(_LinkEngine):
             gain_b=self._gain("b", "r"),
             noise_power=self._noise_power,
             amplitude=amp,
+            sent_a=frames_a2,
+            sent_b=frames_b2,
         )
         del out3
 
@@ -1062,10 +1057,18 @@ class BatchedProtocolEngine(_LinkEngine):
         def _decode_broadcast(y, node: str):
             gain = self._gain(node, "r")
             first = half.decode_rows(
-                y[:, :n_half], gain, self._noise_power, amplitude=amp
+                y[:, :n_half],
+                gain,
+                self._noise_power,
+                amplitude=amp,
+                sent=relay_frames_1,
             )
             second = half.decode_rows(
-                y[:, n_half:], gain, self._noise_power, amplitude=amp
+                y[:, n_half:],
+                gain,
+                self._noise_power,
+                amplitude=amp,
+                sent=relay_frames_2,
             )
             return first, second
 
@@ -1078,6 +1081,7 @@ class BatchedProtocolEngine(_LinkEngine):
             relay_frames=relay1_at_a,
             own_frame_rows=frames_a1,
             direct_llr_rows=b1_at_a_llrs,
+            partner_frame_rows=frames_b1,
         )
         est_b2_at_a = arbitrate_paths_rows(
             half, relay_frames=relay2_at_a, own_frame_rows=frames_a2
@@ -1087,6 +1091,7 @@ class BatchedProtocolEngine(_LinkEngine):
             relay_frames=relay1_at_b,
             own_frame_rows=frames_b1,
             direct_llr_rows=a1_at_b_llrs,
+            partner_frame_rows=frames_a1,
         )
         est_a2_at_b = arbitrate_paths_rows(
             half, relay_frames=relay2_at_b, own_frame_rows=frames_b2

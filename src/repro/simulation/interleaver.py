@@ -15,6 +15,7 @@ call — the layout of the batched link-level simulation kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,11 +85,10 @@ class RandomInterleaver:
     seed: int
 
     def permutation(self, n: int) -> np.ndarray:
-        """The permutation for length ``n``."""
+        """The permutation for length ``n``, shared and read-only."""
         if n < 0:
             raise InvalidParameterError(f"length must be non-negative, got {n}")
-        rng = np.random.default_rng(self.seed)
-        return rng.permutation(n)
+        return _seeded_permutation(self.seed, n)
 
     def interleave(self, values: np.ndarray) -> np.ndarray:
         """Permute a sequence (the last axis of a batched array)."""
@@ -102,3 +102,16 @@ class RandomInterleaver:
         out = np.empty_like(arr)
         out[..., perm] = arr
         return out
+
+
+@lru_cache(maxsize=64)
+def _seeded_permutation(seed: int, n: int) -> np.ndarray:
+    """``default_rng(seed).permutation(n)``, drawn once per ``(seed, n)``.
+
+    Every interleave and deinterleave of a frame length reads the same
+    permutation, so it is memoized; it is returned read-only because
+    every caller shares the one array.
+    """
+    permutation = np.random.default_rng(seed).permutation(n)
+    permutation.flags.writeable = False
+    return permutation

@@ -265,15 +265,22 @@ class LinkCodec:
         )
         return llrs[:, : self.coded_bits]
 
-    def decode_llr_rows(self, coded_llr_rows: np.ndarray) -> DecodedFrameBatch:
-        """Decode a batch of frames from per-coded-bit LLR rows."""
+    def decode_llr_rows(self, coded_llr_rows: np.ndarray, sent) -> DecodedFrameBatch:
+        """Decode a batch of frames from per-coded-bit LLR rows.
+
+        ``sent`` gives the frames (payload + CRC) that were transmitted,
+        ``(rounds, frame_bits)``. The Viterbi stage tries them as its
+        certified candidates (see :meth:`ConvolutionalCode.decode_rows`),
+        which only decides how many rows skip the trellis: it cannot
+        change a value.
+        """
         llrs = np.asarray(coded_llr_rows, dtype=float)
         if llrs.ndim != 2 or llrs.shape[1] != self.coded_bits:
             raise InvalidParameterError(
                 f"expected (rounds, {self.coded_bits}) LLRs, got shape {llrs.shape}"
             )
         deinterleaved = self._interleaver().deinterleave(llrs)
-        frames = self.code.decode_rows(deinterleaved, self.frame_bits)
+        frames = self.code.decode_rows(deinterleaved, self.frame_bits, sent)
         return DecodedFrameBatch(
             payload=frames[:, : -self.crc.n_bits],
             frame_bits=frames,
@@ -287,18 +294,21 @@ class LinkCodec:
         noise_power: float,
         *,
         amplitude: float = 1.0,
+        sent,
     ) -> DecodedFrameBatch:
         """Demodulate and decode a batch of received blocks in one step.
 
         Accepts scalar or ``(rounds, 1)`` per-row channel parameters (see
         :meth:`demodulate_rows`); the Viterbi stage is channel-agnostic,
         so fused multi-cell batches decode in the same single trellis
-        pass as single-cell ones.
+        pass as single-cell ones. ``sent`` is the transmitted frame batch,
+        a decoder hint that cannot change a value (see
+        :meth:`decode_llr_rows`).
         """
         llrs = self.demodulate_rows(
             received_rows, complex_gain, noise_power, amplitude=amplitude
         )
-        return self.decode_llr_rows(llrs)
+        return self.decode_llr_rows(llrs, sent)
 
 
 def default_codec(payload_bits: int = 128) -> LinkCodec:

@@ -156,6 +156,8 @@ def sic_decode_mac_rows(
     gain_b: np.ndarray,
     noise_power: float,
     amplitude: np.ndarray,
+    sent_a: np.ndarray,
+    sent_b: np.ndarray,
 ) -> MacDecodingRows:
     """Batched successive interference cancellation, one cell per row.
 
@@ -166,6 +168,12 @@ def sic_decode_mac_rows(
     comparison (ties decode ``a`` first), and every arithmetic
     expression matches the scalar path operation for operation — so row
     ``r`` reproduces the scalar SIC of its cell and round bit for bit.
+
+    ``sent_a``/``sent_b`` are the frames the terminals transmitted. Each
+    stage passes the frames of the terminal it decodes on that row, by
+    the same ``strong_is_a`` rule, to :meth:`LinkCodec.decode_rows` as
+    its ``sent`` hint, which decides only how many rows skip the trellis
+    and cannot change a value.
     """
     if np.any(np.asarray(noise_power) <= 0):
         raise InvalidParameterError(f"noise power must be positive, got {noise_power}")
@@ -180,12 +188,20 @@ def sic_decode_mac_rows(
     weak_power = np.where(strong_is_a, power_b, power_a)
 
     strong_frames = codec.decode_rows(
-        y, strong_gain, noise_power + weak_power, amplitude=amplitude
+        y,
+        strong_gain,
+        noise_power + weak_power,
+        amplitude=amplitude,
+        sent=np.where(strong_is_a, sent_a, sent_b),
     )
     reencoded = codec.encode_frame_rows(strong_frames.frame_bits)
     residual = y - amplitude * strong_gain * reencoded
     weak_frames = codec.decode_rows(
-        residual, weak_gain, noise_power, amplitude=amplitude
+        residual,
+        weak_gain,
+        noise_power,
+        amplitude=amplitude,
+        sent=np.where(strong_is_a, sent_b, sent_a),
     )
 
     first_is_a = np.broadcast_to(strong_is_a, (y.shape[0], 1))[:, 0]

@@ -15,9 +15,10 @@ The batched arbitration (:func:`arbitrate_paths_rows`) takes the
 overheard frames as demodulated LLR rows, not decoded frames. It resolves
 the relay path first and runs the direct-path Viterbi decode only on the
 rows whose relay path failed its CRC, because a verified relay row never
-reads its direct estimate. The direct link is usually the weak one, so
-those are the rows least likely to take the decoder's certified fast
-path. :func:`arbitrate_paths` is the per-round oracle; it decodes eagerly.
+reads its direct estimate. The direct link is usually the weak one,
+but given the partner's sent frames the decoder's certificate still
+takes a row whose few sign errors sit on low-reliability bits.
+:func:`arbitrate_paths` is the per-round oracle; it decodes eagerly.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..exceptions import InvalidParameterError
 from .bits import xor_bits
 from .crc import CrcCode
 from .linkcodec import DecodedFrame, DecodedFrameBatch, LinkCodec
@@ -151,6 +153,7 @@ def arbitrate_paths_rows(
     relay_frames: DecodedFrameBatch,
     own_frame_rows: np.ndarray,
     direct_llr_rows: np.ndarray | None = None,
+    partner_frame_rows: np.ndarray | None = None,
 ) -> PartnerEstimateRows:
     """Batched :func:`arbitrate_paths` over a rounds axis.
 
@@ -163,15 +166,25 @@ def arbitrate_paths_rows(
     failed: a verified relay row never reads its direct estimate, so its
     Viterbi pass is skipped. Row ``r`` of :meth:`LinkCodec.decode_llr_rows`
     equals the decode of that row alone, so row ``r`` of the result
-    equals the scalar arbitration of round ``r``.
+    equals the scalar arbitration of round ``r``. ``partner_frame_rows``
+    gives the frames the partner sent on the direct path and is required
+    with ``direct_llr_rows``; the failed rows' frames go to the decoder
+    as its ``sent`` hint, which decides only how many rows skip the
+    trellis and cannot change a value.
     """
+    if (direct_llr_rows is None) != (partner_frame_rows is None):
+        raise InvalidParameterError(
+            "direct_llr_rows and partner_frame_rows go together"
+        )
     crc = codec.crc
     partner_rows = np.bitwise_xor(relay_frames.frame_bits, own_frame_rows)
     crc_ok = relay_frames.crc_ok & crc.check_rows(partner_rows)
     payload = partner_rows[:, : -crc.n_bits]
     failed = np.flatnonzero(~crc_ok)
     if direct_llr_rows is not None and failed.size:
-        direct = codec.decode_llr_rows(direct_llr_rows[failed])
+        direct = codec.decode_llr_rows(
+            direct_llr_rows[failed], partner_frame_rows[failed]
+        )
         payload[failed[direct.crc_ok]] = direct.payload[direct.crc_ok]
         crc_ok[failed] = direct.crc_ok
     return PartnerEstimateRows(payload=payload, crc_ok=crc_ok)

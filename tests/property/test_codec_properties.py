@@ -12,18 +12,18 @@ from repro.simulation.bits import (
     pad_bits,
     xor_bits,
 )
-from repro.simulation.convolutional import TEST_CODE
+from repro.simulation.convolutional import NASA_CODE, TEST_CODE
 from repro.simulation.crc import CRC8, CRC16_CCITT
 from repro.simulation.interleaver import BlockInterleaver, RandomInterleaver
 from repro.simulation.linkcodec import LinkCodec
 from repro.simulation.modulation import Bpsk, Qpsk, hard_decisions
 
-bit_lists = st.lists(st.integers(min_value=0, max_value=1),
-                     min_size=1, max_size=200)
+bit_lists = st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=200)
+even_bit_lists = bit_lists.filter(lambda bits: len(bits) % 2 == 0)
 
 
 class TestBitUtilityProperties:
-    @given(st.integers(min_value=0, max_value=2 ** 30 - 1))
+    @given(st.integers(min_value=0, max_value=2**30 - 1))
     def test_int_bits_roundtrip(self, value):
         assert bits_to_int(int_to_bits(value, 30)) == value
 
@@ -37,18 +37,20 @@ class TestBitUtilityProperties:
         arr = np.array(bits, dtype=np.uint8)
         padded = pad_bits(arr, arr.size + extra)
         np.testing.assert_array_equal(padded[: arr.size], arr)
-        assert padded[arr.size:].sum() == 0
+        assert padded[arr.size :].sum() == 0
+
+
+def _bit_arrays_of_length(n, count):
+    """``count`` independent bit arrays of length ``n``."""
+    bits = st.lists(st.integers(min_value=0, max_value=1), min_size=n, max_size=n)
+    array = bits.map(lambda values: np.array(values, dtype=np.uint8))
+    return st.tuples(*[array] * count)
 
 
 def _equal_length_bit_arrays(count):
     """``count`` bit arrays sharing one random length."""
-    return st.integers(min_value=1, max_value=64).flatmap(
-        lambda n: st.tuples(*[
-            st.lists(st.integers(min_value=0, max_value=1), min_size=n, max_size=n)
-            .map(lambda bits: np.array(bits, dtype=np.uint8))
-            for _ in range(count)
-        ])
-    )
+    lengths = st.integers(min_value=1, max_value=64)
+    return lengths.flatmap(lambda n: _bit_arrays_of_length(n, count))
 
 
 class TestXorCombineProperties:
@@ -105,7 +107,7 @@ class TestCrcProperties:
         frame = CRC16_CCITT.append(np.array(bits, dtype=np.uint8))
         assert CRC16_CCITT.check(frame)
 
-    @given(bit_lists, st.integers(min_value=0, max_value=10 ** 9))
+    @given(bit_lists, st.integers(min_value=0, max_value=10**9))
     def test_single_flip_always_detected(self, bits, position_seed):
         frame = CRC8.append(np.array(bits, dtype=np.uint8))
         corrupted = frame.copy()
@@ -131,7 +133,7 @@ class TestConvolutionalProperties:
         np.testing.assert_array_equal(decoded, arr)
 
     @settings(max_examples=30, deadline=None)
-    @given(bit_lists, st.integers(min_value=0, max_value=10 ** 9))
+    @given(bit_lists, st.integers(min_value=0, max_value=10**9))
     def test_single_coded_bit_error_corrected(self, bits, position_seed):
         arr = np.array(bits, dtype=np.uint8)
         coded = TEST_CODE.encode(arr)
@@ -150,18 +152,70 @@ class TestConvolutionalProperties:
         np.testing.assert_array_equal(lhs, rhs)
 
 
+#: LLR values that stress the certificate's guards and the ACS tie rules.
+_SPECIAL_LLRS = (0.0, -0.0, 5e-324, -1e-310, np.inf, -np.inf)
+
+
+class TestCertifiedCandidateProperties:
+    """``decode_rows(llr, n, sent=candidate)`` equals the oracle, row by row."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([NASA_CODE, TEST_CODE]),
+        st.integers(min_value=1, max_value=24),
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.sampled_from([0.0, 0.5, 2.0]),
+        st.booleans(),
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=10**6),
+                st.sampled_from(_SPECIAL_LLRS),
+            ),
+            max_size=3,
+        ),
+    )
+    def test_any_candidate_decodes_like_the_oracle(
+        self, code, n_info, seed, sigma, ties, specials
+    ):
+        rng = np.random.default_rng(seed)
+        info = rng.integers(0, 2, size=(6, n_info), dtype=np.uint8)
+        llrs = 4.0 * (1.0 - 2.0 * code.encode_rows(info))
+        llrs = llrs + rng.normal(0.0, sigma, size=llrs.shape)
+        if ties:  # integer LLRs: many equal path metrics
+            llrs = np.round(llrs)
+        for position, value in specials:
+            llrs.flat[position % llrs.size] = value
+        # Candidates: the sent words (rows 0-1), the sent words with 1-3
+        # bits flipped (rows 2-3) and random words (rows 4-5).
+        candidates = info.copy()
+        for row in (2, 3):
+            flips = rng.choice(n_info, size=min(n_info, 1 + row % 3), replace=False)
+            candidates[row, flips] ^= 1
+        candidates[4:] = rng.integers(0, 2, size=(2, n_info), dtype=np.uint8)
+        with np.errstate(invalid="ignore", over="ignore"):
+            batch = code.decode_rows(llrs, n_info, sent=candidates)
+            expected = [code.decode(row, n_info) for row in llrs]
+        assert not np.shares_memory(batch, candidates)
+        for index, row in enumerate(expected):
+            np.testing.assert_array_equal(batch[index], row, err_msg=f"row {index}")
+
+
 class TestInterleaverProperties:
-    @given(st.integers(min_value=0, max_value=2 ** 31 - 1),
-           st.integers(min_value=1, max_value=500))
+    @given(
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.integers(min_value=1, max_value=500),
+    )
     def test_random_interleaver_roundtrip(self, seed, length):
         interleaver = RandomInterleaver(seed=seed)
         data = np.arange(length)
         out = interleaver.deinterleave(interleaver.interleave(data))
         np.testing.assert_array_equal(out, data)
 
-    @given(st.integers(min_value=1, max_value=12),
-           st.integers(min_value=1, max_value=12),
-           st.data())
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=1, max_value=12),
+        st.data(),
+    )
     def test_block_interleaver_roundtrip(self, n_rows, n_cols, data):
         length = data.draw(st.integers(min_value=1, max_value=n_rows * n_cols))
         interleaver = BlockInterleaver(rows=n_rows, cols=n_cols)
@@ -178,8 +232,7 @@ class TestModulationProperties:
         llrs = mod.demodulate_llr(mod.modulate(arr), 1.0 + 0j, noise_power=1.0)
         np.testing.assert_array_equal(hard_decisions(llrs), arr)
 
-    @given(st.lists(st.integers(min_value=0, max_value=1),
-                    min_size=2, max_size=200).filter(lambda b: len(b) % 2 == 0))
+    @given(even_bit_lists)
     def test_qpsk_roundtrip(self, bits):
         arr = np.array(bits, dtype=np.uint8)
         mod = Qpsk()
@@ -189,8 +242,10 @@ class TestModulationProperties:
 
 class TestLinkCodecProperties:
     @settings(max_examples=15, deadline=None)
-    @given(st.integers(min_value=8, max_value=64),
-           st.integers(min_value=0, max_value=2 ** 31 - 1))
+    @given(
+        st.integers(min_value=8, max_value=64),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
     def test_clean_roundtrip_any_size(self, payload_bits, seed):
         rng = np.random.default_rng(seed)
         codec = LinkCodec(payload_bits=payload_bits, code=TEST_CODE, crc=CRC8)

@@ -18,7 +18,7 @@ from repro.core.terms import BoundKind
 from repro.network.cutset import GaussianMIOracle, cutset_outer_bound
 from repro.network.model import bidirectional_relay_network
 
-seeds = st.integers(min_value=0, max_value=2 ** 31 - 1)
+seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
 
 def random_channel(seed: int) -> GaussianChannel:
@@ -54,22 +54,25 @@ class TestEngineMatchesTheorems:
     @given(seeds)
     def test_mabc_theorem2_converse(self, seed):
         channel = random_channel(seed)
-        assert normalized_constraints_from_engine(channel, Protocol.MABC) == \
-            normalized_constraints_from_theorem(channel, Protocol.MABC)
+        engine = normalized_constraints_from_engine(channel, Protocol.MABC)
+        theorem = normalized_constraints_from_theorem(channel, Protocol.MABC)
+        assert engine == theorem
 
     @settings(max_examples=25, deadline=None)
     @given(seeds)
     def test_tdbc_theorem4(self, seed):
         channel = random_channel(seed)
-        assert normalized_constraints_from_engine(channel, Protocol.TDBC) == \
-            normalized_constraints_from_theorem(channel, Protocol.TDBC)
+        engine = normalized_constraints_from_engine(channel, Protocol.TDBC)
+        theorem = normalized_constraints_from_theorem(channel, Protocol.TDBC)
+        assert engine == theorem
 
     @settings(max_examples=25, deadline=None)
     @given(seeds)
     def test_hbc_theorem6_independent_inputs(self, seed):
         channel = random_channel(seed)
-        assert normalized_constraints_from_engine(channel, Protocol.HBC) == \
-            normalized_constraints_from_theorem(channel, Protocol.HBC)
+        engine = normalized_constraints_from_engine(channel, Protocol.HBC)
+        theorem = normalized_constraints_from_theorem(channel, Protocol.HBC)
+        assert engine == theorem
 
     @settings(max_examples=10, deadline=None)
     @given(seeds)

@@ -44,21 +44,17 @@ class TestCapacityFunction:
     @given(positive_snr, positive_snr)
     def test_subadditive_in_snr(self, x, y):
         """C(x + y) <= C(x) + C(y): why the MAC sum constraint binds."""
-        assert gaussian_capacity(x + y) <= (
-            gaussian_capacity(x) + gaussian_capacity(y) + 1e-9
-        )
+        bound = gaussian_capacity(x) + gaussian_capacity(y) + 1e-9
+        assert gaussian_capacity(x + y) <= bound
 
     @given(st.floats(min_value=0.0, max_value=40.0))
     def test_inverse_roundtrip(self, rate):
-        assert gaussian_capacity(inverse_gaussian_capacity(rate)) == pytest.approx(
-            rate, abs=1e-9
-        )
+        recovered = gaussian_capacity(inverse_gaussian_capacity(rate))
+        assert recovered == pytest.approx(rate, abs=1e-9)
 
     @given(st.floats(min_value=-80.0, max_value=80.0))
     def test_db_roundtrip(self, value_db):
-        assert linear_to_db(db_to_linear(value_db)) == pytest.approx(
-            value_db, abs=1e-9
-        )
+        assert linear_to_db(db_to_linear(value_db)) == pytest.approx(value_db, abs=1e-9)
 
 
 class TestBinaryEntropyProperties:
@@ -71,8 +67,7 @@ class TestBinaryEntropyProperties:
         assert binary_entropy(p) == pytest.approx(binary_entropy(1.0 - p))
 
 
-weights = st.lists(st.floats(min_value=1e-3, max_value=1.0),
-                   min_size=2, max_size=6)
+weights = st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=2, max_size=6)
 
 
 class TestDiscreteEntropyProperties:
@@ -84,12 +79,13 @@ class TestDiscreteEntropyProperties:
 
     @given(weights, weights)
     def test_mi_nonnegative_and_symmetric(self, wx, wy):
-        joint = np.outer(normalize_distribution(np.array(wx)),
-                         normalize_distribution(np.array(wy)))
+        px = normalize_distribution(np.array(wx))
+        py = normalize_distribution(np.array(wy))
+        joint = np.outer(px, py)
         # Perturb towards correlation while keeping validity.
-        joint = normalize_distribution(joint + joint.T @ joint if
-                                       joint.shape[0] == joint.shape[1]
-                                       else joint)
+        if joint.shape[0] == joint.shape[1]:
+            joint = joint + joint.T @ joint
+        joint = normalize_distribution(joint)
         mi_xy = mutual_information(joint, [0], [1])
         mi_yx = mutual_information(joint, [1], [0])
         assert mi_xy >= 0.0
@@ -97,7 +93,7 @@ class TestDiscreteEntropyProperties:
 
     @given(weights)
     def test_mi_bounded_by_marginal_entropies(self, raw):
-        rng = np.random.default_rng(abs(hash(tuple(raw))) % (2 ** 31))
+        rng = np.random.default_rng(abs(hash(tuple(raw))) % (2**31))
         joint = normalize_distribution(rng.random((3, 3)))
         mi = mutual_information(joint, [0], [1])
         assert mi <= entropy(marginal(joint, [0])) + 1e-9
@@ -110,7 +106,7 @@ cols = st.integers(min_value=2, max_value=4)
 
 class TestBlahutArimotoProperties:
     @settings(max_examples=20, deadline=None)
-    @given(rows, cols, st.integers(min_value=0, max_value=2 ** 31 - 1))
+    @given(rows, cols, st.integers(min_value=0, max_value=2**31 - 1))
     def test_capacity_dominates_uniform_input_mi(self, n_in, n_out, seed):
         rng = np.random.default_rng(seed)
         raw = rng.random((n_in, n_out)) + 1e-3
@@ -121,7 +117,7 @@ class TestBlahutArimotoProperties:
         assert result.capacity >= mutual_information(joint, [0], [1]) - 1e-7
 
     @settings(max_examples=20, deadline=None)
-    @given(rows, cols, st.integers(min_value=0, max_value=2 ** 31 - 1))
+    @given(rows, cols, st.integers(min_value=0, max_value=2**31 - 1))
     def test_capacity_bounded_by_alphabets(self, n_in, n_out, seed):
         rng = np.random.default_rng(seed)
         raw = rng.random((n_in, n_out)) + 1e-3

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.exceptions import InfeasibleProblemError
 from repro.optimize.linprog import LinearProgram, solve_lp
 
-seeds = st.integers(min_value=0, max_value=2 ** 31 - 1)
+seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
 
 def random_bounded_lp(seed: int) -> LinearProgram:
@@ -21,8 +21,8 @@ def random_bounded_lp(seed: int) -> LinearProgram:
     n = int(rng.integers(2, 6))
     m = int(rng.integers(1, 5))
     a_ub = np.vstack([rng.normal(size=(m, n)), np.eye(n)])
-    b_ub = np.concatenate([rng.uniform(0.1, 2.0, size=m),
-                           rng.uniform(0.5, 5.0, size=n)])
+    row_caps = rng.uniform(0.1, 2.0, size=m)
+    b_ub = np.concatenate([row_caps, rng.uniform(0.5, 5.0, size=n)])
     c = rng.normal(size=n)
     return LinearProgram(c=c, a_ub=a_ub, b_ub=b_ub)
 
@@ -77,5 +77,4 @@ class TestHighsSolutions:
     def test_objective_matches_point(self, seed):
         problem = random_bounded_lp(seed)
         result = solve_lp(problem)
-        assert result.objective == pytest.approx(float(problem.c @ result.x),
-                                                 abs=1e-9)
+        assert result.objective == pytest.approx(float(problem.c @ result.x), abs=1e-9)

@@ -14,7 +14,7 @@ from repro.core.capacity import (
 from repro.core.gaussian import GaussianChannel
 from repro.core.protocols import Protocol
 
-seeds = st.integers(min_value=0, max_value=2 ** 31 - 1)
+seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
 
 def random_channel(seed: int) -> GaussianChannel:
@@ -53,8 +53,8 @@ class TestProtocolNesting:
         channel = random_channel(seed)
         bigger = channel.with_power(channel.power * 2.0)
         for protocol in Protocol:
-            assert optimal_sum_rate(protocol, bigger).sum_rate >= \
-                optimal_sum_rate(protocol, channel).sum_rate - 1e-9
+            bigger_rate = optimal_sum_rate(protocol, bigger).sum_rate
+            assert bigger_rate >= optimal_sum_rate(protocol, channel).sum_rate - 1e-9
 
 
 class TestRegionGeometry:
@@ -102,8 +102,9 @@ class TestTerminalSymmetry:
     def test_swapping_terminals_preserves_sum_rate(self, seed):
         """Relabeling a <-> b cannot change the optimal sum rate."""
         channel = random_channel(seed)
-        swapped = GaussianChannel(gains=channel.gains.swapped_terminals(),
-                                  power=channel.power)
+        swapped = GaussianChannel(
+            gains=channel.gains.swapped_terminals(), power=channel.power
+        )
         for protocol in Protocol:
             original = optimal_sum_rate(protocol, channel).sum_rate
             mirrored = optimal_sum_rate(protocol, swapped).sum_rate

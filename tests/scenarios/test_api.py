@@ -5,6 +5,12 @@ three executors bitwise-identical, and a sharded evaluation gathered from
 a shared cache must be bitwise-identical to the unsharded run.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -147,3 +153,32 @@ class TestFacadeInputs:
         assert isinstance(reference, EvaluationResult)
         assert reference.executor_name == "serial"
 
+
+class TestAnalyticImports:
+    def test_analytic_callers_never_load_the_link_simulator(self):
+        """``import repro.api`` and an analytic evaluate skip ``repro.simulation``."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        script = textwrap.dedent(
+            """
+            import sys
+            import repro.api
+
+            def loaded():
+                link = ("repro.simulation.engine", "repro.traffic.simulator")
+                return [name for name in link if name in sys.modules]
+
+            print(loaded())
+            repro.api.evaluate("fading-ensemble")
+            print(loaded())
+            """
+        )
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        assert out.stdout.split("\n")[:2] == ["[]", "[]"]

@@ -5,12 +5,7 @@ import pytest
 
 from repro.exceptions import InvalidParameterError
 from repro.simulation.bits import random_bits
-from repro.simulation.convolutional import (
-    NASA_CODE,
-    TEST_CODE,
-    ConvolutionalCode,
-    _gf2_mul,
-)
+from repro.simulation.convolutional import NASA_CODE, TEST_CODE, ConvolutionalCode
 
 RATE_THIRD_CODE = ConvolutionalCode(generators=(0o5, 0o7, 0o7), constraint_length=3)
 
@@ -147,7 +142,8 @@ class TestBatchedRows:
     @pytest.mark.parametrize("n_info", [1, 2, 17, 32, 80, 144])
     def test_decode_rows_match_scalar(self, code, n_info, rng):
         llrs = rng.normal(0.0, 3.0, size=(7, code.n_coded_bits(n_info)))
-        batch = code.decode_rows(llrs, n_info)
+        sent = rng.integers(0, 2, size=(7, n_info), dtype=np.uint8)
+        batch = code.decode_rows(llrs, n_info, sent)
         for index in range(llrs.shape[0]):
             np.testing.assert_array_equal(
                 batch[index], code.decode(llrs[index], n_info)
@@ -157,14 +153,16 @@ class TestBatchedRows:
         code = ConvolutionalCode(generators=(0o5, 0o7, 0o7), constraint_length=3)
         rows = np.stack([random_bits(rng, 20) for _ in range(5)])
         coded = code.encode_rows(rows).astype(float)
-        decoded = code.decode_rows(1.0 - 2.0 * coded, 20)
+        decoded = code.decode_rows(1.0 - 2.0 * coded, 20, rows)
         np.testing.assert_array_equal(decoded, rows)
 
     def test_decode_rows_shape_validated(self):
         with pytest.raises(InvalidParameterError):
-            TEST_CODE.decode_rows(np.zeros((3, 10)), 10)
+            TEST_CODE.decode_rows(np.zeros((3, 10)), 10, np.zeros((3, 10)))
         with pytest.raises(InvalidParameterError):
-            TEST_CODE.decode_rows(np.zeros(TEST_CODE.n_coded_bits(10)), 10)
+            TEST_CODE.decode_rows(
+                np.zeros(TEST_CODE.n_coded_bits(10)), 10, np.zeros((1, 10))
+            )
 
     def test_encode_rows_empty_block_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -175,10 +173,10 @@ ORACLE_CODES = [NASA_CODE, TEST_CODE, RATE_THIRD_CODE]
 ORACLE_IDS = ["nasa", "k3", "rate-third"]
 
 
-def assert_rows_match_oracle(code, llrs, n_info):
+def assert_rows_match_oracle(code, llrs, n_info, sent):
     """decode_rows must equal the per-frame decode row for row, bit for bit."""
     with np.errstate(invalid="ignore", over="ignore"):
-        batch = code.decode_rows(llrs, n_info)
+        batch = code.decode_rows(llrs, n_info, sent)
         scalar = [code.decode(row, n_info) for row in llrs]
     assert batch.shape == (llrs.shape[0], n_info)
     assert batch.dtype == np.uint8
@@ -193,12 +191,6 @@ def codeword_llrs(code, rng, n_rows, n_info, amplitude=4.0):
     return amplitude * (1.0 - 2.0 * coded), info
 
 
-def generator_polynomial(code, g):
-    """GF(2)[D] polynomial of a generator, bit i holding the D^i coefficient."""
-    k = code.constraint_length
-    return sum(((g >> (k - 1 - i)) & 1) << i for i in range(k))
-
-
 class TestExactFastPaths:
     """The butterfly ACS and the certified shortcut against the oracle."""
 
@@ -208,56 +200,60 @@ class TestExactFastPaths:
         clean, info = codeword_llrs(code, rng, 24, n_info)
         noisy = clean + rng.normal(0.0, 2.5, size=clean.shape)
         llrs = np.concatenate([clean, noisy])
-        _, certified = code._certified_codewords(llrs, n_info)
+        sent = np.concatenate([info, info])
+        certified = code._certified(llrs, sent)
         # Clean rows take the shortcut; noisy rows mix both paths.
         assert certified[:24].all()
         assert not certified[24:].all()
-        assert_rows_match_oracle(code, llrs, n_info)
-        np.testing.assert_array_equal(code.decode_rows(clean, n_info), info)
+        assert_rows_match_oracle(code, llrs, n_info, sent)
+        np.testing.assert_array_equal(code.decode_rows(clean, n_info, info), info)
 
     @pytest.mark.parametrize("code", ORACLE_CODES, ids=ORACLE_IDS)
     def test_zero_rows(self, code):
-        decoded = code.decode_rows(np.zeros((0, code.n_coded_bits(12))), 12)
+        decoded = code.decode_rows(
+            np.zeros((0, code.n_coded_bits(12))), 12, np.zeros((0, 12))
+        )
         assert decoded.shape == (0, 12)
         assert decoded.dtype == np.uint8
 
     @pytest.mark.parametrize("code", ORACLE_CODES, ids=ORACLE_IDS)
     def test_one_info_bit_block(self, code, rng):
-        clean, _ = codeword_llrs(code, rng, 6, 1)
+        clean, info = codeword_llrs(code, rng, 6, 1)
         noisy = rng.normal(0.0, 1.0, size=clean.shape)
-        assert_rows_match_oracle(code, np.concatenate([clean, noisy]), 1)
+        llrs = np.concatenate([clean, noisy])
+        assert_rows_match_oracle(code, llrs, 1, np.concatenate([info, info]))
 
     @pytest.mark.parametrize("code", ORACLE_CODES, ids=ORACLE_IDS)
     def test_exact_zero_llrs(self, code, rng):
         n_info = 20
-        llrs, _ = codeword_llrs(code, rng, 6, n_info)
+        llrs, info = codeword_llrs(code, rng, 6, n_info)
         llrs[0, 3] = 0.0
         llrs[1, 5] = -0.0
         llrs[2] = 0.0  # all-zero row: every path ties
         llrs[3, ::2] = 0.0
-        _, certified = code._certified_codewords(llrs, n_info)
-        assert not certified[:4].any()
-        assert_rows_match_oracle(code, llrs, n_info)
+        assert not code._certified(llrs, info)[:4].any()
+        assert_rows_match_oracle(code, llrs, n_info, info)
 
     @pytest.mark.parametrize("code", ORACLE_CODES, ids=ORACLE_IDS)
     def test_subnormal_llrs(self, code, rng):
         n_info = 20
-        llrs, _ = codeword_llrs(code, rng, 6, n_info)
+        llrs, info = codeword_llrs(code, rng, 6, n_info)
         tiny = np.finfo(float).tiny
         llrs[0] *= tiny / 16.0  # every LLR subnormal
         llrs[1, 4] *= tiny / 16.0  # one subnormal LLR
         llrs[2] = rng.normal(0.0, 1.0, size=llrs.shape[1]) * 1e-310
-        _, certified = code._certified_codewords(llrs, n_info)
+        certified = code._certified(llrs, info)
         assert not certified[:3].any()
         assert certified[3:].all()
-        assert_rows_match_oracle(code, llrs, n_info)
+        assert_rows_match_oracle(code, llrs, n_info, info)
 
     @pytest.mark.parametrize("code", ORACLE_CODES, ids=ORACLE_IDS)
     def test_infinite_llrs(self, code, rng):
         n_info = 20
-        clean, _ = codeword_llrs(code, rng, 4, n_info)
+        clean, info = codeword_llrs(code, rng, 4, n_info)
         noisy = rng.normal(0.0, 2.0, size=(6, clean.shape[1]))
         llrs = np.concatenate([clean, noisy])
+        sent = np.concatenate([info, info, info[:2]])
         llrs[0, 0] = np.inf
         llrs[1, 7] = -np.inf
         llrs[2] *= 1e305  # a finite codeword row whose |LLR| sum exceeds 2^1020
@@ -268,10 +264,10 @@ class TestExactFastPaths:
         llrs[8] = 1e308  # finite, but path metrics overflow
         llrs[9, 4] = np.nan
         with np.errstate(over="ignore"):
-            _, certified = code._certified_codewords(llrs, n_info)
+            certified = code._certified(llrs, sent)
         assert not certified[[0, 1, 2, 4, 5, 6, 7, 8, 9]].any()
         assert certified[3]
-        assert_rows_match_oracle(code, llrs, n_info)
+        assert_rows_match_oracle(code, llrs, n_info, sent)
 
     @pytest.mark.parametrize("code", ORACLE_CODES, ids=ORACLE_IDS)
     def test_failed_certificate_takes_the_acs(self, code, rng):
@@ -282,12 +278,12 @@ class TestExactFastPaths:
         for row, scale in enumerate(10.0 ** -np.arange(0, 32, 4)):
             # Shrink d_free magnitudes: the hard decisions stay a codeword.
             llrs[row, :d_free] *= scale
-        _, certified = code._certified_codewords(llrs, n_info)
+        certified = code._certified(llrs, info)
         assert certified[0]
         assert not certified[-1]
         # Still the ML codeword, now found by the full ACS.
-        np.testing.assert_array_equal(code.decode_rows(llrs, n_info), info)
-        assert_rows_match_oracle(code, llrs, n_info)
+        np.testing.assert_array_equal(code.decode_rows(llrs, n_info, info), info)
+        assert_rows_match_oracle(code, llrs, n_info, info)
 
     @pytest.mark.parametrize(
         "code",
@@ -295,7 +291,7 @@ class TestExactFastPaths:
             # No oldest-register tap on the first generator: slot 1's
             # branches are not the negations of slot 0's.
             ConvolutionalCode(generators=(0o6, 0o7), constraint_length=3),
-            # gcd(1 + D, ...) != 1: catastrophic, so no row can shortcut.
+            # gcd(1 + D, ...) != 1: catastrophic.
             ConvolutionalCode(generators=(0o3, 0o5), constraint_length=3),
             ConvolutionalCode(generators=(0o3,), constraint_length=2),
         ],
@@ -303,25 +299,93 @@ class TestExactFastPaths:
     )
     def test_unusual_codes(self, code, rng):
         n_info = 15
-        clean, _ = codeword_llrs(code, rng, 4, n_info)
+        clean, info = codeword_llrs(code, rng, 4, n_info)
         noisy = clean + rng.normal(0.0, 3.0, size=clean.shape)
-        assert_rows_match_oracle(code, np.concatenate([clean, noisy]), n_info)
-
-    def test_catastrophic_code_never_shortcuts(self, rng):
-        code = ConvolutionalCode(generators=(0o3, 0o5), constraint_length=3)
-        assert code._trellis()["bezout"] is None
-        clean, _ = codeword_llrs(code, rng, 4, 10)
-        assert not code._certified_codewords(clean, 10)[1].any()
+        llrs = np.concatenate([clean, noisy])
+        assert_rows_match_oracle(code, llrs, n_info, np.concatenate([info, info]))
 
     def test_free_distances(self):
         assert NASA_CODE._trellis()["d_free"] == 10
         assert TEST_CODE._trellis()["d_free"] == 5
         assert RATE_THIRD_CODE._trellis()["d_free"] == 8
 
+
+def rival_case(code, rng, n_info, on_rival):
+    """One LLR row around a sent word whose weight-``d_free`` rival is ML.
+
+    The rival adds an impulse codeword (weight ``d_free`` for every code
+    tested here) to the sent one. Off the impulse's positions every LLR
+    agrees with the sent codeword at magnitude 8; on them the signed
+    reliabilities are ``on_rival``, which sum to less than zero, so the
+    rival is the unique ML word. Returns ``(llrs, sent, rival)``.
+    """
+    sent = rng.integers(0, 2, size=(1, n_info), dtype=np.uint8)
+    impulse = np.zeros_like(sent)
+    impulse[0, n_info // 2] = 1
+    support = code.encode_rows(impulse)[0].astype(bool)
+    assert support.sum() == code._trellis()["d_free"]
+    signed = np.full(support.size, 8.0)
+    signed[support] = on_rival
+    llrs = signed * (1.0 - 2.0 * code.encode_rows(sent)[0])
+    return llrs[None, :], sent, sent ^ impulse
+
+
+class TestSignedCertificate:
+    """The certificate on a caller's ``sent`` candidate."""
+
     @pytest.mark.parametrize("code", ORACLE_CODES, ids=ORACLE_IDS)
-    def test_bezout_identity(self, code):
-        """Σ_j a_j·g_j = 1 over GF(2)[D]."""
-        total = 0
-        for a, g in zip(code._trellis()["bezout"], code.generators):
-            total ^= _gf2_mul(a, generator_polynomial(code, g))
-        assert total == 1
+    @pytest.mark.parametrize("case", ["unsigned-sum", "one-term-more"])
+    def test_ml_rival_is_never_certified_away(self, code, rng, case):
+        n_info = 20
+        d_free = code._trellis()["d_free"]
+        if case == "unsigned-sum":
+            # Every rival position favours the rival by 1: the d_free
+            # smallest |llr| sum to d_free, the signed ones to -d_free.
+            on_rival = -np.ones(d_free)
+        else:
+            # The d_free smallest signed terms sum to -1; one term more
+            # (an off-rival +8) would make the margin positive.
+            on_rival = np.append(np.ones(d_free - 1), -float(d_free))
+        llrs, sent, rival = rival_case(code, rng, n_info, on_rival)
+        assert not code._certified(llrs, sent).any()
+        np.testing.assert_array_equal(code.decode(llrs[0], n_info), rival[0])
+        np.testing.assert_array_equal(code.decode_rows(llrs, n_info, sent), rival)
+
+    @pytest.mark.parametrize("code", ORACLE_CODES, ids=ORACLE_IDS)
+    def test_weak_sign_errors_on_the_sent_word_skip_the_acs(
+        self, code, rng, monkeypatch
+    ):
+        n_info = 40
+        llrs, info = codeword_llrs(code, rng, 16, n_info)
+        for row in llrs:
+            row[rng.choice(row.size, size=3, replace=False)] *= -0.05
+        # Three sign errors on the sent word, fewer than d_free: the hard
+        # decisions are no codeword.
+        errors = (llrs < 0) != code.encode_rows(info).astype(bool)
+        assert (errors.sum(axis=1) == 3).all()
+
+        def no_acs(*args):
+            raise AssertionError("a certified row entered the butterfly ACS")
+
+        monkeypatch.setattr(ConvolutionalCode, "_butterfly_viterbi", no_acs)
+        np.testing.assert_array_equal(code.decode_rows(llrs, n_info, info), info)
+
+    def test_result_is_fresh_and_sent_is_validated(self, rng):
+        n_info = 12
+        llrs, info = codeword_llrs(TEST_CODE, rng, 3, n_info)
+        decoded = TEST_CODE.decode_rows(llrs, n_info, info)
+        np.testing.assert_array_equal(decoded, info)
+        assert not np.shares_memory(decoded, info)
+        with pytest.raises(InvalidParameterError):
+            TEST_CODE.decode_rows(llrs, n_info, info[:, :-1])
+        with pytest.raises(InvalidParameterError):
+            TEST_CODE.decode_rows(llrs, n_info, 2 * info)
+
+    def test_catastrophic_code_certifies_a_sent_candidate(self, rng):
+        # A catastrophic code still has a free distance, which is all the
+        # certificate needs.
+        code = ConvolutionalCode(generators=(0o3, 0o5), constraint_length=3)
+        clean, info = codeword_llrs(code, rng, 4, 10)
+        assert code._certified(clean, info).all()
+        assert_rows_match_oracle(code, clean, 10, info)
+        np.testing.assert_array_equal(code.decode_rows(clean, 10, info), info)

@@ -71,6 +71,19 @@ class TestRandomInterleaver:
         with pytest.raises(InvalidParameterError):
             RandomInterleaver(seed=0).permutation(-1)
 
+    def test_permutation_is_cached_and_read_only(self, rng):
+        interleaver = RandomInterleaver(seed=5)
+        perm = interleaver.permutation(300)
+        np.testing.assert_array_equal(perm, np.random.default_rng(5).permutation(300))
+        assert RandomInterleaver(seed=5).permutation(300) is perm
+        assert not perm.flags.writeable
+        with pytest.raises(ValueError):
+            perm[0] = perm[1]
+        data = rng.normal(size=(3, 300))
+        np.testing.assert_array_equal(data[:, perm], interleaver.interleave(data))
+        out = interleaver.deinterleave(interleaver.interleave(data))
+        np.testing.assert_array_equal(out, data)
+
 
 class TestIdentity:
     def test_identity(self):

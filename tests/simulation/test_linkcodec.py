@@ -129,13 +129,13 @@ class TestBatchedPipeline:
 
     def test_decode_rows_match_scalar(self, codec, rng):
         gain = 0.9 + 0.2j
-        symbols = np.stack(
-            [gain * codec.encode(random_bits(rng, 32)) for _ in range(6)]
-        )
+        payloads = np.stack([random_bits(rng, 32) for _ in range(6)])
+        symbols = np.stack([gain * codec.encode(row) for row in payloads])
         noisy = symbols + 0.4 * (
             rng.normal(size=symbols.shape) + 1j * rng.normal(size=symbols.shape)
         )
-        batch = codec.decode_rows(noisy, gain, 0.32, amplitude=1.0)
+        sent = codec.crc.append_rows(payloads)
+        batch = codec.decode_rows(noisy, gain, 0.32, amplitude=1.0, sent=sent)
         for index in range(noisy.shape[0]):
             scalar = codec.decode(noisy[index], gain, 0.32, amplitude=1.0)
             frame = batch.frame(index)
@@ -145,7 +145,9 @@ class TestBatchedPipeline:
 
     def test_round_trip_rows(self, codec, rng):
         rows = np.stack([random_bits(rng, 32) for _ in range(5)])
-        decoded = codec.decode_rows(codec.encode_rows(rows), 1.0 + 0j, 1e-9)
+        decoded = codec.decode_rows(
+            codec.encode_rows(rows), 1.0 + 0j, 1e-9, sent=codec.crc.append_rows(rows)
+        )
         np.testing.assert_array_equal(decoded.payload, rows)
         assert decoded.crc_ok.all()
         assert len(decoded) == 5
@@ -158,4 +160,4 @@ class TestBatchedPipeline:
         with pytest.raises(InvalidParameterError):
             codec.demodulate_rows(np.zeros((2, 5), dtype=complex), 1.0 + 0j, 1.0)
         with pytest.raises(InvalidParameterError):
-            codec.decode_llr_rows(np.zeros((2, 5)))
+            codec.decode_llr_rows(np.zeros((2, 5)), np.zeros((2, codec.frame_bits)))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.exceptions import InvalidParameterError
 from repro.simulation.bits import random_bits, xor_bits
 from repro.simulation.convolutional import TEST_CODE
 from repro.simulation.crc import CRC8
@@ -177,13 +178,21 @@ class TestArbitrationRows:
         llrs = llrs + noise * rng.standard_normal(llrs.shape)
         return relay, own, partner, llrs
 
-    def _arbitrate(self, codec, relay, own, direct_llrs):
+    def _arbitrate(self, codec, relay, own, direct_llrs, partner):
         """Batched arbitration, checked row by row against the scalar one.
 
-        Returns the batched estimates and the scalar decode path per row.
+        ``partner`` gives the partner payloads whose frames the batched
+        decoder takes as its ``sent`` hint; it is ``None`` exactly when
+        ``direct_llrs`` is. Returns the batched estimates and the scalar
+        decode path per row.
         """
+        partner_frames = None if partner is None else codec.crc.append_rows(partner)
         rows = arbitrate_paths_rows(
-            codec, relay_frames=relay, own_frame_rows=own, direct_llr_rows=direct_llrs
+            codec,
+            relay_frames=relay,
+            own_frame_rows=own,
+            direct_llr_rows=direct_llrs,
+            partner_frame_rows=partner_frames,
         )
         assert rows.payload.shape == (len(relay), codec.payload_bits)
         paths = []
@@ -205,7 +214,7 @@ class TestArbitrationRows:
         relay, own, partner, llrs = self._case(
             codec, rng, relay_bad=[], direct_bad=slice(None)
         )
-        rows, paths = self._arbitrate(codec, relay, own, llrs)
+        rows, paths = self._arbitrate(codec, relay, own, llrs, partner)
         assert paths == [DecodePath.RELAY] * self.N_ROWS
         np.testing.assert_array_equal(rows.payload, partner)
 
@@ -213,65 +222,94 @@ class TestArbitrationRows:
         relay, own, partner, llrs = self._case(
             codec, rng, relay_bad=[0, 3, 4, 9], direct_bad=[]
         )
-        rows, paths = self._arbitrate(codec, relay, own, llrs)
+        rows, paths = self._arbitrate(codec, relay, own, llrs, partner)
         assert _rows_on(paths, DecodePath.DIRECT) == [0, 3, 4, 9]
         assert rows.crc_ok.all()
         np.testing.assert_array_equal(rows.payload, partner)
 
     def test_both_failed(self, codec, rng):
-        relay, own, _, llrs = self._case(
+        relay, own, partner, llrs = self._case(
             codec, rng, relay_bad=[1, 2, 7], direct_bad=[2, 5, 7]
         )
-        rows, paths = self._arbitrate(codec, relay, own, llrs)
+        # The corrupted direct rows decode to frames other than the hint.
+        rows, paths = self._arbitrate(codec, relay, own, llrs, partner)
         assert _rows_on(paths, DecodePath.FAILED) == [2, 7]
         assert _rows_on(paths, DecodePath.DIRECT) == [1]
         np.testing.assert_array_equal(np.flatnonzero(~rows.crc_ok), [2, 7])
 
     def test_no_direct_path(self, codec, rng):
         relay, own, _, _ = self._case(codec, rng, relay_bad=[4, 6], direct_bad=[])
-        rows, paths = self._arbitrate(codec, relay, own, None)
+        rows, paths = self._arbitrate(codec, relay, own, None, None)
         assert _rows_on(paths, DecodePath.FAILED) == [4, 6]
         np.testing.assert_array_equal(np.flatnonzero(~rows.crc_ok), [4, 6])
 
     def test_noisy_direct_rows(self, codec, rng):
         # Noisy LLRs send direct rows through the full Viterbi recursion
-        # as well as the certified-codeword shortcut.
-        relay, own, _, llrs = self._case(
+        # as well as the certified shortcut. A wrong hint (payloads the
+        # partner did not send) fails the certificate on every row, so
+        # the ACS alone must reproduce the scalar decode.
+        relay, own, partner, llrs = self._case(
             codec, rng, relay_bad=slice(None, None, 2), direct_bad=[], noise=3.0
         )
-        _, paths = self._arbitrate(codec, relay, own, llrs)
+        self._arbitrate(codec, relay, own, llrs, partner)
+        _, paths = self._arbitrate(codec, relay, own, llrs, partner ^ 1)
         assert _rows_on(paths, DecodePath.DIRECT)
         assert _rows_on(paths, DecodePath.FAILED)
 
     @pytest.fixture
     def decoded(self, monkeypatch):
-        """The LLR rows of every ``LinkCodec.decode_llr_rows`` call."""
+        """The LLR rows and sent frames of every ``decode_llr_rows`` call."""
         calls = []
         decode = LinkCodec.decode_llr_rows
 
-        def counting(self, coded_llr_rows):
-            calls.append(np.array(coded_llr_rows))
-            return decode(self, coded_llr_rows)
+        def counting(self, coded_llr_rows, sent):
+            calls.append((np.array(coded_llr_rows), sent))
+            return decode(self, coded_llr_rows, sent)
 
         monkeypatch.setattr(LinkCodec, "decode_llr_rows", counting)
         return calls
 
     def test_decodes_exactly_the_failed_relay_rows(self, codec, rng, decoded):
-        relay, own, _, llrs = self._case(
+        relay, own, partner, llrs = self._case(
             codec, rng, relay_bad=[1, 5, 6, 11], direct_bad=[5]
         )
+        partner_frames = codec.crc.append_rows(partner)
         arbitrate_paths_rows(
-            codec, relay_frames=relay, own_frame_rows=own, direct_llr_rows=llrs
+            codec,
+            relay_frames=relay,
+            own_frame_rows=own,
+            direct_llr_rows=llrs,
+            partner_frame_rows=partner_frames,
         )
         assert len(decoded) == 1
-        np.testing.assert_array_equal(decoded[0], llrs[[1, 5, 6, 11]])
+        llr_rows, sent = decoded[0]
+        np.testing.assert_array_equal(llr_rows, llrs[[1, 5, 6, 11]])
+        np.testing.assert_array_equal(sent, partner_frames[[1, 5, 6, 11]])
 
     def test_no_decode_when_every_relay_row_verifies(self, codec, rng, decoded):
-        relay, own, _, llrs = self._case(
+        relay, own, partner, llrs = self._case(
             codec, rng, relay_bad=[], direct_bad=slice(None)
         )
         rows = arbitrate_paths_rows(
-            codec, relay_frames=relay, own_frame_rows=own, direct_llr_rows=llrs
+            codec,
+            relay_frames=relay,
+            own_frame_rows=own,
+            direct_llr_rows=llrs,
+            partner_frame_rows=codec.crc.append_rows(partner),
         )
         assert decoded == []
         assert rows.crc_ok.all()
+
+    def test_direct_rows_need_the_partner_frames(self, codec, rng):
+        relay, own, partner, llrs = self._case(codec, rng, relay_bad=[0], direct_bad=[])
+        with pytest.raises(InvalidParameterError):
+            arbitrate_paths_rows(
+                codec, relay_frames=relay, own_frame_rows=own, direct_llr_rows=llrs
+            )
+        with pytest.raises(InvalidParameterError):
+            arbitrate_paths_rows(
+                codec,
+                relay_frames=relay,
+                own_frame_rows=own,
+                partner_frame_rows=codec.crc.append_rows(partner),
+            )
